@@ -14,9 +14,8 @@
 //! Workloads span the dispatch spectrum: `hmmer`/`namd` are the
 //! compute-dense cells whose wall time is pure dispatch, `mcf` is a
 //! load-heavy mix where batches end at every timed event. The
-//! machine-level (simulator-in-the-loop) comparison over the full
-//! Fig. 7 matrix is `exec_smoke` and the `exec_mode` section of
-//! `BENCH_eval.json`.
+//! machine-level (simulator-in-the-loop) comparison over the Fig. 7
+//! matrix is the `exec` rows of the `perf_gate` bin.
 //!
 //! [`Interp`]: lightwsp_ir::Interp
 //! [`Interp::step`]: lightwsp_ir::Interp::step

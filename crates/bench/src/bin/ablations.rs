@@ -21,7 +21,7 @@ fn geo(exp: &mut Experiment, names: &[&str]) -> f64 {
 }
 
 fn main() {
-    let base_opts = lightwsp_bench::common_options();
+    let base_opts = lightwsp_bench::Cli::from_env(false).options();
     let names = [
         "bzip2",
         "hmmer",

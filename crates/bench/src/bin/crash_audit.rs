@@ -8,27 +8,20 @@
 //! auditor has teeth: a run under the test-only `FlushUnacked` gating
 //! mutant *must* be flagged.
 //!
-//! Finally, times the fork-point sweep engine against the legacy
-//! rerun-from-zero mode on a dense capture-only sweep (the model
-//! harness's exhaustive shape) with a per-point state-digest
-//! cross-check — the recorded speedup is the headline number of the
-//! `O(P·H) → O(H + P·fork)` rewrite.
-//!
 //! Writes `results/crash_audit.txt` plus machine-readable
 //! `BENCH_crash.json` (one record per workload×config cell). `--quick`
 //! shrinks the matrix and point budget for CI; `LIGHTWSP_THREADS` pins
-//! the worker count, `LIGHTWSP_SWEEP_MODE` the matrix sweep mode, and
-//! `LIGHTWSP_STORE` attaches the persistent result store — warm
-//! re-runs on unchanged code serve every cell (audit reports, sweep
-//! timings, wall-clocks) from the store.
+//! the worker count, and `LIGHTWSP_STORE` attaches the persistent
+//! result store — warm re-runs on unchanged code serve every cell
+//! (audit reports, wall-clocks) from the store. The fork-vs-rerun
+//! sweep timing lives in the `perf_gate` bin.
 use lightwsp_bench::evalrun::cache_line;
 use lightwsp_core::cache::{f64_bits, f64_from_bits};
 use lightwsp_core::recovery::{audit_workload_crashes_cached, AuditBudget};
 use lightwsp_core::{
-    digest_debug, memo_value, Experiment, JsonWriter, ResultStore, Scheme, SimConfig, StoreKey,
-    TextRecord,
+    digest_debug, memo_value, JsonWriter, ResultStore, Scheme, SimConfig, StoreKey,
 };
-use lightwsp_sim::{CrashPointKind, GatingMutant, SweepMode};
+use lightwsp_sim::{CrashPointKind, GatingMutant};
 use lightwsp_workloads::workload;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -80,8 +73,8 @@ const CONFIGS: [AuditConfig; 4] = [
 ];
 
 fn main() {
-    let mut opts = lightwsp_bench::common_options();
-    let quick = std::env::args().any(|a| a == "--quick");
+    let cli = lightwsp_bench::Cli::from_env(false);
+    let (quick, mut opts) = (cli.quick, cli.options());
     // Each crash point replays the run prefix and then resumes to
     // completion, so cap the budget to keep the full sweep in seconds.
     opts.insts_per_thread = opts.insts_per_thread.min(20_000);
@@ -177,73 +170,6 @@ fn main() {
         mutant_violations,
     );
 
-    // Fork-sweep engine benchmark: a dense capture-only sweep (cut +
-    // structural check at every point, no resume — the exhaustive-model
-    // shape where rerun's O(P·H) prefix replay dominates), timed in
-    // both sweep modes with a per-point digest cross-check. The whole
-    // stage is one memoized record: its wall-clocks are only meaningful
-    // measured cold, and the recorded speedup is what the acceptance
-    // assert checks on a warm pass.
-    let (cap_per_kind, dense_seeded) = if quick { (8, 60) } else { (64, 540) };
-    let sweep_rec = memo_value(
-        store,
-        &StoreKey::new(
-            "section",
-            "densesweep",
-            "hmmer",
-            digest_debug(&(&opts, cap_per_kind, dense_seeded, 0x5EE9u64)),
-            0,
-            store.map_or(0, ResultStore::code),
-        ),
-        |s| {
-            let rec = TextRecord::decode(s)?;
-            for f in ["fork_wall_s", "rerun_wall_s"] {
-                rec.f64(f)?;
-            }
-            for f in ["points", "audited", "horizon", "violations", "identical"] {
-                rec.num::<u64>(f)?;
-            }
-            Ok(rec)
-        },
-        TextRecord::encode,
-        || {
-            use lightwsp_bench::sweepmode::{compare_sweep, dense_points};
-            let sweep_cfg = {
-                let mut c = (CONFIGS[0].build)(&opts.sim);
-                c.num_cores = 1;
-                c
-            };
-            let sweep_w = workload("hmmer").expect("known workload");
-            let compiled = Experiment::new(opts.clone()).compile(&sweep_w, sweep_cfg.scheme);
-            let (points, horizon) =
-                dense_points(&compiled, &sweep_cfg, 1, cap_per_kind, dense_seeded, 0x5EE9);
-            let sweep = compare_sweep(&compiled, &sweep_cfg, 1, &points);
-            let mut rec = TextRecord::default();
-            rec.set("points", sweep.fork.points);
-            rec.set("audited", sweep.fork.audited);
-            rec.set("horizon", horizon);
-            rec.set("violations", sweep.fork.violations + sweep.rerun.violations);
-            rec.set("identical", u64::from(sweep.identical()));
-            rec.set_f64("fork_wall_s", sweep.fork.wall_s);
-            rec.set_f64("rerun_wall_s", sweep.rerun.wall_s);
-            rec
-        },
-    )
-    .0;
-    let fork_wall_s = sweep_rec.f64("fork_wall_s").unwrap_or(0.0);
-    let rerun_wall_s = sweep_rec.f64("rerun_wall_s").unwrap_or(0.0);
-    let sweep_speedup = rerun_wall_s / fork_wall_s.max(1e-12);
-    let sweep_identical = sweep_rec.num::<u64>("identical").unwrap_or(0) == 1;
-    let horizon = sweep_rec.num::<u64>("horizon").unwrap_or(0);
-    violations_total += sweep_rec.num::<usize>("violations").unwrap_or(0);
-    let _ = writeln!(
-        out,
-        "sweep-engine: hmmer dense capture sweep, {} points over {horizon} cycles: \
-         fork {fork_wall_s:.3}s, rerun {rerun_wall_s:.3}s, speedup {sweep_speedup:.1}x \
-         (states identical: {sweep_identical})",
-        sweep_rec.num::<u64>("points").unwrap_or(0),
-    );
-
     let total_s = memo_value(
         store,
         &StoreKey::new(
@@ -273,22 +199,11 @@ fn main() {
     jw.field("seeded_per_cell", budget.seeded);
     jw.field("derived_cap_per_kind", budget.derived_per_kind);
     jw.field("seed", budget.seed);
-    jw.field_str("sweep_mode", SweepMode::from_env().name());
     jw.field("total_wall_s", format_args!("{total_s:.3}"));
     jw.field("audited_total", audited_total);
     jw.field("violations_total", violations_total);
     jw.field("mutant_flush_unacked_caught", mutant_caught);
     jw.field("cache", cache_line(&c));
-    jw.close();
-    jw.object("sweep");
-    jw.field_str("workload", "hmmer");
-    jw.field("points", sweep_rec.num::<u64>("points").unwrap_or(0));
-    jw.field("audited", sweep_rec.num::<u64>("audited").unwrap_or(0));
-    jw.field("horizon_cycles", horizon);
-    jw.field("fork_wall_s", format_args!("{fork_wall_s:.4}"));
-    jw.field("rerun_wall_s", format_args!("{rerun_wall_s:.4}"));
-    jw.field("speedup", format_args!("{sweep_speedup:.2}"));
-    jw.field("states_identical", sweep_identical);
     jw.close();
     jw.array("cells");
     for (wname, cname, rep) in &cells {
@@ -329,9 +244,5 @@ fn main() {
     assert!(
         mutant_caught,
         "auditor missed the FlushUnacked gating mutant — invariants are vacuous"
-    );
-    assert!(
-        sweep_speedup > 1.0,
-        "fork sweep mode did not beat rerun ({sweep_speedup:.2}x)"
     );
 }

@@ -23,8 +23,7 @@
 //!    generic gate checks).
 //!
 //! `--quick` shrinks the service run and point budgets for CI;
-//! `LIGHTWSP_THREADS`, `LIGHTWSP_STEP_MODE`, `LIGHTWSP_EXEC_MODE` and
-//! `LIGHTWSP_SWEEP_MODE` apply as everywhere else, and
+//! `LIGHTWSP_THREADS` applies as everywhere else, and
 //! `LIGHTWSP_STORE` attaches the persistent result store — warm
 //! re-runs on unchanged code serve every audit cell, model case and
 //! wall-clock from the store.
@@ -46,9 +45,8 @@ use lightwsp_workloads::ds::RecoverableDs;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-fn base_cfg() -> SimConfig {
-    let opts = lightwsp_bench::common_options();
-    let mut cfg = opts.sim.clone();
+fn base_cfg(cli: &lightwsp_bench::Cli) -> SimConfig {
+    let mut cfg = cli.options().sim;
     cfg.scheme = Scheme::LightWsp;
     cfg
 }
@@ -128,8 +126,9 @@ fn sweep(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cfg = base_cfg();
+    let cli = lightwsp_bench::Cli::from_env(false);
+    let quick = cli.quick;
+    let cfg = base_cfg(&cli);
     let store = lightwsp_bench::store();
     let store = store.as_ref();
     let mut campaign = lightwsp_bench::campaign();
@@ -375,7 +374,7 @@ fn main() {
             num_mcs: 2,
             wpq_entries: 8,
             step_mode: StepMode::SkipAhead,
-            sweep_mode: SweepMode::from_env(),
+            sweep_mode: SweepMode::Fork,
             mutant: None,
             policy: PointPolicy::Exhaustive {
                 max_horizon: 120_000,
@@ -466,7 +465,6 @@ fn main() {
     jw.object("meta");
     jw.field("quick", quick);
     jw.field("workers", campaign.workers());
-    jw.field_str("sweep_mode", SweepMode::from_env().name());
     jw.field("service_ops", svc_ops);
     jw.field("service_audited", svc_audited);
     jw.field("violations_total", violations_total);

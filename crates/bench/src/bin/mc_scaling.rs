@@ -8,7 +8,7 @@ use lightwsp_core::{Experiment, Scheme};
 use lightwsp_workloads::{suite_workloads, Suite};
 
 fn main() {
-    let base = lightwsp_bench::common_options();
+    let base = lightwsp_bench::Cli::from_env(false).options();
     let mut fig = Figure::new("mc_scaling", "Memory-controller scaling", "slowdown");
     for mcs in [1usize, 2, 4] {
         let mut o = base.clone();

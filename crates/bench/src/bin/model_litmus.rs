@@ -7,10 +7,8 @@
 //!
 //! 1. the hand-written litmus suite in **both** step modes, power-cut
 //!    at every cycle of each traced run (exhaustive for these program
-//!    sizes) — swept in the fork-point engine ([`SweepMode::Fork`])
-//!    *and* re-swept in the legacy rerun-from-zero mode, whose outcomes
-//!    must be identical and whose wall-clock ratio is the recorded
-//!    fork-engine speedup; then re-run under **exact** enumeration
+//!    sizes) with the fork-point sweep engine; then re-run under
+//!    **exact** enumeration
 //!    (admitted set = cuts of the traced protocol order), reporting the
 //!    per-litmus exact-vs-over-approx delta, and feeding the
 //!    model-mutant kill matrix — each deliberately-loose enumeration
@@ -26,25 +24,22 @@
 //! Writes `results/model_litmus.txt` plus machine-readable
 //! `BENCH_model.json` and exits non-zero on any admitted-set
 //! violation, structural violation, unkilled gating or model mutant,
-//! missing exact-tightness delta, or fork/rerun divergence — the CI
-//! gate for the persistency model.
+//! or missing exact-tightness delta — the CI gate for the persistency
+//! model. The fork-vs-rerun litmus timings and their outcome-identity
+//! check are rows of the `perf_gate` bin.
 //! `LIGHTWSP_STORE` attaches the persistent result store: sweeps,
 //! matrices and wall-clocks are served from it on a warm re-run.
 
 use lightwsp_bench::evalrun::cache_line;
-use lightwsp_bench::sweepmode::compare_sweep;
 use lightwsp_core::cache::{f64_bits, f64_from_bits};
 use lightwsp_core::oracle::{
     fuzz_sweep_cached, litmus_sweep_cached, model_mutant_kill_matrix, mutant_kill_matrix_cached,
     ALL_MUTANTS,
 };
-use lightwsp_core::{
-    digest_debug, memo_value, CaseRecord, JsonWriter, ResultStore, StoreKey, SweepRecord,
-    TextRecord,
-};
-use lightwsp_model::harness::{sim_config, EnumMode};
-use lightwsp_model::{litmus_suite, CaseSpec, FuzzBias, ModelMutant, PointPolicy};
-use lightwsp_sim::{CrashInjector, CrashPoint, CrashPointKind, StepMode, SweepMode};
+use lightwsp_core::{digest_debug, memo_value, JsonWriter, ResultStore, StoreKey, SweepRecord};
+use lightwsp_model::harness::EnumMode;
+use lightwsp_model::{FuzzBias, ModelMutant};
+use lightwsp_sim::{StepMode, SweepMode};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -84,12 +79,6 @@ fn summarize(out: &mut String, label: &str, mode: StepMode, rep: &SweepRecord) {
     }
 }
 
-/// True if two case outcomes are identical field-for-field — the
-/// fork/rerun parity predicate (violation strings included).
-fn same_outcome(a: &CaseRecord, b: &CaseRecord) -> bool {
-    a == b
-}
-
 fn memo_wall(
     store: Option<&ResultStore>,
     name: &str,
@@ -115,11 +104,11 @@ fn memo_wall(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = lightwsp_bench::Cli::from_env(false).quick;
     let fuzz_count: u64 = if quick { 200 } else { 2400 };
     let store = lightwsp_bench::store();
     let store = store.as_ref();
-    let mut c = lightwsp_core::Campaign::new();
+    let mut c = lightwsp_bench::campaign();
     if let Some(s) = store {
         c.attach_store(s.clone());
     }
@@ -128,159 +117,35 @@ fn main() {
     let mut violations = 0usize;
     let mut extract_errors = 0usize;
 
-    // Stage 1: litmus suite, exhaustive points, both step modes — swept
-    // with the fork-point engine (reported below), then re-swept in
-    // rerun-from-zero mode over the same points. The outcomes must be
-    // identical; the wall-clock ratio is the fork engine's speedup on
-    // the exhaustive sweeps (each point's pre-crash state costs one COW
-    // fork instead of an O(H) prefix replay). Each (step, sweep) sweep
-    // is one stored record; the per-sweep-mode wall-clocks are
-    // memoized alongside, so the speedup assert passes on the cold
-    // measurement whenever the cells are served warm.
-    let mut litmus_wall = [0.0f64; 2];
-    let mut fork_reports: Vec<SweepRecord> = Vec::new();
-    for (si, sweep) in [SweepMode::Fork, SweepMode::Rerun].into_iter().enumerate() {
-        let ts = Instant::now();
-        for (mi, mode) in [StepMode::SkipAhead, StepMode::Reference]
-            .into_iter()
-            .enumerate()
-        {
-            let (rep, _hit) = litmus_sweep_cached(store, &c, mode, sweep, EnumMode::Overapprox);
-            if sweep == SweepMode::Fork {
-                summarize(&mut out, "litmus", mode, &rep);
-                for o in &rep.outcomes {
-                    let _ = writeln!(
-                        out,
-                        "    {:<24} points={:<5} audited={:<5} admitted={:<4} witnessed={:<4} \
-                         overapprox={:<4} violations={}",
-                        o.name,
-                        o.points,
-                        o.audited,
-                        o.admitted,
-                        o.witnessed,
-                        o.overapprox(),
-                        o.violations(),
-                    );
-                }
-                violations += rep.violations();
-                extract_errors += rep.extract_errors.len();
-                fork_reports.push(rep);
-            } else {
-                let fork = &fork_reports[mi].outcomes;
-                let diverged = fork
-                    .iter()
-                    .zip(&rep.outcomes)
-                    .filter(|(a, b)| !same_outcome(a, b))
-                    .count()
-                    + fork.len().abs_diff(rep.outcomes.len());
-                assert_eq!(
-                    diverged,
-                    0,
-                    "fork/rerun sweep divergence on {} litmus case(s) ({})",
-                    diverged,
-                    mode.name()
-                );
-            }
+    // Stage 1: litmus suite, exhaustive points, both step modes. Each
+    // sweep is one stored record.
+    let mut litmus_reports: Vec<SweepRecord> = Vec::new();
+    for mode in [StepMode::SkipAhead, StepMode::Reference] {
+        let (rep, _hit) =
+            litmus_sweep_cached(store, &c, mode, SweepMode::Fork, EnumMode::Overapprox);
+        summarize(&mut out, "litmus", mode, &rep);
+        for o in &rep.outcomes {
+            let _ = writeln!(
+                out,
+                "    {:<24} points={:<5} audited={:<5} admitted={:<4} witnessed={:<4} \
+                 overapprox={:<4} violations={}",
+                o.name,
+                o.points,
+                o.audited,
+                o.admitted,
+                o.witnessed,
+                o.overapprox(),
+                o.violations(),
+            );
         }
-        let name = if si == 0 {
-            "litmus-wall-fork"
-        } else {
-            "litmus-wall-rerun"
-        };
-        litmus_wall[si] = memo_wall(store, name, 0, || ts.elapsed().as_secs_f64());
+        violations += rep.violations();
+        extract_errors += rep.extract_errors.len();
+        litmus_reports.push(rep);
     }
-    let litmus_speedup = litmus_wall[1] / litmus_wall[0].max(1e-12);
-    let _ = writeln!(
-        out,
-        "sweep-engine: litmus exhaustive sweep (both step modes): fork {:.2}s, \
-         rerun {:.2}s, speedup {litmus_speedup:.1}x (outcomes identical)",
-        litmus_wall[0], litmus_wall[1],
-    );
-
-    // Stage 1b: dense per-cycle *capture* sweep, timed in both sweep
-    // modes. The full-audit ratio above is bounded by the per-point
-    // resume tail (identical work in both modes); this stage times the
-    // part the fork engine actually replaces — delivering the pre-crash
-    // machine state at every cycle of every litmus — where rerun pays
-    // the O(P·H) prefix replay and fork pays O(H) once. Digests are
-    // cross-checked point-by-point inside `compare_sweep`. One memoized
-    // record for the whole stage.
-    let dense = memo_value(
-        store,
-        &StoreKey::new(
-            "section",
-            "densecapture",
-            "litmus-suite",
-            0,
-            0,
-            store.map_or(0, ResultStore::code),
-        ),
-        |s| {
-            let rec = TextRecord::decode(s)?;
-            rec.num::<u64>("points")?;
-            rec.num::<u64>("litmuses")?;
-            rec.f64("fork_s")?;
-            rec.f64("rerun_s")?;
-            Ok(rec)
-        },
-        TextRecord::encode,
-        || {
-            let mut fork_s = 0.0f64;
-            let mut rerun_s = 0.0f64;
-            let mut points = 0usize;
-            let suite = litmus_suite();
-            for l in &suite {
-                let spec = CaseSpec {
-                    name: l.name.to_string(),
-                    threads: l.threads,
-                    num_mcs: l.num_mcs,
-                    wpq_entries: l.wpq_entries,
-                    step_mode: StepMode::SkipAhead,
-                    sweep_mode: SweepMode::Fork,
-                    mutant: None,
-                    policy: PointPolicy::Exhaustive { max_horizon: 4096 },
-                    seed: 0x11735,
-                    enum_mode: EnumMode::Overapprox,
-                };
-                let cfg = sim_config(&spec);
-                let injector = CrashInjector::new(&l.compiled, cfg.clone(), l.threads);
-                let (_, horizon) = injector.derived_points(1);
-                let raw: Vec<CrashPoint> = (1..horizon)
-                    .map(|cycle| CrashPoint {
-                        cycle,
-                        kind: CrashPointKind::Seeded,
-                    })
-                    .collect();
-                let pts = CrashInjector::prepare_points(&raw);
-                let cmp = compare_sweep(&l.compiled, &cfg, l.threads, &pts);
-                fork_s += cmp.fork.wall_s;
-                rerun_s += cmp.rerun.wall_s;
-                points += pts.len();
-            }
-            let mut rec = TextRecord::default();
-            rec.set("points", points);
-            rec.set("litmuses", suite.len());
-            rec.set_f64("fork_s", fork_s);
-            rec.set_f64("rerun_s", rerun_s);
-            rec
-        },
-    )
-    .0;
-    let dense_fork_s = dense.f64("fork_s").unwrap_or(0.0);
-    let dense_rerun_s = dense.f64("rerun_s").unwrap_or(0.0);
-    let dense_points = dense.num::<u64>("points").unwrap_or(0);
-    let dense_speedup = dense_rerun_s / dense_fork_s.max(1e-12);
-    let _ = writeln!(
-        out,
-        "sweep-engine: dense per-cycle capture sweep ({} litmuses, {dense_points} points): \
-         fork {dense_fork_s:.2}s, rerun {dense_rerun_s:.2}s, speedup {dense_speedup:.1}x \
-         (states identical)",
-        dense.num::<u64>("litmuses").unwrap_or(0),
-    );
 
     // Stage 1c: exact enumeration mode — the same suite with the
     // admitted set constrained to the cuts of each run's traced
-    // protocol order (skip-ahead + fork; step/sweep parity is pinned by
+    // protocol order (skip-ahead + fork; step parity is pinned by
     // stage 1 and the exact set rides the same trace either way). Every
     // observed image must still be admitted, and the per-litmus
     // exact-vs-over-approx delta is the tightness the protocol order
@@ -352,7 +217,7 @@ fn main() {
 
     // Stage 2: gating-mutant kill matrix (skip-ahead + fork; step modes
     // are bit-identical and the litmus stage already covers both, sweep
-    // modes likewise via the stage-1 parity check). Over-approximate
+    // modes via the mode parity harness). Over-approximate
     // enumeration: the mutants perturb the simulated hardware, so a
     // traced protocol order from a broken machine proves nothing.
     let (matrix, _hit) = mutant_kill_matrix_cached(
@@ -382,7 +247,7 @@ fn main() {
     }
 
     // Stage 3: fuzz sweeps, both step modes (fork engine; fork/rerun
-    // parity is enforced by stage 1 and `tests/sweep_mode_parity.rs`).
+    // parity is enforced by the mode parity harness and `perf_gate`).
     // The uniform stream runs over-approximate (the historical gate);
     // the cross-thread-biased stream — always ≥ 2 threads, the shapes
     // where the modes differ — runs under exact enumeration, so every
@@ -418,8 +283,7 @@ fn main() {
         "total: fuzz_seed={FUZZ_SEED:#x} fuzz_cases={fuzz_count}/mode/bias, \
          {violations} violations, {extract_errors} extract errors, {unkilled} unkilled gating \
          mutants, {mm_unkilled} unkilled model mutants, {strict_deltas} strict exact deltas, \
-         litmus_audit_speedup={litmus_speedup:.1}x, \
-         dense_capture_speedup={dense_speedup:.1}x, {total_s:.1}s ({} workers)",
+         {total_s:.1}s ({} workers)",
         c.workers(),
     );
     lightwsp_bench::emit_text("model_litmus", &out);
@@ -438,18 +302,11 @@ fn main() {
     jw.field("model_mutants_total", ModelMutant::ALL.len());
     jw.field("exact_strict_deltas", strict_deltas);
     jw.field("exact_fully_witnessed", exact_rep.exact_complete);
-    jw.field("litmus_fork_wall_s", format_args!("{:.4}", litmus_wall[0]));
-    jw.field("litmus_rerun_wall_s", format_args!("{:.4}", litmus_wall[1]));
-    jw.field("litmus_audit_speedup", format_args!("{litmus_speedup:.2}"));
-    jw.field("dense_points", dense_points);
-    jw.field("dense_fork_wall_s", format_args!("{dense_fork_s:.4}"));
-    jw.field("dense_rerun_wall_s", format_args!("{dense_rerun_s:.4}"));
-    jw.field("dense_capture_speedup", format_args!("{dense_speedup:.2}"));
     jw.field("total_wall_s", format_args!("{total_s:.3}"));
     jw.field("cache", cache_line(&c));
     jw.close();
     jw.array("litmus");
-    for (o, e) in fork_reports[0].outcomes.iter().zip(&exact_rep.outcomes) {
+    for (o, e) in litmus_reports[0].outcomes.iter().zip(&exact_rep.outcomes) {
         assert_eq!(o.name, e.name, "suite order diverged between enum modes");
         jw.elem(&format!(
             "{{\"case\": \"{}\", \"points\": {}, \"audited\": {}, \"admitted\": {}, \
@@ -520,16 +377,6 @@ fn main() {
     assert_eq!(
         violations, 0,
         "model admitted-set or structural violations — see results/model_litmus.txt"
-    );
-    assert!(
-        litmus_speedup > 1.0,
-        "fork sweep mode did not beat rerun on the exhaustive litmus sweep \
-         ({litmus_speedup:.2}x)"
-    );
-    assert!(
-        dense_speedup > 1.0,
-        "fork sweep mode did not beat rerun on the dense capture sweep \
-         ({dense_speedup:.2}x)"
     );
     assert_eq!(
         extract_errors, 0,

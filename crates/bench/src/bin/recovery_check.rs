@@ -4,7 +4,7 @@ use lightwsp_core::recovery::check_workload_recovery;
 use lightwsp_workloads::workload;
 
 fn main() {
-    let mut opts = lightwsp_bench::common_options();
+    let mut opts = lightwsp_bench::Cli::from_env(false).options();
     opts.insts_per_thread = opts.insts_per_thread.min(20_000);
     let mut out = String::from("== §IV-F — crash-consistency validation ==\n");
     let mut failures_total = 0u64;

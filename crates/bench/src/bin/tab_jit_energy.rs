@@ -3,6 +3,7 @@
 use lightwsp_mem::energy::{lightwsp_battery_joules, required_joules, PowerSupply};
 
 fn main() {
+    lightwsp_bench::Cli::from_env(false);
     let mut out = String::from("== §II-C1 — JIT-checkpoint residual-energy feasibility ==\n");
     let configs: [(&str, u64, u64); 5] = [
         ("32 cores + 16 KB cache", 32, 16 << 10),

@@ -5,18 +5,18 @@
 //! Every simulation goes through one shared [`Campaign`] with an
 //! optional [`ResultStore`] attached: per-run cells are served from the
 //! store when the (workload, scheme, config-digest, code-digest) key
-//! matches, and the coarse timing sections (step-mode, exec-mode, the
-//! figure wall-clocks) are memoized as whole records — wall-clock
+//! matches, and the figure wall-clocks are memoized as whole
+//! records — wall-clock
 //! numbers are stored as `f64` bit patterns, so a warm re-run on
 //! unchanged code regenerates `BENCH_eval.json` byte-for-byte except
 //! for the single-line `"cache"` meta field (mask with
 //! `grep -v '"cache":'` when comparing).
 
-use crate::{emit, emit_text, execmode, figures, mempath, stepmode, Filter};
+use crate::{emit, emit_text, figures, Cli, Filter};
 use lightwsp_core::cache::{f64_bits, f64_from_bits};
 use lightwsp_core::{
     digest_debug, memo_value, Campaign, ExperimentOptions, Job, JsonWriter, ResultStore, Scheme,
-    StoreKey, TextRecord,
+    StoreKey,
 };
 use lightwsp_workloads::all_workloads;
 use std::fmt::Write as _;
@@ -42,14 +42,15 @@ pub struct EvalOptions {
 }
 
 impl EvalOptions {
-    /// Builds the options from the CLI flags (`--quick`,
-    /// `--filter=`) and environment (`LIGHTWSP_FILTER`,
-    /// `LIGHTWSP_STORE`, mode overrides).
+    /// Builds the options from the CLI flags (`--quick`, `--filter=`)
+    /// and environment (`LIGHTWSP_FILTER`, `LIGHTWSP_STORE`). Exits with
+    /// status 2 on an unknown flag or a pattern that matches nothing.
     pub fn from_env_args() -> EvalOptions {
+        let cli = Cli::from_env(true);
         EvalOptions {
-            opts: crate::common_options(),
-            quick: std::env::args().any(|a| a == "--quick"),
-            filter: Filter::from_env_args(),
+            opts: cli.options(),
+            quick: cli.quick,
+            filter: Filter::from_cli(&cli).unwrap_or_else(|e| crate::exit_usage(&e)),
             store: crate::store(),
         }
     }
@@ -118,33 +119,9 @@ fn memo_wall_lazy(
     .0
 }
 
-fn section_key(store: Option<&ResultStore>, name: &str, config: u64) -> StoreKey {
-    StoreKey::new(
-        "section",
-        name,
-        "timing",
-        config,
-        0,
-        store.map_or(0, ResultStore::code),
-    )
-}
-
-/// Decodes a section record, validating that every required field is
-/// present and well-formed so corrupt records fall back to recompute.
-fn decode_section(text: &str, nums: &[&str], floats: &[&str]) -> Result<TextRecord, String> {
-    let rec = TextRecord::decode(text)?;
-    for f in nums {
-        rec.num::<u64>(f)?;
-    }
-    for f in floats {
-        rec.f64(f)?;
-    }
-    Ok(rec)
-}
-
 /// Runs the (filtered) evaluation and assembles `BENCH_eval.json`.
 pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
-    let mut c = Campaign::new();
+    let mut c = crate::campaign();
     if let Some(s) = &eo.store {
         c.attach_store(s.clone());
     }
@@ -251,183 +228,6 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
         _ => None,
     };
 
-    // Step-mode comparison: every Fig. 7 / Fig. 11 single-thread cell
-    // timed under the per-cycle reference stepper and the event-driven
-    // skip-ahead core. The whole section is one memoized record — the
-    // cell timings are only meaningful measured together cold.
-    let step = f.section("stepmode").then(|| {
-        eprintln!("timing step modes over the fig07+fig11 single-thread cells...");
-        let key = section_key(store, "stepmode", cfg_digest);
-        memo_value(
-            store,
-            &key,
-            |s| {
-                decode_section(
-                    s,
-                    &["cells"],
-                    &[
-                        "reference_s",
-                        "skip_ahead_s",
-                        "batch_speedup",
-                        "geomean_speedup",
-                    ],
-                )
-            },
-            TextRecord::encode,
-            || {
-                let cells = stepmode::fig07_fig11_cells(opts);
-                let timings = stepmode::compare_cells(&cells, 5);
-                let summary = stepmode::summarize(&timings);
-                let mut rec = TextRecord::default();
-                rec.set("cells", summary.cells);
-                rec.set_f64("reference_s", summary.reference_s);
-                rec.set_f64("skip_ahead_s", summary.skip_ahead_s);
-                rec.set_f64("batch_speedup", summary.batch_speedup);
-                rec.set_f64("geomean_speedup", summary.geomean_speedup);
-                let mut rows = Vec::with_capacity(timings.len());
-                for t in &timings {
-                    rows.push(format!(
-                        "    {{\"figure\": \"{}\", \"workload\": \"{}\", \"scheme\": \"{}\", \
-                         \"cycles\": {}, \"reference_ms\": {:.3}, \"skip_ahead_ms\": {:.3}, \
-                         \"speedup\": {:.2}}}",
-                        t.figure,
-                        t.workload,
-                        t.scheme.name(),
-                        t.cycles,
-                        t.reference_s * 1e3,
-                        t.skip_ahead_s * 1e3,
-                        t.speedup(),
-                    ));
-                }
-                rec.text = rows.join(",\n");
-                rec
-            },
-        )
-        .0
-    });
-
-    // Exec-mode comparison: dispatch-level kernels plus every Fig. 7
-    // single-thread cell under both exec modes, each half memoized as
-    // its own record.
-    let exec = f.section("execmode").then(|| {
-        eprintln!("timing exec modes (dispatch kernels + fig07 single-thread cells)...");
-        let kernels_rec = memo_value(
-            store,
-            &section_key(store, "execmode-kernels", cfg_digest),
-            |s| decode_section(s, &[], &["dispatch_geomean"]),
-            TextRecord::encode,
-            || {
-                let kernels = execmode::dispatch_kernels(60_000, 20);
-                let mut rec = TextRecord::default();
-                rec.set_f64("dispatch_geomean", execmode::dispatch_geomean(&kernels));
-                let mut rows = Vec::with_capacity(kernels.len());
-                for k in &kernels {
-                    rows.push(format!(
-                        "    {{\"workload\": \"{}\", \"insts\": {}, \"tree_ms\": {:.3}, \
-                         \"decoded_ms\": {:.3}, \"speedup\": {:.2}}}",
-                        k.workload,
-                        k.insts,
-                        k.tree_s * 1e3,
-                        k.decoded_s * 1e3,
-                        k.speedup(),
-                    ));
-                }
-                rec.text = rows.join(",\n");
-                rec
-            },
-        )
-        .0;
-        let cells_rec = memo_value(
-            store,
-            &section_key(store, "execmode-cells", cfg_digest),
-            |s| {
-                decode_section(
-                    s,
-                    &["cells"],
-                    &[
-                        "reference_s",
-                        "decoded_s",
-                        "geomean_speedup",
-                        "dense_geomean_speedup",
-                    ],
-                )
-            },
-            TextRecord::encode,
-            || {
-                let cells = execmode::fig07_cells(opts);
-                let timings = execmode::compare_cells(&cells, 5);
-                let summary = execmode::summarize(&timings);
-                let mut rec = TextRecord::default();
-                rec.set("cells", summary.cells);
-                rec.set_f64("reference_s", summary.reference_s);
-                rec.set_f64("decoded_s", summary.decoded_s);
-                rec.set_f64("geomean_speedup", summary.geomean_speedup);
-                rec.set_f64("dense_geomean_speedup", summary.dense_geomean_speedup);
-                let mut rows = Vec::with_capacity(timings.len());
-                for t in &timings {
-                    rows.push(format!(
-                        "    {{\"figure\": \"{}\", \"workload\": \"{}\", \"scheme\": \"{}\", \
-                         \"compute_dense\": {}, \"cycles\": {}, \"reference_ms\": {:.3}, \
-                         \"decoded_ms\": {:.3}, \"speedup\": {:.2}}}",
-                        t.figure,
-                        t.workload,
-                        t.scheme.name(),
-                        t.compute_dense,
-                        t.cycles,
-                        t.reference_s * 1e3,
-                        t.decoded_s * 1e3,
-                        t.speedup(),
-                    ));
-                }
-                rec.text = rows.join(",\n");
-                rec
-            },
-        )
-        .0;
-        (kernels_rec, cells_rec)
-    });
-
-    // Memory-path micro streams: the fast-path cache model (+ residency
-    // filter) vs its executable specification on the standard stream
-    // set, one memoized record.
-    let mem = f.section("mem_path").then(|| {
-        eprintln!("timing memory-path micro streams (fast vs reference cache models)...");
-        let key = section_key(store, "mem_path", cfg_digest);
-        memo_value(
-            store,
-            &key,
-            |s| decode_section(s, &["streams"], &["stream_geomean"]),
-            TextRecord::encode,
-            || {
-                let n = if eo.quick { 20_000 } else { 200_000 };
-                let timings: Vec<_> = mempath::micro_streams(n)
-                    .iter()
-                    .map(|s| mempath::time_stream(s, 5))
-                    .collect();
-                let mut rec = TextRecord::default();
-                rec.set("streams", timings.len() as u64);
-                rec.set_f64("stream_geomean", mempath::stream_geomean(&timings));
-                let mut rows = Vec::with_capacity(timings.len());
-                for t in &timings {
-                    rows.push(format!(
-                        "    {{\"stream\": \"{}\", \"what\": \"{}\", \"accesses\": {}, \
-                         \"fast_ns_per_access\": {:.2}, \"reference_ns_per_access\": {:.2}, \
-                         \"speedup\": {:.2}}}",
-                        t.name,
-                        t.what,
-                        t.accesses,
-                        t.fast_ns(),
-                        t.reference_ns(),
-                        t.speedup(),
-                    ));
-                }
-                rec.text = rows.join(",\n");
-                rec
-            },
-        )
-        .0
-    });
-
     let wall_s = t0.elapsed().as_secs_f64();
     let total_s = memo_wall(
         store,
@@ -462,55 +262,6 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
             format_args!("{:.2}", SERIAL_SEED_FIG07_FIG11_QUICK_S / qs.max(1e-9)),
         );
     }
-    if let Some(rec) = &step {
-        w.field("stepmode_cells", rec.num::<u64>("cells").unwrap_or(0));
-        w.field(
-            "stepmode_fig07_fig11_reference_s",
-            format_args!("{:.3}", rec.f64("reference_s").unwrap_or(0.0)),
-        );
-        w.field(
-            "stepmode_fig07_fig11_skip_ahead_s",
-            format_args!("{:.3}", rec.f64("skip_ahead_s").unwrap_or(0.0)),
-        );
-        w.field(
-            "skip_ahead_speedup_fig07_fig11",
-            format_args!("{:.2}", rec.f64("batch_speedup").unwrap_or(0.0)),
-        );
-        w.field(
-            "skip_ahead_geomean_speedup_cells",
-            format_args!("{:.2}", rec.f64("geomean_speedup").unwrap_or(0.0)),
-        );
-    }
-    if let Some((kernels, cells)) = &exec {
-        w.field(
-            "exec_dispatch_geomean_speedup",
-            format_args!("{:.2}", kernels.f64("dispatch_geomean").unwrap_or(0.0)),
-        );
-        w.field("execmode_cells", cells.num::<u64>("cells").unwrap_or(0));
-        w.field(
-            "execmode_fig07_reference_s",
-            format_args!("{:.3}", cells.f64("reference_s").unwrap_or(0.0)),
-        );
-        w.field(
-            "execmode_fig07_decoded_s",
-            format_args!("{:.3}", cells.f64("decoded_s").unwrap_or(0.0)),
-        );
-        w.field(
-            "decoded_geomean_speedup_cells",
-            format_args!("{:.2}", cells.f64("geomean_speedup").unwrap_or(0.0)),
-        );
-        w.field(
-            "decoded_dense_geomean_speedup",
-            format_args!("{:.2}", cells.f64("dense_geomean_speedup").unwrap_or(0.0)),
-        );
-    }
-    if let Some(rec) = &mem {
-        w.field("mem_path_streams", rec.num::<u64>("streams").unwrap_or(0));
-        w.field(
-            "mem_path_stream_geomean_speedup",
-            format_args!("{:.2}", rec.f64("stream_geomean").unwrap_or(0.0)),
-        );
-    }
     w.field("cache", cache_line(&c));
     w.close();
     if let Some(timed) = &timed {
@@ -528,24 +279,6 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
         }
         w.close();
     }
-    if let Some(rec) = &step {
-        w.array("step_mode_runs");
-        w.elems_block(&rec.text);
-        w.close();
-    }
-    if let Some((kernels, cells)) = &exec {
-        w.array("exec_dispatch_kernels");
-        w.elems_block(&kernels.text);
-        w.close();
-        w.array("exec_mode_runs");
-        w.elems_block(&cells.text);
-        w.close();
-    }
-    if let Some(rec) = &mem {
-        w.array("mem_path_runs");
-        w.elems_block(&rec.text);
-        w.close();
-    }
     let json = w.finish();
 
     let stats = c.cache_stats();
@@ -553,37 +286,11 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
         Some(s) => (s.misses, s.hits),
         None => (stats.simulated, stats.served),
     };
-    let mut headline = format!(
+    let headline = format!(
         "all figures regenerated in {wall_s:.1}s ({} workers; {cells_simulated} cells simulated, \
-         {cells_served} served",
+         {cells_served} served)",
         c.workers(),
     );
-    if let Some(rec) = &step {
-        let _ = write!(
-            headline,
-            "; skip-ahead {:.2}x batch / {:.2}x geomean over {} cells",
-            rec.f64("batch_speedup").unwrap_or(0.0),
-            rec.f64("geomean_speedup").unwrap_or(0.0),
-            rec.num::<u64>("cells").unwrap_or(0),
-        );
-    }
-    if let Some((kernels, cells)) = &exec {
-        let _ = write!(
-            headline,
-            "; decoded dispatch {:.2}x geomean, dense cells {:.2}x geomean",
-            kernels.f64("dispatch_geomean").unwrap_or(0.0),
-            cells.f64("dense_geomean_speedup").unwrap_or(0.0),
-        );
-    }
-    if let Some(rec) = &mem {
-        let _ = write!(
-            headline,
-            "; mem-path micro {:.2}x geomean over {} streams",
-            rec.f64("stream_geomean").unwrap_or(0.0),
-            rec.num::<u64>("streams").unwrap_or(0),
-        );
-    }
-    headline.push(')');
 
     EvalSummary {
         json,
@@ -627,7 +334,7 @@ pub fn cache_line(c: &Campaign) -> String {
 /// recorded. Memoized by the caller; a warm pass never re-measures.
 fn quick_subset_wall_s() -> f64 {
     let opts = ExperimentOptions::quick();
-    let c = Campaign::new();
+    let c = crate::campaign();
     let t0 = Instant::now();
     let _ = figures::fig07(&c, &opts);
     let _ = figures::fig11(&c, &opts);

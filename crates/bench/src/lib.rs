@@ -1,41 +1,92 @@
 //! # lightwsp-bench — the evaluation harness
 //!
-//! One binary per paper artifact regenerates the rows/series of that
-//! figure or table (see `DESIGN.md` §4 for the full index):
+//! The bins regenerate the paper's artifacts and gate the simulator's
+//! speed (see `DESIGN.md` §4 for the full index):
 //!
 //! | binary | artifact |
 //! |---|---|
-//! | `fig07_slowdown` | Fig. 7 — Capri/PPA/LightWSP slowdown, 39 entries |
-//! | `fig08_efficiency` | Fig. 8 — region-level persistence efficiency |
-//! | `fig09_psp_vs_wsp` | Fig. 9 — ideal PSP vs LightWSP, memory-intensive |
-//! | `fig10_cwsp` | Fig. 10 — cWSP vs LightWSP per suite (no NPB) |
-//! | `fig11_wpq_size` | Fig. 11 — WPQ 256/128/64 sensitivity |
-//! | `fig12_threshold` | Fig. 12 — store threshold 16/32/64 |
-//! | `fig13_victim` | Fig. 13 — victim-selection policies |
-//! | `fig14_missrate` | Fig. 14 — L1 miss rate incl. stale-load |
-//! | `fig15_bandwidth` | Fig. 15 — persist-path bandwidth 4/2/1 GB/s |
-//! | `fig16_threads` | Fig. 16 + §V-F5 — 8/16/32/64 threads, overflow |
-//! | `fig17_cxl` | Fig. 17 + Table III — CXL devices |
-//! | `fig18_wpq_hits` | Fig. 18 — WPQ hit rate per WPQ size |
-//! | `tab02_conflicts` | Table II — buffer-conflict rate |
-//! | `tab_cam_latency` | §V-G2 — CAM search latency |
-//! | `tab_region_stats` | §V-G3 — instruction count & region statistics |
-//! | `tab_hw_cost` | §V-G4 — hardware cost comparison |
+//! | `all_figures` | every figure and table of §V into `results/` plus `BENCH_eval.json`; `--filter` selects sections |
+//! | `ablations` | DESIGN.md §5 ablations (LRPO, unrolling, pruning, combining) |
+//! | `mc_scaling` | 1–4 memory-controller scaling study |
+//! | `tab_jit_energy` | §II-C1 — JIT-checkpoint residual-energy feasibility |
 //! | `recovery_check` | §IV-F — crash-consistency validation sweep |
 //! | `crash_audit` | `RECOVERY.md` — seeded & derived crash-point audit, `BENCH_crash.json` |
-//! | `model_litmus` | LRPO model litmus/fuzz differential sweep, fork-vs-rerun timing |
+//! | `model_litmus` | LRPO model litmus/fuzz differential sweep, `BENCH_model.json` |
 //! | `ds_service` | `docs/DATASTRUCTURES.md` — recoverable-DS + KV/queue service crash audit, `BENCH_ds.json` |
-//! | `sweep_smoke` | CI perf gate: fork-mode crash sweep must beat rerun |
-//! | `exec_smoke` | CI perf gate: decoded engine ≥2x geomean on compute-dense Fig. 7 cells |
-//! | `all_figures` | everything above, into `results/` |
+//! | `perf_gate` | every fast path of [`lightwsp_sim::AXES`] timed against its reference, floors enforced |
 //!
-//! Every binary accepts `--quick` (reduced instruction budget for smoke
-//! runs) and writes both stdout and `results/<id>.txt`.
+//! Every binary accepts `--quick` (reduced budget for smoke runs),
+//! rejects any other argument (`all_figures` also takes `--filter=`),
+//! and writes both stdout and `results/<id>.txt`.
 
 use lightwsp_core::report::Figure;
-use lightwsp_core::{Campaign, Experiment, ExperimentOptions, ResultStore};
+use lightwsp_core::{parse_threads, Campaign, ExperimentOptions, ResultStore};
+use lightwsp_workloads::all_workloads;
+use std::fmt::Display;
 use std::fs;
 use std::path::PathBuf;
+
+/// A bench bin's validated command line.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Cli {
+    /// `--quick`: the reduced budget for smoke runs.
+    pub quick: bool,
+    /// The `--filter=` pattern list, in bins that select sections.
+    pub filter: Option<String>,
+}
+
+impl Cli {
+    /// Parses `args` (program name excluded); `--filter=` is accepted
+    /// only when `filter` is true.
+    ///
+    /// # Errors
+    ///
+    /// Names the accepted flags when an argument is not one of them.
+    pub fn parse(args: impl IntoIterator<Item = String>, filter: bool) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        for arg in args {
+            if arg == "--quick" {
+                cli.quick = true;
+            } else if let Some(spec) = arg.strip_prefix("--filter=").filter(|_| filter) {
+                cli.filter = Some(spec.to_string());
+            } else {
+                let accepted = if filter {
+                    "--quick, --filter=<pattern,...>"
+                } else {
+                    "--quick"
+                };
+                return Err(format!("unknown argument {arg:?}; accepted: {accepted}"));
+            }
+        }
+        Ok(cli)
+    }
+
+    /// The process's command line. Also validates `LIGHTWSP_THREADS`,
+    /// so every bin rejects a bad worker count before doing any work.
+    /// On a bad argument or value, prints it and exits with status 2.
+    pub fn from_env(filter: bool) -> Cli {
+        let cli = Cli::parse(std::env::args().skip(1), filter).unwrap_or_else(|e| exit_usage(&e));
+        if let Err(e) = parse_threads(std::env::var("LIGHTWSP_THREADS").ok().as_deref()) {
+            exit_usage(&e);
+        }
+        cli
+    }
+
+    /// The experiment options for the selected budget.
+    pub fn options(&self) -> ExperimentOptions {
+        if self.quick {
+            ExperimentOptions::quick()
+        } else {
+            ExperimentOptions::paper_default()
+        }
+    }
+}
+
+/// Prints `error: {msg}` on stderr and exits with status 2.
+pub fn exit_usage(msg: &dyn Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
 
 /// Opens the campaign result store named by the `LIGHTWSP_STORE`
 /// environment variable (a directory path, created on demand), or
@@ -55,11 +106,18 @@ pub fn store() -> Option<ResultStore> {
     }
 }
 
+/// The section ids of `all_figures`, in run order. `fig16` also writes
+/// `secVF5_overflow`; `cam`, `regions` and `hwcost` write the §V-G
+/// tables; `runs` is the per-run record array of `BENCH_eval.json`.
+pub const SECTIONS: [&str; 17] = [
+    "fig07", "fig11", "fig08", "fig09", "fig10", "fig12", "fig13", "fig14", "fig15", "fig16",
+    "fig17", "fig18", "tab02", "cam", "regions", "hwcost", "runs",
+];
+
 /// Cell selection for `all_figures`: comma-separated patterns from
 /// `--filter=<p,p,...>` (or the `LIGHTWSP_FILTER` environment variable;
-/// the flag wins). A bare pattern selects every section whose id
-/// contains it (`fig07`, `fig11`, `tab02`, `cam`, `regions`, `hwcost`,
-/// `runs`, `stepmode`, `execmode`); a `w:<pat>` pattern additionally
+/// the flag wins). A bare pattern selects every section of
+/// [`SECTIONS`] whose id contains it; a `w:<pat>` pattern additionally
 /// narrows the per-run benchmark matrix to workloads whose name
 /// contains `<pat>`. No patterns → everything runs.
 #[derive(Clone, Debug, Default)]
@@ -70,30 +128,55 @@ pub struct Filter {
 
 impl Filter {
     /// Parses a comma-separated pattern list.
-    pub fn parse(spec: &str) -> Filter {
+    ///
+    /// # Errors
+    ///
+    /// Names the accepted sections (or workloads, for a `w:` pattern)
+    /// when a pattern matches none of them.
+    pub fn parse(spec: &str) -> Result<Filter, String> {
         let mut f = Filter::default();
         for pat in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             if let Some(w) = pat.strip_prefix("w:") {
+                let names: Vec<&str> = all_workloads().iter().map(|w| w.name).collect();
+                if !names.iter().any(|n| n.contains(w)) {
+                    return Err(format!(
+                        "filter pattern {pat:?} matches no workload; accepted: {}",
+                        names.join(", ")
+                    ));
+                }
                 f.workloads.push(w.to_string());
             } else {
+                if !SECTIONS.iter().any(|s| s.contains(pat)) {
+                    return Err(format!(
+                        "filter pattern {pat:?} matches no section; accepted: {}, \
+                         or w:<workload>",
+                        SECTIONS.join(", ")
+                    ));
+                }
                 f.sections.push(pat.to_string());
             }
         }
-        f
+        Ok(f)
     }
 
-    /// Builds the filter from `--filter=` CLI flags and
+    /// The filter named by `cli.filter` or, failing that,
     /// `LIGHTWSP_FILTER`.
-    pub fn from_env_args() -> Filter {
-        let spec = std::env::args()
-            .find_map(|a| a.strip_prefix("--filter=").map(str::to_string))
+    ///
+    /// # Errors
+    ///
+    /// As [`Filter::parse`].
+    pub fn from_cli(cli: &Cli) -> Result<Filter, String> {
+        let spec = cli
+            .filter
+            .clone()
             .or_else(|| std::env::var("LIGHTWSP_FILTER").ok())
             .unwrap_or_default();
         Filter::parse(&spec)
     }
 
-    /// True when section `id` should run.
+    /// True when section `id` (one of [`SECTIONS`]) should run.
     pub fn section(&self, id: &str) -> bool {
+        debug_assert!(SECTIONS.contains(&id), "unlisted section {id}");
         self.sections.is_empty() || self.sections.iter().any(|p| id.contains(p.as_str()))
     }
 
@@ -116,40 +199,11 @@ impl Filter {
     }
 }
 
-/// Parses the common CLI flags (`--quick`) and the
-/// `LIGHTWSP_STEP_MODE` (`skip`/`reference`) and `LIGHTWSP_EXEC_MODE`
-/// (`decoded`/`ref`) environment overrides — results are bit-identical
-/// under every combination, so the overrides exist purely for timing
-/// comparisons and differential bisection.
-pub fn common_options() -> ExperimentOptions {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let mut opts = if quick {
-        ExperimentOptions::quick()
-    } else {
-        ExperimentOptions::paper_default()
-    };
-    if let Ok(v) = std::env::var("LIGHTWSP_STEP_MODE") {
-        if let Some(mode) = lightwsp_sim::StepMode::from_env_str(&v) {
-            opts.sim.step_mode = mode;
-        }
-    }
-    if let Ok(v) = std::env::var("LIGHTWSP_EXEC_MODE") {
-        if let Some(mode) = lightwsp_sim::ExecMode::from_env_str(&v) {
-            opts.sim.exec_mode = mode;
-        }
-    }
-    opts
-}
-
-/// Creates an [`Experiment`] from the common CLI flags.
-pub fn experiment() -> Experiment {
-    Experiment::new(common_options())
-}
-
 /// Creates the parallel [`Campaign`] runner the figure generators fan
-/// out over (worker count: `LIGHTWSP_THREADS` env or all cores).
+/// out over (worker count: `LIGHTWSP_THREADS` or all cores). Exits
+/// with status 2 on a bad `LIGHTWSP_THREADS`.
 pub fn campaign() -> Campaign {
-    Campaign::new()
+    Campaign::from_env().unwrap_or_else(|e| exit_usage(&e))
 }
 
 /// The `results/` output directory (created on demand).
@@ -178,8 +232,4 @@ pub fn emit_text(id: &str, text: &str) {
     }
 }
 pub mod evalrun;
-pub mod execmode;
 pub mod figures;
-pub mod mempath;
-pub mod stepmode;
-pub mod sweepmode;

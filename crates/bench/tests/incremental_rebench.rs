@@ -8,7 +8,7 @@
 
 use lightwsp_bench::evalrun::{run_eval, EvalOptions, EvalSummary};
 use lightwsp_bench::Filter;
-use lightwsp_core::{code_digest, ResultStore};
+use lightwsp_core::{code_digest, ExperimentOptions, ResultStore};
 
 /// Drops the single volatile line (per-pass cache statistics) from a
 /// `BENCH_eval.json` document; everything else must be byte-stable.
@@ -21,12 +21,12 @@ fn masked(json: &str) -> String {
 
 fn pass(store: ResultStore) -> EvalSummary {
     run_eval(&EvalOptions {
-        opts: lightwsp_bench::common_options(),
+        opts: ExperimentOptions::paper_default(),
         quick: true,
         // The smallest subset that still exercises run records, wall
         // memos and the per-run timing array (the CI job uses the
         // same selection).
-        filter: Filter::parse("fig07,fig11,runs"),
+        filter: Filter::parse("fig07,fig11,runs").unwrap(),
         store: Some(store),
     })
 }

@@ -23,8 +23,9 @@
 //! results for any worker count, including 1 — the regression test in
 //! `tests/` pins this against the serial `Experiment` path.
 //!
-//! Worker count: `LIGHTWSP_THREADS` env var if set, else
-//! `std::thread::available_parallelism()`.
+//! Worker count: [`Campaign::from_env`] reads `LIGHTWSP_THREADS` and
+//! rejects anything but a positive integer; unset, and for
+//! [`Campaign::new`], it is `std::thread::available_parallelism()`.
 
 use crate::experiment::{ExperimentOptions, RunResult};
 use lightwsp_compiler::instrument;
@@ -116,20 +117,62 @@ impl Default for Campaign {
     }
 }
 
+/// A `LIGHTWSP_THREADS` value that is not a worker count.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BadThreads(pub String);
+
+impl std::fmt::Display for BadThreads {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "LIGHTWSP_THREADS={:?} is not a worker count; accepted: a positive integer, \
+             or unset for one worker per core",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for BadThreads {}
+
+/// Parses a `LIGHTWSP_THREADS` value: `None` (unset) means no
+/// override.
+///
+/// # Errors
+///
+/// Returns [`BadThreads`] for anything but a positive integer.
+pub fn parse_threads(value: Option<&str>) -> Result<Option<usize>, BadThreads> {
+    match value {
+        None => Ok(None),
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n > 0 => Ok(Some(n)),
+            _ => Err(BadThreads(v.to_string())),
+        },
+    }
+}
+
+fn available_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 impl Campaign {
-    /// A campaign sized by `LIGHTWSP_THREADS` (env) or the machine's
-    /// available parallelism.
+    /// A campaign with one worker per available core.
     pub fn new() -> Campaign {
-        let workers = std::env::var("LIGHTWSP_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        Campaign::with_workers(workers)
+        Campaign::with_workers(available_workers())
+    }
+
+    /// A campaign sized by `LIGHTWSP_THREADS`, or one worker per
+    /// available core when it is unset.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BadThreads`] when the variable is set to anything but
+    /// a positive integer.
+    pub fn from_env() -> Result<Campaign, BadThreads> {
+        let value = std::env::var("LIGHTWSP_THREADS").ok();
+        let workers = parse_threads(value.as_deref())?.unwrap_or_else(available_workers);
+        Ok(Campaign::with_workers(workers))
     }
 
     /// A campaign with an explicit worker count (≥ 1).
@@ -400,7 +443,7 @@ impl Campaign {
     /// (dynamic self-scheduling, results in item order) — the engine
     /// behind [`run_many`](Campaign::run_many), exposed so other sweeps
     /// (e.g. the crash auditor's per-crash-point fan-out) reuse the same
-    /// pool and `LIGHTWSP_THREADS` sizing. `f` receives each item and
+    /// pool and its worker count. `f` receives each item and
     /// its index.
     pub fn map_parallel<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
     where

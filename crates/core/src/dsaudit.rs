@@ -31,7 +31,9 @@ use crate::campaign::Campaign;
 use lightwsp_compiler::{instrument, CompilerConfig};
 use lightwsp_sim::consistency::{golden_run, ConsistencyError};
 use lightwsp_sim::crash::check_capture;
-use lightwsp_sim::{Completion, CrashInjector, CrashPoint, InvariantViolation, SimConfig};
+use lightwsp_sim::{
+    Completion, CrashInjector, CrashPoint, InvariantViolation, SimConfig, SweepMode,
+};
 use lightwsp_store::{ResultStore, StoreKey};
 use lightwsp_workloads::ds::RecoverableDs;
 
@@ -116,7 +118,8 @@ impl DsAuditReport {
 /// module docs for the exact treatment.
 ///
 /// `cfg.num_cores` is overridden by the structure's thread count; the
-/// sweep mode comes from `cfg`/`LIGHTWSP_SWEEP_MODE` as usual.
+/// sweep is a fork-point sweep ([`audit_recoverable_ds_with`] selects
+/// the rerun reference).
 ///
 /// # Errors
 ///
@@ -129,13 +132,30 @@ pub fn audit_recoverable_ds(
     budget: &DsAuditBudget,
     campaign: &Campaign,
 ) -> Result<DsAuditReport, ConsistencyError> {
+    audit_recoverable_ds_with(ds, cfg, ccfg, budget, campaign, SweepMode::Fork)
+}
+
+/// [`audit_recoverable_ds`] with an explicit sweep mode; reports are
+/// identical under either.
+///
+/// # Errors
+///
+/// As [`audit_recoverable_ds`].
+pub fn audit_recoverable_ds_with(
+    ds: &dyn RecoverableDs,
+    cfg: &SimConfig,
+    ccfg: &CompilerConfig,
+    budget: &DsAuditBudget,
+    campaign: &Campaign,
+    sweep: SweepMode,
+) -> Result<DsAuditReport, ConsistencyError> {
     let program = ds.program();
     let compiled = instrument(&program, ccfg);
     let threads = ds.threads();
     let mut cfg = cfg.clone();
     cfg.num_cores = threads;
 
-    let injector = CrashInjector::new(&compiled, cfg.clone(), threads);
+    let injector = CrashInjector::new(&compiled, cfg.clone(), threads).with_sweep_mode(sweep);
     let (mut points, horizon) = injector.derived_points(budget.derived_per_kind);
     points.extend(injector.seeded_points(budget.seed, budget.seeded, horizon));
     let points = CrashInjector::prepare_points(&points);

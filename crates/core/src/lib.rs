@@ -46,9 +46,10 @@ pub use cache::{
     memo_record, memo_value, CaseRecord, CrashCellRecord, DsCellRecord, MutantKillRecord,
     SweepRecord, TextRecord,
 };
-pub use campaign::{Campaign, CampaignCacheStats, Job};
+pub use campaign::{parse_threads, BadThreads, Campaign, CampaignCacheStats, Job};
 pub use dsaudit::{
-    audit_recoverable_ds, audit_recoverable_ds_cached, DsAuditBudget, DsAuditReport,
+    audit_recoverable_ds, audit_recoverable_ds_cached, audit_recoverable_ds_with, DsAuditBudget,
+    DsAuditReport,
 };
 pub use experiment::{Experiment, ExperimentOptions, RunResult};
 pub use lightwsp_compiler::{instrument, Compiled, CompilerConfig};

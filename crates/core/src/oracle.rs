@@ -4,7 +4,8 @@
 //!
 //! The per-case work (trace, golden, per-point capture, model check)
 //! is embarrassingly parallel — cases share nothing — so the sweep
-//! scales with `LIGHTWSP_THREADS` exactly like the experiment harness.
+//! scales with the campaign's worker count exactly like the experiment
+//! harness.
 
 use crate::cache::{
     digest_debug, memo_record, memo_value, CaseRecord, MutantKillRecord, SweepRecord,

@@ -107,22 +107,11 @@ pub enum StepMode {
     SkipAhead,
     /// Tick every cycle through `step_cycle`. Kept forever as the
     /// executable specification the skip-ahead mode is checked against
-    /// (see `tests/step_mode_parity.rs`).
+    /// (the `step` row of [`AXES`]).
     Reference,
 }
 
 impl StepMode {
-    /// Parses the `LIGHTWSP_STEP_MODE` environment value
-    /// (`skip`/`skip_ahead` or `ref`/`reference`, case-insensitive).
-    /// Returns `None` for anything else.
-    pub fn from_env_str(s: &str) -> Option<StepMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "skip" | "skip_ahead" | "skipahead" => Some(StepMode::SkipAhead),
-            "ref" | "reference" => Some(StepMode::Reference),
-            _ => None,
-        }
-    }
-
     /// Display name used by the evaluation harness.
     pub fn name(self) -> &'static str {
         match self {
@@ -137,7 +126,7 @@ impl StepMode {
 ///
 /// Both modes audit the *same* machine states and produce bit-identical
 /// [`crate::crash::CrashAuditReport`]s, failure resolutions, and PM
-/// images (see `tests/sweep_mode_parity.rs`); they differ only in how
+/// images (the `sweep` row of [`AXES`]); they differ only in how
 /// the pre-crash state at each point's cycle is reached.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum SweepMode {
@@ -154,41 +143,12 @@ pub enum SweepMode {
     Rerun,
 }
 
-impl SweepMode {
-    /// Parses the `LIGHTWSP_SWEEP_MODE` environment value (`fork` or
-    /// `rerun`, case-insensitive). Returns `None` for anything else.
-    pub fn from_env_str(s: &str) -> Option<SweepMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "fork" => Some(SweepMode::Fork),
-            "rerun" | "re-run" | "fresh" => Some(SweepMode::Rerun),
-            _ => None,
-        }
-    }
-
-    /// The sweep mode selected by `LIGHTWSP_SWEEP_MODE`, defaulting to
-    /// [`SweepMode::Fork`] when unset or unparseable.
-    pub fn from_env() -> SweepMode {
-        std::env::var("LIGHTWSP_SWEEP_MODE")
-            .ok()
-            .and_then(|s| SweepMode::from_env_str(&s))
-            .unwrap_or_default()
-    }
-
-    /// Display name used by the evaluation harness.
-    pub fn name(self) -> &'static str {
-        match self {
-            SweepMode::Fork => "fork",
-            SweepMode::Rerun => "rerun",
-        }
-    }
-}
-
 /// Which functional execution engine drives [`crate::Machine`]'s cores.
 ///
 /// Both engines execute the *same* per-instruction semantics and
 /// produce bit-identical `DynEvent` streams, [`crate::SimStats`], PM
-/// contents, and crash-audit resolutions (see
-/// `tests/exec_mode_parity.rs`); they differ only in dispatch cost.
+/// contents, and crash-audit resolutions (the `exec` row of
+/// [`AXES`]); they differ only in dispatch cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// The pre-decoded micro-op engine (the default): each basic block
@@ -207,26 +167,6 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// Parses the `LIGHTWSP_EXEC_MODE` environment value
-    /// (`decoded`/`dec` or `ref`/`reference`, case-insensitive).
-    /// Returns `None` for anything else.
-    pub fn from_env_str(s: &str) -> Option<ExecMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "decoded" | "dec" | "uop" => Some(ExecMode::Decoded),
-            "ref" | "reference" | "tree" => Some(ExecMode::Reference),
-            _ => None,
-        }
-    }
-
-    /// The exec mode selected by `LIGHTWSP_EXEC_MODE`, defaulting to
-    /// [`ExecMode::Decoded`] when unset or unparseable.
-    pub fn from_env() -> ExecMode {
-        std::env::var("LIGHTWSP_EXEC_MODE")
-            .ok()
-            .and_then(|s| ExecMode::from_env_str(&s))
-            .unwrap_or_default()
-    }
-
     /// Display name used by the evaluation harness.
     pub fn name(self) -> &'static str {
         match self {
@@ -235,6 +175,46 @@ impl ExecMode {
         }
     }
 }
+
+/// One fast path of the simulator and the executable specification it
+/// is checked against. Results are bit-identical under either setting;
+/// only the cost differs.
+#[derive(Clone, Copy, Debug)]
+pub struct Axis {
+    /// Short name: `step`, `exec`, `mem` or `sweep`.
+    pub name: &'static str,
+    /// The default, fast implementation.
+    pub fast: &'static str,
+    /// The retained reference implementation.
+    pub reference: &'static str,
+}
+
+/// Every fast-vs-reference axis. It has two consumers: the `perf_gate`
+/// bin times each fast path against its reference, and the mode parity
+/// harness (`tests/mode_parity.rs`) diffs every machine-level axis
+/// over one scheme × config × workload matrix.
+pub const AXES: [Axis; 4] = [
+    Axis {
+        name: "step",
+        fast: "event-driven skip-ahead",
+        reference: "per-cycle stepper (StepMode::Reference)",
+    },
+    Axis {
+        name: "exec",
+        fast: "pre-decoded micro-op engine",
+        reference: "tree-walking interpreter (ExecMode::Reference)",
+    },
+    Axis {
+        name: "mem",
+        fast: "SoA SetAssocCache + residency-filter snoop",
+        reference: "SetAssocCacheRef + linear snoop scan",
+    },
+    Axis {
+        name: "sweep",
+        fast: "fork-point sweep",
+        reference: "rerun from cycle 0 (SweepMode::Rerun)",
+    },
+];
 
 /// A deliberately broken §IV-F gating rule, **test-only**: the crash
 /// auditor (`crate::crash`) must flag a run under any of these mutants,

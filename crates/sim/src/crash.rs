@@ -174,8 +174,8 @@ impl CrashAuditReport {
 /// Construction builds one pristine cycle-0 [`Machine`] template; a
 /// "fresh machine" thereafter is a cheap COW clone of it, never a
 /// re-initialisation. How the pre-crash state at each point is reached
-/// is governed by the [`SweepMode`] (default: `LIGHTWSP_SWEEP_MODE`,
-/// falling back to [`SweepMode::Fork`]):
+/// is governed by the [`SweepMode`] (default [`SweepMode::Fork`]; see
+/// [`CrashInjector::with_sweep_mode`]):
 ///
 /// - **fork** — a [`CrashSweeper`] advances ONE mainline machine
 ///   monotonically through the points in sorted order and forks a
@@ -183,7 +183,7 @@ impl CrashAuditReport {
 ///   `O(H + P·fork + P·resume)` simulated cycles;
 /// - **rerun** — every point re-simulates from cycle 0 (`O(P·H)`), the
 ///   executable specification fork mode is differentially checked
-///   against (`tests/sweep_mode_parity.rs`).
+///   against (the `sweep` row of [`crate::AXES`]).
 ///
 /// Points are independent in either mode — callers with a thread pool
 /// fan out *sorted contiguous chunks* ([`CrashInjector::audit_chunk`])
@@ -246,22 +246,17 @@ impl<'a> CrashInjector<'a> {
             compiled,
             cfg,
             threads,
-            sweep: SweepMode::from_env(),
+            sweep: SweepMode::default(),
             base,
         }
     }
 
-    /// Overrides the sweep mode (the constructor reads
-    /// `LIGHTWSP_SWEEP_MODE`). Bench bins time both modes explicitly
-    /// through this instead of mutating the environment.
+    /// Overrides the sweep mode (default [`SweepMode::Fork`]); the
+    /// perf gate and the parity harness select the rerun reference
+    /// through this.
     pub fn with_sweep_mode(mut self, sweep: SweepMode) -> CrashInjector<'a> {
         self.sweep = sweep;
         self
-    }
-
-    /// The active sweep mode.
-    pub fn sweep_mode(&self) -> SweepMode {
-        self.sweep
     }
 
     /// A fresh cycle-0 machine: a COW clone of the construction-time
@@ -680,5 +675,34 @@ pub fn check_capture(
                 ),
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `prepare_points` canonicalises: sorted by `(cycle, kind)`, exact
+    /// duplicates removed, same-cycle different-kind points kept.
+    #[test]
+    fn prepare_points_sorts_and_dedups() {
+        let mk = |cycle, kind| CrashPoint { cycle, kind };
+        let raw = [
+            mk(50, CrashPointKind::Seeded),
+            mk(10, CrashPointKind::McSkew),
+            mk(50, CrashPointKind::Seeded), // exact dup: dropped
+            mk(10, CrashPointKind::MidRegion),
+            mk(50, CrashPointKind::MidWpqDrain), // same cycle, other kind: kept
+            mk(10, CrashPointKind::McSkew),      // exact dup: dropped
+        ];
+        assert_eq!(
+            CrashInjector::prepare_points(&raw),
+            vec![
+                mk(10, CrashPointKind::MidRegion),
+                mk(10, CrashPointKind::McSkew),
+                mk(50, CrashPointKind::Seeded),
+                mk(50, CrashPointKind::MidWpqDrain),
+            ]
+        );
     }
 }

@@ -33,7 +33,7 @@ pub mod machine;
 pub mod stats;
 pub mod trace;
 
-pub use config::{ExecMode, GatingMutant, Scheme, SimConfig, StepMode, SweepMode};
+pub use config::{Axis, ExecMode, GatingMutant, Scheme, SimConfig, StepMode, SweepMode, AXES};
 pub use crash::{
     CrashAuditReport, CrashInjector, CrashPoint, CrashPointKind, CrashSweeper, InvariantViolation,
 };

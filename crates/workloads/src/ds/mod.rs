@@ -14,19 +14,21 @@
 //!    makes them reachable (a log tail, a hash-map key, a queue tail, a
 //!    stack head) is stored after a region boundary — so if the publish
 //!    is durable, the data it points at is durable too.
-//! 2. **Observe, then store — in a fresh region.** A consumer's first
-//!    store after observing a published word happens *after* the
-//!    producer's data stores executed, so **if that store opens a new
-//!    region** its lazily-sampled region ID is larger than the
+//! 2. **Observe in a fresh region.** A consumer's first store after
+//!    observing a published word happens *after* the producer's data
+//!    stores executed, so if the region holding that store samples
+//!    its ID after the observation, the ID is larger than the
 //!    producer's — and the contiguous-prefix rule then guarantees the
 //!    producer's data survives whenever the consumer's
-//!    acknowledgement does. The fresh-region clause is load-bearing:
-//!    region IDs are sampled at a region's *first* store, so a
-//!    dependent store that joins a region left open by an earlier
-//!    publish carries an ID that predates the observation, and the
-//!    argument collapses. Every observe-then-store site in this
-//!    module therefore emits a `region_boundary` between its last
-//!    unrelated store and the dependent store. This is the flush-free
+//!    acknowledgement does. The region's checkpoints and resume PC
+//!    carry the observation too: a crash resumes the consumer inside
+//!    that region with the observed value restored. So the boundary
+//!    goes **immediately before the observing load**, with no store in
+//!    between, and compiler checkpoints and boundary PC stores count as
+//!    stores. A boundary placed after the load, or a store between the
+//!    boundary and the load, lets the region sample its ID or persist
+//!    a checkpoint before the observation, and a crash can then resume
+//!    past a value that was never durable. This is the flush-free
 //!    cross-thread handoff the delay-free-concurrency literature
 //!    builds explicitly; under LightWSP it falls out of the gating
 //!    protocol.

@@ -21,13 +21,15 @@
 //! keys (once it has 8); `3` → enqueue the next request key into its
 //! ring (flow-controlled on the server's durable `cons`) and append
 //! the same record to its journal, publishing both tails after one
-//! region boundary. The request body opens with a region boundary of
-//! its own: the previous op's publish (ring/journal tails or a
-//! counter store) leaves a region open, and the slot overwrite must
-//! open a fresh region so its ID postdates the `cons` observation
-//! (rule 2 in `ds`, the fresh-region clause).
+//! region boundary. A request opens with a region boundary right
+//! before its flow-control load of `cons`, outside the spin loop: the
+//! previous op's publish (ring/journal tails or a counter store)
+//! leaves a region open, and the region that observes `cons` must
+//! sample its ID, checkpoints and resume PC after the load (rule 2 in
+//! `ds`).
 //!
-//! The server loops over rings round-robin: checksum-validate the
+//! The server loops over rings round-robin: a region boundary, then
+//! the load of the ring's `tail` (rule 2 again); checksum-validate the
 //! record (persistent error flag on mismatch), apply the key to map
 //! shard `clients + c` under the bucket lock, store the durable ack,
 //! region boundary, publish `cons` — so a durable `cons` proves ack,
@@ -309,6 +311,7 @@ impl KvServiceSpec {
         let maybe_get = b.new_block();
         let put_blk = b.new_block();
         let get_blk = b.new_block();
+        let req_open = b.new_block();
         let req_spin = b.new_block();
         let req_body = b.new_block();
         let latch = b.new_block();
@@ -321,7 +324,7 @@ impl KvServiceSpec {
         b.alu_imm(AluOp::Add, state, state, LCG_C as i64);
         b.alu_imm(AluOp::Shr, sel, state, 33);
         b.alu_imm(AluOp::And, sel, sel, 3);
-        b.branch_imm(Cond::Eq, sel, 3, req_spin, nonreq);
+        b.branch_imm(Cond::Eq, sel, 3, req_open, nonreq);
 
         b.switch_to(nonreq);
         b.branch_imm(Cond::Eq, sel, 2, maybe_get, put_blk);
@@ -359,19 +362,21 @@ impl KvServiceSpec {
 
         // Request: flow-control on the server's durable cons, then
         // write the ring record and the identical journal record, one
-        // boundary, publish both tails.
+        // boundary, publish both tails. The boundary before the spin
+        // closes whatever region the previous op left open, so the
+        // `cons` observation opens a fresh region: its checkpoints and
+        // the resume PC of the slot overwrite are sampled after the
+        // load, never before it (rule 2 in `ds`).
+        b.switch_to(req_open);
+        b.region_boundary();
+        b.jump(req_spin);
+
         b.switch_to(req_spin);
         b.load(scratch[0], metab, 64);
         b.alu_imm(AluOp::Add, scratch[0], scratch[0], self.cap as i64);
         b.branch_reg(Cond::Lt, rseq, scratch[0], req_body, req_spin);
 
         b.switch_to(req_body);
-        // Close whatever region the previous op's publish stores left
-        // open: the slot overwrite below must open a *fresh* region, so
-        // its lazily sampled ID postdates the `cons` observation in
-        // `req_spin` (the observe-then-store rule is only sound for a
-        // store whose region opens after the observation).
-        b.region_boundary();
         b.alu_imm(AluOp::Shl, key, Reg::R0, 40);
         b.alu(AluOp::Or, key, key, rseq);
         b.alu_imm(AluOp::Xor, key, key, SVC_RKEY_SALT as i64);
@@ -446,6 +451,10 @@ impl KvServiceSpec {
         );
         b.alu_imm(AluOp::Add, ackb, ackb, self.acks_base() as i64);
         b.alu_imm(AluOp::Add, shard, ring, self.clients as i64);
+        // The `tail` observation opens a fresh region (rule 2 in `ds`):
+        // otherwise a checkpoint sampled before the load could resume
+        // the server with a tail the client never made durable.
+        b.region_boundary();
         b.load(tail, metab, 0);
         b.load(cons, metab, 64);
         b.jump(batch);

@@ -4,80 +4,54 @@
 //! Three layers:
 //!
 //! 1. every structure's golden (failure-free) run satisfies its own
-//!    completed-run checker, in both step modes;
+//!    completed-run checker;
 //! 2. every structure survives a quick crash sweep — generic
 //!    `RECOVERY.md` §3–§7 contract plus the structure's §8 invariants
-//!    at each point, with sampled resume-to-completion (CI re-runs
-//!    this file under `LIGHTWSP_STEP_MODE` / `LIGHTWSP_EXEC_MODE` /
-//!    `LIGHTWSP_SWEEP_MODE` overrides, covering both members of each
-//!    mode pair end-to-end);
+//!    at each point, with sampled resume-to-completion — and the KV
+//!    service survives resuming at *every* audited point;
 //! 3. the teeth: the single-threaded queue variant is admitted by the
 //!    executable LRPO model, and a deliberately broken gating rule
 //!    ([`GatingMutant::FlushUnacked`]) is caught by a *data-structure*
 //!    invariant — not just the generic gate checks — proving the §8
 //!    checkers detect real gating bugs.
+//!
+//! The same suite's golden runs and audits under each reference
+//! setting (per-cycle stepper, tree-walker, rerun sweeps) are the
+//! `ds_audits` case of the mode parity harness.
 
+#[path = "ds_suite.rs"]
+mod ds_suite;
+
+use ds_suite::small_suite;
 use lightwsp_compiler::{instrument, CompilerConfig};
 use lightwsp_core::{audit_recoverable_ds, Campaign, DsAuditBudget};
 use lightwsp_model::harness::{run_case, CaseSpec, EnumMode, PointPolicy};
 use lightwsp_sim::consistency::golden_run;
 use lightwsp_sim::{GatingMutant, Scheme, SimConfig, StepMode, SweepMode};
-use lightwsp_workloads::ds::log::DurableLogSpec;
-use lightwsp_workloads::ds::map::DurableMapSpec;
 use lightwsp_workloads::ds::queue::DurableQueueSpec;
 use lightwsp_workloads::ds::service::KvServiceSpec;
 use lightwsp_workloads::ds::stack::TreiberStackSpec;
-use lightwsp_workloads::ds::RecoverableDs;
-
-fn small_suite() -> Vec<Box<dyn RecoverableDs>> {
-    vec![
-        Box::new(DurableLogSpec {
-            writers: 3,
-            records: 64,
-        }),
-        Box::new(DurableMapSpec {
-            threads: 4,
-            buckets: 64,
-            slots_per_bucket: 8,
-            locks: 16,
-            ops_per_thread: 160,
-        }),
-        Box::new(DurableQueueSpec {
-            producers: 2,
-            records: 96,
-            cap: 8,
-        }),
-        Box::new(TreiberStackSpec {
-            threads: 4,
-            ops: 128,
-        }),
-        Box::new(KvServiceSpec::new(2, 256, 8, 64, 8, 16)),
-    ]
-}
 
 fn cfg() -> SimConfig {
     SimConfig::new(Scheme::LightWsp)
 }
 
 #[test]
-fn golden_runs_satisfy_final_checkers_in_both_step_modes() {
-    for step in [StepMode::SkipAhead, StepMode::Reference] {
-        for ds in small_suite() {
-            let compiled = instrument(&ds.program(), &CompilerConfig::default());
-            let mut cfg = cfg();
-            cfg.step_mode = step;
-            cfg.num_cores = ds.threads();
-            let (golden, cycles) = golden_run(&compiled, &cfg, ds.threads())
-                .unwrap_or_else(|e| panic!("{} golden run failed: {e:?}", ds.name()));
-            assert!(cycles > 0);
-            let viols = ds.check_final(&golden);
-            assert!(
-                viols.is_empty(),
-                "{} golden image violates its own contract ({step:?}): {:?}",
-                ds.name(),
-                viols
-            );
-        }
+fn golden_runs_satisfy_final_checkers() {
+    for ds in small_suite() {
+        let compiled = instrument(&ds.program(), &CompilerConfig::default());
+        let mut cfg = cfg();
+        cfg.num_cores = ds.threads();
+        let (golden, cycles) = golden_run(&compiled, &cfg, ds.threads())
+            .unwrap_or_else(|e| panic!("{} golden run failed: {e:?}", ds.name()));
+        assert!(cycles > 0);
+        let viols = ds.check_final(&golden);
+        assert!(
+            viols.is_empty(),
+            "{} golden image violates its own contract: {:?}",
+            ds.name(),
+            viols
+        );
     }
 }
 
@@ -108,40 +82,6 @@ fn every_structure_survives_a_quick_crash_sweep() {
             report.ds_violations
         );
     }
-}
-
-/// The fork-point sweep and the rerun-from-zero sweep must report the
-/// same audit on the same structure (`sweep_mode_parity.rs` locks this
-/// in for the generic auditor; this pins it for the DS layer, where
-/// the rerun side is what CI's sweep-mode job exercises).
-#[test]
-fn ds_audit_is_sweep_mode_invariant() {
-    let ds = DurableQueueSpec {
-        producers: 2,
-        records: 64,
-        cap: 8,
-    };
-    let campaign = Campaign::with_workers(1);
-    let reports: Vec<_> = [SweepMode::Fork, SweepMode::Rerun]
-        .into_iter()
-        .map(|_mode| {
-            // audit_recoverable_ds picks the sweep mode from the
-            // environment; both CI jobs run this test, and the
-            // assertion below pins the numbers the two must share.
-            audit_recoverable_ds(
-                &ds,
-                &cfg(),
-                &CompilerConfig::default(),
-                &DsAuditBudget::quick(),
-                &campaign,
-            )
-            .unwrap()
-        })
-        .collect();
-    assert_eq!(reports[0].audited, reports[1].audited);
-    assert_eq!(reports[0].points, reports[1].points);
-    assert_eq!(reports[0].violations(), reports[1].violations());
-    assert_eq!(reports[0].golden_cycles, reports[1].golden_cycles);
 }
 
 /// The single-threaded enqueue/dequeue variant of the durable queue
@@ -313,4 +253,50 @@ fn flush_unacked_mutant_is_caught_by_stack_invariant() {
         "mutant escaped the stack invariants; ds violations: {:?}",
         report.ds_violations
     );
+}
+
+/// Audits `spec` under LightWSP with every audited point resumed to
+/// completion and asserts the audit finds nothing.
+fn assert_service_recovers_at_every_point(spec: KvServiceSpec, seeded: usize, per_kind: usize) {
+    let budget = DsAuditBudget {
+        seed: 0xD5_0001,
+        seeded,
+        derived_per_kind: per_kind,
+        resume_every: 1,
+    };
+    let report = audit_recoverable_ds(
+        &spec,
+        &cfg(),
+        &CompilerConfig::default(),
+        &budget,
+        &Campaign::with_workers(2),
+    )
+    .unwrap();
+    assert!(report.resumed > 0, "no point was resumed");
+    assert_eq!(
+        report.violations(),
+        0,
+        "{} of {} resumed points: gate: {:?}\nds: {:?}",
+        report.violations(),
+        report.resumed,
+        report.gate_violations,
+        report.ds_violations
+    );
+}
+
+/// Rule 2 at the service client: the flow-control load of `cons` must
+/// open its own region. A checkpoint or resume-PC store sampled before
+/// that load records flow control as passed, so a client resumed after
+/// a crash with a full ring overwrote an unconsumed slot.
+#[test]
+fn service_client_resumes_only_past_a_durable_cons() {
+    assert_service_recovers_at_every_point(KvServiceSpec::new(4, 256, 4, 256, 8, 64), 24, 2);
+}
+
+/// Rule 2 at the service server: the load of a ring's `tail` must open
+/// its own region, or the server can resume with a tail the client
+/// never made durable.
+#[test]
+fn service_server_resumes_only_past_a_durable_tail() {
+    assert_service_recovers_at_every_point(KvServiceSpec::new(2, 256, 8, 64, 8, 16), 60, 4);
 }

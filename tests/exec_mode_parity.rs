@@ -1,374 +1,31 @@
-//! Bit-identity parity suite for the pre-decoded micro-op execution
-//! engine.
-//!
-//! `ExecMode::Reference` tree-walks one `Inst` at a time and is the
-//! executable specification; `ExecMode::Decoded` (the default) executes
-//! pre-decoded, fused micro-ops in a batched inner loop with a
-//! hot-block compiled tier. These tests pin the two together: **every**
-//! statistic, the durable PM image, the I/O log, the final cycle count,
-//! crash-time resolutions, sweep-audit reports (under both sweep modes
-//! and all three gating mutants), and the raw per-instruction
-//! `DynEvent` stream must be bit-identical — across all six schemes,
-//! both step modes, several machine configurations, and randomized
-//! workloads.
+//! The exec axis of the mode parity harness (`mode_parity.rs`): the
+//! tree-walking reference interpreter against the pre-decoded micro-op
+//! engine, on its own and, in the run and audit matrices, under the
+//! per-cycle stepper. Every statistic, PM image, I/O log, crash capture
+//! and audit report must be bit-identical, and so must the raw
+//! per-instruction event stream of the bare engines.
 
-use lightwsp_compiler::{instrument, Compiled, CompilerConfig};
-use lightwsp_core::{Experiment, ExperimentOptions};
+#[path = "mode_parity.rs"]
+#[macro_use]
+mod mode_parity;
+
+use lightwsp_compiler::{instrument, CompilerConfig};
 use lightwsp_ir::{DecodedProgram, Interp, Memory};
-use lightwsp_sim::crash::CrashInjector;
-use lightwsp_sim::{ExecMode, GatingMutant, Machine, Scheme, SimConfig, StepMode, SweepMode};
-use lightwsp_workloads::{workload, Suite, WorkloadSpec};
 use proptest::prelude::*;
 
-const ALL_SCHEMES: [Scheme; 6] = [
-    Scheme::Baseline,
-    Scheme::LightWsp,
-    Scheme::PspIdeal,
-    Scheme::Capri,
-    Scheme::Ppa,
-    Scheme::Cwsp,
-];
-
-fn compiled_for(spec: &WorkloadSpec, insts: u64, scheme: Scheme) -> Compiled {
-    let program = spec.clone().scaled_to(insts).generate();
-    if scheme.is_instrumented() {
-        instrument(&program, &CompilerConfig::default())
-    } else {
-        Compiled {
-            program,
-            recipes: Default::default(),
-            stats: Default::default(),
-        }
-    }
-}
-
-/// Builds the two machines for `spec`/`cfg` differing only in exec
-/// mode: `(reference, decoded)`.
-fn machine_pair(
-    spec: &WorkloadSpec,
-    insts: u64,
-    cfg: &SimConfig,
-    threads: usize,
-) -> (Machine, Machine) {
-    let compiled = compiled_for(spec, insts, cfg.scheme);
-    let mut rcfg = cfg.clone();
-    rcfg.exec_mode = ExecMode::Reference;
-    let mut dcfg = cfg.clone();
-    dcfg.exec_mode = ExecMode::Decoded;
-    let reference = Machine::new(
-        compiled.program.clone(),
-        compiled.recipes.clone(),
-        rcfg,
-        threads,
-    );
-    let decoded = Machine::new(compiled.program, compiled.recipes, dcfg, threads);
-    (reference, decoded)
-}
-
-/// Runs both machines to completion and asserts every observable is
-/// bit-identical.
-fn assert_run_parity(spec: &WorkloadSpec, insts: u64, cfg: &SimConfig, threads: usize) {
-    let (mut reference, mut decoded) = machine_pair(spec, insts, cfg, threads);
-    let rc = reference.run();
-    let dc = decoded.run();
-    let label = format!(
-        "{} / {:?} / {:?} / {} MCs",
-        spec.name, cfg.scheme, cfg.step_mode, cfg.mem.num_mcs
-    );
-    assert_eq!(rc, dc, "completion differs: {label}");
-    assert_eq!(
-        reference.now(),
-        decoded.now(),
-        "final cycle differs: {label}"
-    );
-    assert_eq!(reference.stats(), decoded.stats(), "stats differ: {label}");
-    assert!(
-        reference.pm_contents().same_contents(decoded.pm_contents()),
-        "PM image differs: {label} (first diff {:?})",
-        reference
-            .pm_contents()
-            .first_difference(decoded.pm_contents())
-    );
-    assert_eq!(
-        reference.io_log(),
-        decoded.io_log(),
-        "I/O log differs: {label}"
-    );
-}
-
-/// Every scheme, single-threaded SPEC-style workloads, default machine:
-/// full `SimStats` equality through the high-level `Experiment` harness
-/// (warm DRAM, scaled caches — exactly what the figures run).
-#[test]
-fn all_schemes_bit_identical_via_experiment() {
-    for scheme in ALL_SCHEMES {
-        for name in ["hmmer", "mcf"] {
-            let w = workload(name).unwrap();
-            let mut ropts = ExperimentOptions::quick();
-            ropts.sim.exec_mode = ExecMode::Reference;
-            let mut dopts = ExperimentOptions::quick();
-            dopts.sim.exec_mode = ExecMode::Decoded;
-            let r = Experiment::new(ropts).run(&w, scheme);
-            let d = Experiment::new(dopts).run(&w, scheme);
-            assert_eq!(r.completion, d.completion, "{name}/{scheme:?}");
-            assert_eq!(r.stats, d.stats, "{name}/{scheme:?}");
-        }
-    }
-}
-
-/// Config matrix × both step modes: single MC, many MCs with a tiny
-/// WPQ, Capri stop-and-wait, PPA immediate flush, and a multithreaded
-/// run with spin locks and preemption — each under skip-ahead *and*
-/// reference time-stepping, so exec-mode parity is proven orthogonal to
-/// step-mode parity.
-#[test]
-fn config_matrix_parity_under_both_step_modes() {
-    for step_mode in [StepMode::SkipAhead, StepMode::Reference] {
-        // 1 MC — no boundary-broadcast skew at all.
-        let mut one_mc = SimConfig::new(Scheme::LightWsp);
-        one_mc.step_mode = step_mode;
-        one_mc.mem.num_mcs = 1;
-        assert_run_parity(&workload("bzip2").unwrap(), 10_000, &one_mc, 1);
-
-        // 4 MCs + tiny WPQ: deadlock detection, overflow mode, HOL
-        // retries.
-        let mut tiny_wpq = SimConfig::new(Scheme::LightWsp);
-        tiny_wpq.step_mode = step_mode;
-        tiny_wpq.mem.num_mcs = 4;
-        tiny_wpq.mem.wpq_entries = 8;
-        assert_run_parity(&workload("mcf").unwrap(), 10_000, &tiny_wpq, 1);
-
-        // Capri stop-and-wait across 2 MCs (boundary-wait stalls).
-        let mut capri = SimConfig::new(Scheme::Capri);
-        capri.step_mode = step_mode;
-        assert_run_parity(&workload("hmmer").unwrap(), 10_000, &capri, 1);
-
-        // PPA drain waits under the immediate flush mode.
-        let mut ppa = SimConfig::new(Scheme::Ppa);
-        ppa.step_mode = step_mode;
-        assert_run_parity(&workload("lbm").unwrap(), 10_000, &ppa, 1);
-
-        // Multithreaded with locks: spin wake-ups, timeslice rotation,
-        // and two threads sharing one core — the batched dispatch must
-        // not perturb the per-slot thread pick.
-        let mut vac = workload("vacation").unwrap();
-        vac.threads = 4;
-        let mut mt = SimConfig::new(Scheme::LightWsp).with_cores(2);
-        mt.step_mode = step_mode;
-        assert_run_parity(&vac, 8_000, &mt, 4);
-    }
-}
-
-/// A zero timeslice round-robins threads on every retire slot; the
-/// decoded engine must collapse to one-instruction batches and stay
-/// exact.
-#[test]
-fn zero_timeslice_rotation_parity() {
-    let mut vac = workload("vacation").unwrap();
-    vac.threads = 4;
-    let mut cfg = SimConfig::new(Scheme::LightWsp).with_cores(2);
-    cfg.timeslice = 0;
-    assert_run_parity(&vac, 8_000, &cfg, 4);
-}
-
-/// The batched per-retire counters (`Stats::insts`, the open region's
-/// instruction count) accumulate in locals inside the retire dispatch
-/// loop and must fold into their owners before any observable point.
-/// Cycle boundaries are the finest-grained observable: stepping both
-/// exec modes in lockstep one cycle at a time, the full `Stats` must be
-/// equal after *every* cycle, not just at completion — a fold deferred
-/// across a boundary shows up as the decoded mode's counters lagging.
-#[test]
-fn batched_stats_fold_at_every_cycle_boundary() {
-    for scheme in [Scheme::LightWsp, Scheme::Baseline, Scheme::Ppa] {
-        let w = workload("hmmer").unwrap();
-        let cfg = SimConfig::new(scheme);
-        let (mut reference, mut decoded) = machine_pair(&w, 2_000, &cfg, 1);
-        let mut cycle = 0;
-        loop {
-            cycle += 1;
-            let rdone = reference.run_until(cycle);
-            let ddone = decoded.run_until(cycle);
-            assert_eq!(
-                reference.stats(),
-                decoded.stats(),
-                "{scheme:?}: stats differ at cycle boundary {cycle}"
-            );
-            assert_eq!(rdone, ddone, "{scheme:?}: completion skew at {cycle}");
-            if rdone {
-                break;
-            }
-        }
-    }
-}
-
-/// Crash captures happen at cycle boundaries, strictly after the exit
-/// fold: a power failure at an arbitrary cycle must observe identical,
-/// fully folded `Stats` under both exec modes — mid-run, and again
-/// after recovery completes.
-#[test]
-fn batched_stats_fold_at_crash_captures() {
-    let w = workload("mcf").unwrap();
-    let cfg = SimConfig::new(Scheme::LightWsp);
-    let (mut reference, mut decoded) = machine_pair(&w, 6_000, &cfg, 1);
-    for target in [97, 1_013, 4_999] {
-        assert!(!reference.run_until(target));
-        assert!(!decoded.run_until(target));
-        let rc = reference.inject_power_failure_audited();
-        let dc = decoded.inject_power_failure_audited();
-        assert_eq!(rc.at_cycle, dc.at_cycle, "@{target}");
-        assert_eq!(
-            reference.stats(),
-            decoded.stats(),
-            "stats differ at crash capture @{target}"
-        );
-    }
-    reference.run();
-    decoded.run();
-    assert_eq!(reference.stats(), decoded.stats(), "post-recovery");
-}
-
-/// Crash parity: power cut at identical, arbitrary cycles yields
-/// identical `FailureResolution`s (entry-by-entry), identical
-/// survivable sets, identical pre-resolution PM images and resume
-/// points — and the resumed runs complete with identical stats.
-#[test]
-fn crash_resolutions_identical_at_identical_cycles() {
-    for (name, scheme) in [("hmmer", Scheme::LightWsp), ("mcf", Scheme::Capri)] {
-        let w = workload(name).unwrap();
-        let cfg = SimConfig::new(scheme);
-        let (mut reference, mut decoded) = machine_pair(&w, 8_000, &cfg, 1);
-        for target in [211, 1_009, 3_500, 9_999] {
-            assert!(!reference.run_until(target));
-            assert!(!decoded.run_until(target));
-            let rc = reference.inject_power_failure_audited();
-            let dc = decoded.inject_power_failure_audited();
-            let label = format!("{name}/{scheme:?}@{target}");
-            assert_eq!(rc.at_cycle, dc.at_cycle, "{label}");
-            assert_eq!(rc.commit_frontier, dc.commit_frontier, "{label}");
-            assert_eq!(rc.survivable, dc.survivable, "{label}");
-            assert_eq!(rc.per_mc, dc.per_mc, "resolutions differ: {label}");
-            assert!(
-                rc.pm_before.same_contents(&dc.pm_before),
-                "pre-resolution PM differs: {label}"
-            );
-            assert_eq!(rc.report.resume_points, dc.report.resume_points, "{label}");
-        }
-        // Resume after the last failure and finish: still identical.
-        let rcomp = reference.run();
-        let dcomp = decoded.run();
-        assert_eq!(rcomp, dcomp);
-        assert_eq!(
-            reference.stats(),
-            decoded.stats(),
-            "{name}/{scheme:?} post-recovery"
-        );
-        assert!(reference.pm_contents().same_contents(decoded.pm_contents()));
-    }
-}
-
-/// Sweep-mode × gating-mutant matrix: the crash auditor must reach the
-/// same verdict under both exec modes — clean runs stay clean, and each
-/// deliberately broken gating rule is flagged with the *same* violation
-/// list (invariant, crash point, and detail text), whether the sweep
-/// forks one mainline or re-runs every point from cycle 0.
-#[test]
-fn sweep_audits_agree_across_mutants_and_sweep_modes() {
-    let w = workload("hmmer").unwrap();
-    // Small instruction budget and few points per cell: the matrix is
-    // 2 sweeps × 4 mutants × 2 exec modes = 16 audits, and the rerun
-    // sweep re-simulates every point from cycle 0.
-    let compiled = {
-        let program = w.clone().scaled_to(4_000).generate();
-        instrument(&program, &CompilerConfig::default())
-    };
-    let mutants = [
-        None,
-        Some(GatingMutant::FlushUnacked),
-        Some(GatingMutant::AnyMcBoundary),
-        Some(GatingMutant::FirstMcBoundary),
-    ];
-    for sweep in [SweepMode::Fork, SweepMode::Rerun] {
-        for mutant in mutants {
-            let mut reports = Vec::new();
-            for exec in [ExecMode::Reference, ExecMode::Decoded] {
-                let mut cfg = SimConfig::new(Scheme::LightWsp);
-                cfg.mem.l1_bytes = 16 * 1024;
-                cfg.mem.l2_bytes = 128 * 1024;
-                // A mutant-corrupted resume may never complete; keep
-                // the wedge bound small so the matrix stays fast.
-                cfg.max_cycles = 2_000_000;
-                cfg.exec_mode = exec;
-                cfg.gating_mutant = mutant;
-                let injector = CrashInjector::new(&compiled, cfg, 1).with_sweep_mode(sweep);
-                let (mut points, horizon) = injector.derived_points(1);
-                points.extend(injector.seeded_points(0xD15C0, 2, horizon));
-                reports.push(injector.audit(&points).unwrap());
-            }
-            let (r, d) = (&reports[0], &reports[1]);
-            let label = format!("{sweep:?}/{mutant:?}");
-            assert!(r.audited > 0, "{label}: no point interrupted the run");
-            assert_eq!(r.audited, d.audited, "{label}");
-            assert_eq!(r.entries_flushed, d.entries_flushed, "{label}");
-            assert_eq!(r.entries_discarded, d.entries_discarded, "{label}");
-            let rv: Vec<_> = r
-                .violations
-                .iter()
-                .map(|v| (v.invariant, v.point, v.detail.clone()))
-                .collect();
-            let dv: Vec<_> = d
-                .violations
-                .iter()
-                .map(|v| (v.invariant, v.point, v.detail.clone()))
-                .collect();
-            assert_eq!(rv, dv, "violation lists differ: {label}");
-            match mutant {
-                // FlushUnacked trips on any config; the MC-boundary
-                // mutants need multi-MC skew to fire (their teeth are
-                // proven in `crash_audit.rs`) — here what matters is
-                // that both exec modes reach the same verdict.
-                Some(GatingMutant::FlushUnacked) => assert!(
-                    !r.violations.is_empty(),
-                    "{label}: mutant not caught in either mode"
-                ),
-                Some(_) => {}
-                None => assert!(r.violations.is_empty(), "{label}: {:?}", r.violations),
-            }
-        }
-    }
-}
-
-fn arbitrary_spec() -> impl Strategy<Value = WorkloadSpec> {
-    (
-        1u32..4,                                          // loads
-        1u32..4,                                          // stores
-        0u32..8,                                          // alu
-        12u64..18,                                        // log2 working set
-        0.0f64..1.0,                                      // seq fraction
-        1u32..4,                                          // phases
-        20u32..60,                                        // iters per phase
-        prop_oneof![Just(0u32), Just(8u32), Just(16u32)], // sync_every
-        0u64..u64::MAX,                                   // seed
-    )
-        .prop_map(
-            |(loads, stores, alu, ws_log2, seq, phases, iters, sync_every, seed)| WorkloadSpec {
-                name: "prop",
-                suite: Suite::Cpu2006,
-                seed,
-                loads_per_iter: loads,
-                stores_per_iter: stores,
-                alu_per_iter: alu,
-                working_set: 1 << ws_log2,
-                seq_fraction: seq,
-                phases,
-                iters_per_phase: iters,
-                call_every: 2,
-                sync_every,
-                threads: 1,
-                locks: 4,
-                seq_stride: 8,
-            },
-        )
+axis_tests! { "exec":
+    all_schemes_bit_identical_via_experiment => experiment_matrix,
+    config_matrix_parity_under_both_step_modes => run_matrix,
+    zero_timeslice_rotation_parity => zero_timeslice,
+    run_until_respects_cap_and_lands_exactly => run_until,
+    batched_stats_fold_at_every_cycle_boundary => lockstep,
+    crash_resolutions_identical_at_identical_cycles => crash_resolutions,
+    batched_stats_fold_at_crash_captures => crash_stats_fold,
+    captures_identical_point_by_point => captures,
+    clean_matrix_reports_identical => audit_matrix,
+    sweep_audits_agree_across_mutants_and_sweep_modes => mutant_audits,
+    chunked_sweeps_merge_to_serial_result => chunked_sweeps,
+    ds_audits_identical => ds_audits,
 }
 
 proptest! {
@@ -377,13 +34,12 @@ proptest! {
         .. ProptestConfig::default()
     })]
 
-    /// Randomized functional parity at the interpreter level: for any
-    /// program shape the raw per-instruction `DynEvent` stream, the
-    /// final memory image, the counters, and the register file must be
-    /// identical between the tree-walker and the decoded engine.
+    /// The bare engines, no timing simulator: for any program shape the
+    /// raw per-instruction `DynEvent` stream, the final memory image,
+    /// the counters and the register file are identical.
     #[test]
     fn random_programs_emit_identical_event_streams(
-        spec in arbitrary_spec(),
+        spec in mode_parity::arbitrary_spec(),
         instrumented in any::<bool>(),
     ) {
         let program = spec.scaled_to(6_000).generate();
@@ -412,23 +68,12 @@ proptest! {
         prop_assert_eq!(r.point(), d.point());
     }
 
-    /// Randomized end-to-end parity: any program shape, any seed
-    /// stream, any scheme and MC count — both exec modes agree on
-    /// everything the machine reports.
     #[test]
     fn random_workloads_execute_identically(
-        spec in arbitrary_spec(),
+        spec in mode_parity::arbitrary_spec(),
         scheme_idx in 0usize..6,
         num_mcs in prop_oneof![Just(1usize), Just(2usize), Just(4usize)],
     ) {
-        let mut cfg = SimConfig::new(ALL_SCHEMES[scheme_idx]);
-        cfg.mem.num_mcs = num_mcs;
-        let (mut reference, mut decoded) = machine_pair(&spec, 8_000, &cfg, 1);
-        let rc = reference.run();
-        let dc = decoded.run();
-        prop_assert_eq!(rc, dc);
-        prop_assert_eq!(reference.now(), decoded.now());
-        prop_assert_eq!(reference.stats(), decoded.stats());
-        prop_assert!(reference.pm_contents().same_contents(decoded.pm_contents()));
+        mode_parity::random_workload(AXIS, spec, scheme_idx, num_mcs);
     }
 }

@@ -1,327 +1,21 @@
-//! Fork/rerun sweep-engine parity suite.
-//!
-//! `SweepMode::Rerun` replays every crash point from cycle 0 and is the
-//! executable specification; `SweepMode::Fork` (the default) advances
-//! one mainline machine monotonically through the sorted points and
-//! hands a COW fork to each destructive audit. These tests pin the two
-//! together: identical `CrashAuditReport`s (every counter and every
-//! violation, as rendered), identical per-point `CrashCapture`s and
-//! post-resolution PM images — across both step modes, a matrix of
-//! machine configurations, every gating mutant, and arbitrary
-//! (unsorted, duplicated, out-of-range) point sets.
+//! The sweep axis of the mode parity harness (`mode_parity.rs`):
+//! rerun-from-cycle-0 sweeps against fork-point sweeps, also under the
+//! per-cycle stepper (audit matrix) and under the tree-walker
+//! (single-thread mutant audits). Every crash capture,
+//! PM image, audit report (violation text included) and data-structure
+//! audit must be identical. Plain runs never consult the sweep mode, so
+//! the harness's whole-run cases are not listed here.
 
-use lightwsp_compiler::{instrument, Compiled, CompilerConfig};
-use lightwsp_sim::consistency::golden_run;
-use lightwsp_sim::{
-    CrashAuditReport, CrashInjector, CrashPoint, CrashPointKind, GatingMutant, Scheme, SimConfig,
-    StepMode, SweepMode,
-};
-use lightwsp_workloads::{workload, WorkloadSpec};
+#[path = "mode_parity.rs"]
+#[macro_use]
+mod mode_parity;
+
 use proptest::prelude::*;
 
-fn small_cfg(scheme: Scheme) -> SimConfig {
-    let mut cfg = SimConfig::new(scheme);
-    cfg.mem.l1_bytes = 16 * 1024;
-    cfg.mem.l2_bytes = 128 * 1024;
-    cfg
-}
-
-fn compiled_for(spec: &WorkloadSpec, insts: u64) -> Compiled {
-    let program = spec.clone().scaled_to(insts).generate();
-    instrument(&program, &CompilerConfig::default())
-}
-
-/// The four audit configurations of the parity matrix, with the
-/// workload/threads each one sweeps.
-fn matrix() -> Vec<(&'static str, SimConfig, WorkloadSpec, usize)> {
-    // 4 MCs + tiny WPQ (overflow/HOL pressure) + multithreaded locks.
-    let mut wide = small_cfg(Scheme::LightWsp).with_cores(2);
-    wide.mem.num_mcs = 4;
-    wide.mem.wpq_entries = 8;
-    let mut vac = workload("vacation").unwrap();
-    vac.threads = 4;
-
-    let mut no_lrpo = small_cfg(Scheme::LightWsp);
-    no_lrpo.disable_lrpo = true;
-
-    vec![
-        (
-            "lightwsp-2mc",
-            small_cfg(Scheme::LightWsp),
-            workload("hmmer").unwrap(),
-            1,
-        ),
-        ("lightwsp-4mc-tinywpq", wide, vac, 4),
-        ("lightwsp-nolrpo", no_lrpo, workload("hmmer").unwrap(), 1),
-        (
-            "capri",
-            small_cfg(Scheme::Capri),
-            workload("hmmer").unwrap(),
-            1,
-        ),
-    ]
-}
-
-/// Field-for-field report equality; violations compared as rendered
-/// strings (`InvariantViolation` carries no `PartialEq`).
-fn assert_reports_identical(fork: &CrashAuditReport, rerun: &CrashAuditReport, label: &str) {
-    assert_eq!(fork.points, rerun.points, "points differ: {label}");
-    assert_eq!(fork.audited, rerun.audited, "audited differ: {label}");
-    assert_eq!(
-        fork.beyond_end, rerun.beyond_end,
-        "beyond_end differ: {label}"
-    );
-    assert_eq!(
-        fork.audited_by_kind, rerun.audited_by_kind,
-        "audited_by_kind differ: {label}"
-    );
-    assert_eq!(
-        fork.entries_flushed, rerun.entries_flushed,
-        "entries_flushed differ: {label}"
-    );
-    assert_eq!(
-        fork.entries_discarded, rerun.entries_discarded,
-        "entries_discarded differ: {label}"
-    );
-    assert_eq!(
-        fork.undo_rolled_back, rerun.undo_rolled_back,
-        "undo_rolled_back differ: {label}"
-    );
-    assert_eq!(
-        fork.golden_cycles, rerun.golden_cycles,
-        "golden_cycles differ: {label}"
-    );
-    let fv: Vec<String> = fork.violations.iter().map(|v| v.to_string()).collect();
-    let rv: Vec<String> = rerun.violations.iter().map(|v| v.to_string()).collect();
-    assert_eq!(fv, rv, "violations differ: {label}");
-}
-
-/// Audits the same point set in both sweep modes and returns the pair.
-fn audit_both(
-    compiled: &Compiled,
-    cfg: &SimConfig,
-    threads: usize,
-    points: &[CrashPoint],
-) -> (CrashAuditReport, CrashAuditReport) {
-    let fork = CrashInjector::new(compiled, cfg.clone(), threads)
-        .with_sweep_mode(SweepMode::Fork)
-        .audit(points)
-        .expect("golden run");
-    let rerun = CrashInjector::new(compiled, cfg.clone(), threads)
-        .with_sweep_mode(SweepMode::Rerun)
-        .audit(points)
-        .expect("golden run");
-    (fork, rerun)
-}
-
-/// Derived + seeded points for a config (the shape the real drivers
-/// sweep), deliberately left unsorted/undeduped — `audit` canonicalises.
-fn points_for(injector: &CrashInjector<'_>, seed: u64) -> Vec<CrashPoint> {
-    let (mut points, horizon) = injector.derived_points(3);
-    points.extend(injector.seeded_points(seed, 10, horizon));
-    // A couple of points past the end: both modes must classify them
-    // as beyond_end, not audit them.
-    points.push(CrashPoint {
-        cycle: horizon + 1_000,
-        kind: CrashPointKind::Seeded,
-    });
-    points.push(CrashPoint {
-        cycle: horizon * 3,
-        kind: CrashPointKind::Seeded,
-    });
-    points
-}
-
-/// The full clean matrix: every config × both step modes produces
-/// bit-identical fork and rerun reports, with zero violations.
-#[test]
-fn clean_matrix_reports_identical() {
-    for (name, base_cfg, w, threads) in matrix() {
-        let compiled = compiled_for(&w, 8_000);
-        for step in [StepMode::SkipAhead, StepMode::Reference] {
-            let mut cfg = base_cfg.clone();
-            cfg.step_mode = step;
-            let injector = CrashInjector::new(&compiled, cfg.clone(), threads);
-            let points = points_for(&injector, 0xC0FFEE ^ name.len() as u64);
-            let (fork, rerun) = audit_both(&compiled, &cfg, threads, &points);
-            let label = format!("{name}/{step:?}");
-            assert_reports_identical(&fork, &rerun, &label);
-            assert!(fork.audited > 0, "nothing audited: {label}");
-            assert!(fork.beyond_end >= 2, "beyond-end points lost: {label}");
-            assert!(
-                fork.violations.is_empty(),
-                "clean config violated the contract: {label}: {:?}",
-                fork.violations
-            );
-        }
-    }
-}
-
-/// Every gating mutant is flagged, and the *diagnoses* — the rendered
-/// violation list, entry counts, everything — are identical in both
-/// sweep modes. A fork engine that only matched rerun on clean runs
-/// could still corrupt the hard cases.
-#[test]
-fn mutant_diagnoses_identical() {
-    // Multi-MC skew setup (4 threads over 4 MCs) keeps the fan-out
-    // window open so the boundary-gating mutants actually misresolve.
-    // `max_cycles` is clamped well above the horizon so resumes that a
-    // mutant derails burn a bounded budget, not the 40M-cycle default.
-    let mut vac = workload("vacation").unwrap();
-    vac.threads = 4;
-    let compiled = compiled_for(&vac, 2_000);
-    for mutant in [
-        GatingMutant::FlushUnacked,
-        GatingMutant::AnyMcBoundary,
-        GatingMutant::FirstMcBoundary,
-    ] {
-        let mut cfg = small_cfg(Scheme::LightWsp).with_cores(4);
-        cfg.mem.num_mcs = 4;
-        cfg.mem.wpq_entries = 16;
-        cfg.max_cycles = 200_000;
-        cfg.gating_mutant = Some(mutant);
-        let injector = CrashInjector::new(&compiled, cfg.clone(), 4);
-        let (mut points, horizon) = injector.derived_points(3);
-        points.extend(injector.seeded_points(0xBAD_5EED, 4, horizon));
-        let (fork, rerun) = audit_both(&compiled, &cfg, 4, &points);
-        let label = format!("{mutant:?}");
-        assert_reports_identical(&fork, &rerun, &label);
-        assert!(
-            !fork.violations.is_empty(),
-            "mutant {label} not flagged in either mode"
-        );
-    }
-}
-
-/// Per-point capture parity: at every swept point, the fork-mode
-/// capture equals the rerun-mode capture field for field — survivable
-/// sets, per-MC resolutions, resume points, the pre-resolution *and*
-/// post-resolution PM images.
-#[test]
-fn captures_identical_point_by_point() {
-    for (name, cfg, w, threads) in matrix() {
-        let compiled = compiled_for(&w, 6_000);
-        let fork_inj =
-            CrashInjector::new(&compiled, cfg.clone(), threads).with_sweep_mode(SweepMode::Fork);
-        let rerun_inj =
-            CrashInjector::new(&compiled, cfg.clone(), threads).with_sweep_mode(SweepMode::Rerun);
-        let points =
-            CrashInjector::prepare_points(&points_for(&fork_inj, 0xCAFE ^ name.len() as u64));
-        let mut fork_sweep = fork_inj.sweeper();
-        let mut rerun_sweep = rerun_inj.sweeper();
-        for &p in &points {
-            let label = format!("{name}@{}", p.cycle);
-            let f = fork_sweep.capture_at(p);
-            let r = rerun_sweep.capture_at(p);
-            assert_eq!(f.is_some(), r.is_some(), "beyond-end split: {label}");
-            let (Some((fc, fpm)), Some((rc, rpm))) = (f, r) else {
-                continue;
-            };
-            assert_eq!(fc.at_cycle, rc.at_cycle, "{label}");
-            assert_eq!(fc.commit_frontier, rc.commit_frontier, "{label}");
-            assert_eq!(fc.last_allocated, rc.last_allocated, "{label}");
-            assert_eq!(fc.survivable, rc.survivable, "{label}");
-            assert_eq!(fc.used_survivable, rc.used_survivable, "{label}");
-            assert_eq!(fc.per_mc, rc.per_mc, "per-MC resolutions differ: {label}");
-            assert_eq!(
-                fc.report.resume_points, rc.report.resume_points,
-                "resume points differ: {label}"
-            );
-            assert!(
-                fc.pm_before.same_contents(&rc.pm_before),
-                "pre-resolution PM differs: {label} (first diff {:?})",
-                fc.pm_before.first_difference(&rc.pm_before)
-            );
-            assert!(
-                fpm.same_contents(&rpm),
-                "post-resolution PM differs: {label} (first diff {:?})",
-                fpm.first_difference(&rpm)
-            );
-        }
-    }
-}
-
-/// `prepare_points` canonicalises: sorted by `(cycle, kind)`, exact
-/// duplicates removed, same-cycle different-kind points kept.
-#[test]
-fn prepare_points_sorts_and_dedups() {
-    let mk = |cycle, kind| CrashPoint { cycle, kind };
-    let raw = [
-        mk(50, CrashPointKind::Seeded),
-        mk(10, CrashPointKind::McSkew),
-        mk(50, CrashPointKind::Seeded), // exact dup: dropped
-        mk(10, CrashPointKind::MidRegion),
-        mk(50, CrashPointKind::MidWpqDrain), // same cycle, other kind: kept
-        mk(10, CrashPointKind::McSkew),      // exact dup: dropped
-    ];
-    let prepared = CrashInjector::prepare_points(&raw);
-    assert_eq!(prepared.len(), 4);
-    assert!(prepared.windows(2).all(|w| w[0].cycle <= w[1].cycle));
-    assert_eq!(
-        prepared,
-        vec![
-            mk(10, CrashPointKind::MidRegion),
-            mk(10, CrashPointKind::McSkew),
-            mk(50, CrashPointKind::Seeded),
-            mk(50, CrashPointKind::MidWpqDrain),
-        ]
-    );
-}
-
-/// The chunked-parallel decomposition the campaign drivers use: one
-/// sweeper per contiguous chunk, reports merged in chunk order, equals
-/// the single-sweeper serial audit — and both equal rerun.
-#[test]
-fn chunked_sweeps_merge_to_serial_result() {
-    let w = workload("hmmer").unwrap();
-    let compiled = compiled_for(&w, 8_000);
-    let cfg = small_cfg(Scheme::LightWsp);
-    let injector = CrashInjector::new(&compiled, cfg.clone(), 1);
-    let points = CrashInjector::prepare_points(&points_for(&injector, 0x5EED));
-    let (golden, golden_cycles) = golden_run(&compiled, &cfg, 1).unwrap();
-
-    let serial = injector.audit_chunk(&golden, &points);
-    for chunk_len in [1, 3, 7] {
-        let mut merged = CrashAuditReport {
-            golden_cycles,
-            ..CrashAuditReport::default()
-        };
-        for chunk in points.chunks(chunk_len) {
-            merged.merge(&injector.audit_chunk(&golden, chunk));
-        }
-        let mut serial_total = CrashAuditReport {
-            golden_cycles,
-            ..CrashAuditReport::default()
-        };
-        serial_total.merge(&serial);
-        assert_reports_identical(&merged, &serial_total, &format!("chunk_len={chunk_len}"));
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 6,
-        .. ProptestConfig::default()
-    })]
-
-    /// Arbitrary point sets — unsorted, duplicated, clustered, partly
-    /// past the end of the run — audit identically in both sweep modes.
-    #[test]
-    fn random_point_sets_audit_identically(
-        raw in prop::collection::vec((1u64..30_000, 0usize..6), 1..20),
-        seed in 0u64..u64::MAX,
-    ) {
-        let w = workload("hmmer").unwrap();
-        let compiled = compiled_for(&w, 6_000);
-        let cfg = small_cfg(Scheme::LightWsp);
-        let mut points: Vec<CrashPoint> = raw
-            .iter()
-            .map(|&(cycle, k)| CrashPoint { cycle, kind: CrashPointKind::ALL[k] })
-            .collect();
-        let injector = CrashInjector::new(&compiled, cfg.clone(), 1);
-        points.extend(injector.seeded_points(seed, 4, 12_000));
-        let (fork, rerun) = audit_both(&compiled, &cfg, 1, &points);
-        assert_reports_identical(&fork, &rerun, "proptest");
-        prop_assert!(fork.violations.is_empty(), "clean run violated: {:?}", fork.violations);
-    }
+axis_tests! { "sweep":
+    captures_identical_point_by_point => captures,
+    clean_matrix_reports_identical => audit_matrix,
+    mutant_diagnoses_identical => mutant_audits,
+    chunked_sweeps_merge_to_serial_result => chunked_sweeps,
+    ds_audits_identical => ds_audits,
 }
