@@ -29,10 +29,5 @@ fn main() {
     if let Err(e) = std::fs::write("BENCH_eval.json", &summary.json) {
         eprintln!("warning: could not write BENCH_eval.json: {e}");
     }
-    if let Some(store) = &eo.store {
-        if let Err(e) = store.flush() {
-            eprintln!("warning: could not flush result store: {e}");
-        }
-    }
     eprintln!("{}", summary.headline);
 }

@@ -16,11 +16,8 @@
 //! (audit reports, wall-clocks) from the store. The fork-vs-rerun
 //! sweep timing lives in the `perf_gate` bin.
 use lightwsp_bench::evalrun::cache_line;
-use lightwsp_core::cache::{f64_bits, f64_from_bits};
-use lightwsp_core::recovery::{audit_workload_crashes_cached, AuditBudget};
-use lightwsp_core::{
-    digest_debug, memo_value, JsonWriter, ResultStore, Scheme, SimConfig, StoreKey,
-};
+use lightwsp_core::recovery::{audit_workload_crashes, AuditBudget};
+use lightwsp_core::{JsonWriter, Scheme, SimConfig};
 use lightwsp_sim::{CrashPointKind, GatingMutant};
 use lightwsp_workloads::workload;
 use std::fmt::Write as _;
@@ -88,12 +85,7 @@ fn main() {
     } else {
         &["hmmer", "mcf", "xz", "vacation", "radix"]
     };
-    let store = lightwsp_bench::store();
-    let store = store.as_ref();
-    let mut c = lightwsp_bench::campaign();
-    if let Some(s) = store {
-        c.attach_store(s.clone());
-    }
+    let c = lightwsp_bench::campaign_with(lightwsp_bench::store());
     let t0 = Instant::now();
 
     let mut out = String::from("== RECOVERY.md audit — seeded & derived crash-point sweep ==\n");
@@ -107,16 +99,8 @@ fn main() {
         }
         for config in &CONFIGS {
             let cfg = (config.build)(&opts.sim);
-            let rep = match audit_workload_crashes_cached(
-                store,
-                config.name,
-                &w,
-                &opts,
-                &cfg,
-                &budget,
-                &c,
-            ) {
-                Ok((rep, _hit)) => rep,
+            let rep = match audit_workload_crashes(&w, &opts, &cfg, &budget, &c) {
+                Ok(rep) => rep,
                 Err(e) => {
                     let _ = writeln!(out, "{name:<10} {:<16} GOLDEN RUN FAILED: {e}", config.name);
                     violations_total += 1;
@@ -151,17 +135,9 @@ fn main() {
     let mut mutant_cfg = (CONFIGS[0].build)(&opts.sim);
     mutant_cfg.gating_mutant = Some(GatingMutant::FlushUnacked);
     let w = workload(workloads[0]).expect("known workload");
-    let mutant_violations = audit_workload_crashes_cached(
-        store,
-        "LightWSP+FlushUnacked",
-        &w,
-        &opts,
-        &mutant_cfg,
-        &budget,
-        &c,
-    )
-    .map(|(rep, _)| rep.violations.len())
-    .unwrap_or(usize::MAX); // golden-run error under a mutant counts as caught
+    let mutant_violations = audit_workload_crashes(&w, &opts, &mutant_cfg, &budget, &c)
+        .map(|rep| rep.violations.len())
+        .unwrap_or(usize::MAX); // golden-run error under a mutant counts as caught
     let mutant_caught = mutant_violations > 0;
     let _ = writeln!(
         out,
@@ -170,21 +146,9 @@ fn main() {
         mutant_violations,
     );
 
-    let total_s = memo_value(
-        store,
-        &StoreKey::new(
-            "metawall",
-            "crash-audit-wall",
-            "wall",
-            digest_debug(&(&opts, quick)),
-            0,
-            store.map_or(0, ResultStore::code),
-        ),
-        |s| f64_from_bits(s.trim()),
-        |v| f64_bits(*v),
-        || t0.elapsed().as_secs_f64(),
-    )
-    .0;
+    let total_s = lightwsp_bench::memo_wall(&c, "crash-audit-wall", (&opts, quick), || {
+        t0.elapsed().as_secs_f64()
+    });
     let _ = writeln!(
         out,
         "total: {audited_total} crash points audited, {violations_total} violations, {total_s:.1}s ({} workers)",
@@ -232,11 +196,7 @@ fn main() {
     if let Err(e) = std::fs::write("BENCH_crash.json", jw.finish()) {
         eprintln!("warning: could not write BENCH_crash.json: {e}");
     }
-    if let Some(s) = store {
-        if let Err(e) = s.flush() {
-            eprintln!("warning: could not flush result store: {e}");
-        }
-    }
+    lightwsp_bench::flush_store(&c);
     assert_eq!(
         violations_total, 0,
         "recovery contract violated — see results/crash_audit.txt"

@@ -17,7 +17,7 @@
 //! 3. **LRPO admittance** — the single-threaded variant of every
 //!    structure must sit inside the executable persistency model's
 //!    admitted set at every crash point
-//!    ([`run_case`](lightwsp_model::run_case)).
+//!    ([`run_case`]).
 //! 4. **Teeth** — the `FlushUnacked` gating mutant must be flagged by
 //!    a *data-structure* invariant (a §8 checker, not just the
 //!    generic gate checks).
@@ -30,11 +30,9 @@
 
 use lightwsp_bench::evalrun::cache_line;
 use lightwsp_compiler::{instrument, CompilerConfig};
-use lightwsp_core::cache::{f64_bits, f64_from_bits};
-use lightwsp_core::dsaudit::{audit_recoverable_ds_cached, DsAuditBudget};
-use lightwsp_core::oracle::run_case_cached;
-use lightwsp_core::{digest_debug, memo_value, DsCellRecord, JsonWriter, ResultStore, StoreKey};
-use lightwsp_model::harness::{CaseSpec, EnumMode, PointPolicy};
+use lightwsp_core::dsaudit::{audit_recoverable_ds, DsAuditBudget, DsAuditReport};
+use lightwsp_core::{Campaign, JsonWriter};
+use lightwsp_model::harness::{run_case, CaseSpec, EnumMode, PointPolicy};
 use lightwsp_sim::{GatingMutant, Scheme, SimConfig, StepMode, SweepMode};
 use lightwsp_workloads::ds::log::DurableLogSpec;
 use lightwsp_workloads::ds::map::DurableMapSpec;
@@ -52,52 +50,28 @@ fn base_cfg(cli: &lightwsp_bench::Cli) -> SimConfig {
 }
 
 struct Cell {
-    report: DsCellRecord,
+    report: DsAuditReport,
     ops: u64,
     wall_s: f64,
 }
 
-/// One store-cached structure sweep: the audit cell and its cold
-/// wall-clock are both memoized (the stored wall is what the JSON
-/// reports on a warm pass).
-#[allow(clippy::too_many_arguments)]
+/// One structure sweep: the audit report and its cold wall-clock are
+/// both served from the campaign's store on a warm pass (the stored
+/// wall is what the JSON reports).
 fn sweep(
     out: &mut String,
-    store: Option<&ResultStore>,
     ds: &dyn RecoverableDs,
-    ds_digest: u64,
     ops: u64,
     cfg: &SimConfig,
     budget: &DsAuditBudget,
-    campaign: &lightwsp_core::Campaign,
+    campaign: &Campaign,
 ) -> Cell {
     let t0 = Instant::now();
-    let (report, _hit) = audit_recoverable_ds_cached(
-        store,
-        ds,
-        cfg,
-        &CompilerConfig::default(),
-        budget,
-        campaign,
-        ds_digest,
-    )
-    .unwrap_or_else(|e| panic!("{}: golden run failed: {e:?}", ds.name()));
+    let report = audit_recoverable_ds(ds, cfg, &CompilerConfig::default(), budget, campaign)
+        .unwrap_or_else(|e| panic!("{}: golden run failed: {e:?}", ds.name()));
     let measured = t0.elapsed().as_secs_f64();
-    let wall_s = memo_value(
-        store,
-        &StoreKey::new(
-            "metawall",
-            report.name.clone(),
-            "ds-wall",
-            digest_debug(&(ds_digest, cfg, budget)),
-            0,
-            store.map_or(0, ResultStore::code),
-        ),
-        |s| f64_from_bits(s.trim()),
-        |v| f64_bits(*v),
-        || measured,
-    )
-    .0;
+    let wall_s =
+        lightwsp_bench::memo_wall(campaign, ds.name(), (ds.knobs(), cfg, budget), || measured);
     let _ = writeln!(
         out,
         "{:<14} threads={:<2} ops={:<8} golden_cycles={:<9} points={:<4} audited={:<4} \
@@ -129,12 +103,7 @@ fn main() {
     let cli = lightwsp_bench::Cli::from_env(false);
     let quick = cli.quick;
     let cfg = base_cfg(&cli);
-    let store = lightwsp_bench::store();
-    let store = store.as_ref();
-    let mut campaign = lightwsp_bench::campaign();
-    if let Some(s) = store {
-        campaign.attach_store(s.clone());
-    }
+    let campaign = lightwsp_bench::campaign_with(lightwsp_bench::store());
     let t0 = Instant::now();
     let mut out = String::from(
         "== Recoverable PM data-structure suite + KV/queue service (docs/DATASTRUCTURES.md) ==\n",
@@ -177,46 +146,10 @@ fn main() {
         ops: stk_n,
     };
     let mut cells = vec![
-        sweep(
-            &mut out,
-            store,
-            &log,
-            digest_debug(&log),
-            4 * log_n,
-            &cfg,
-            &unit_budget,
-            &campaign,
-        ),
-        sweep(
-            &mut out,
-            store,
-            &map,
-            digest_debug(&map),
-            4 * map_n,
-            &cfg,
-            &unit_budget,
-            &campaign,
-        ),
-        sweep(
-            &mut out,
-            store,
-            &queue,
-            digest_debug(&queue),
-            2 * 3 * q_n,
-            &cfg,
-            &unit_budget,
-            &campaign,
-        ),
-        sweep(
-            &mut out,
-            store,
-            &stack,
-            digest_debug(&stack),
-            4 * stk_n,
-            &cfg,
-            &unit_budget,
-            &campaign,
-        ),
+        sweep(&mut out, &log, 4 * log_n, &cfg, &unit_budget, &campaign),
+        sweep(&mut out, &map, 4 * map_n, &cfg, &unit_budget, &campaign),
+        sweep(&mut out, &queue, 2 * 3 * q_n, &cfg, &unit_budget, &campaign),
+        sweep(&mut out, &stack, 4 * stk_n, &cfg, &unit_budget, &campaign),
     ];
 
     // Stage 2: the service headline — ≥1M ops, ≥500 audited points.
@@ -238,22 +171,9 @@ fn main() {
     if !quick {
         svc_cfg.max_cycles = svc_cfg.max_cycles.max(400_000_000);
     }
-    // Digest the construction knobs, not the spec itself: the spec
-    // caches derived state in a `HashMap`, whose `Debug` order is
-    // process-random and would defeat the store key.
-    let svc_digest = digest_debug(&(
-        service.clients,
-        service.ops_per_client,
-        service.cap,
-        service.buckets,
-        service.slots_per_bucket,
-        service.locks,
-    ));
     let svc = sweep(
         &mut out,
-        store,
         &service,
-        svc_digest,
         svc_ops,
         &svc_cfg,
         &service_budget,
@@ -271,7 +191,7 @@ fn main() {
     // cross-thread region interleavings must be cuts of the traced
     // protocol order).
     let model_n = if quick { 16 } else { 32 };
-    let model_cases: Vec<(String, lightwsp_ir::Program, u64, usize, EnumMode)> = vec![
+    let model_cases: Vec<(String, lightwsp_ir::Program, Vec<u64>, usize, EnumMode)> = vec![
         {
             let s = DurableLogSpec {
                 writers: 1,
@@ -280,7 +200,7 @@ fn main() {
             (
                 "log-1t".into(),
                 s.program(),
-                digest_debug(&s),
+                s.knobs(),
                 1,
                 EnumMode::Overapprox,
             )
@@ -296,7 +216,7 @@ fn main() {
             (
                 "map-1t".into(),
                 s.program(),
-                digest_debug(&s),
+                s.knobs(),
                 1,
                 EnumMode::Overapprox,
             )
@@ -310,7 +230,7 @@ fn main() {
             (
                 "queue-1t".into(),
                 s.model_program(),
-                digest_debug(&s),
+                s.knobs(),
                 1,
                 EnumMode::Overapprox,
             )
@@ -323,7 +243,7 @@ fn main() {
             (
                 "stack-1t".into(),
                 s.program(),
-                digest_debug(&s),
+                s.knobs(),
                 1,
                 EnumMode::Overapprox,
             )
@@ -337,37 +257,26 @@ fn main() {
             (
                 "queue-producers-3t".into(),
                 s.model_program_producers(),
-                digest_debug(&s),
+                s.knobs(),
                 s.producers,
                 EnumMode::Exact,
             )
         },
         {
             let s = KvServiceSpec::new(2, 24, 8, 64, 8, 16);
-            // Knob digest, as for the sweep above: the spec's cached
-            // HashMap state has process-random Debug order.
-            let d = digest_debug(&(
-                s.clients,
-                s.ops_per_client,
-                s.cap,
-                s.buckets,
-                s.slots_per_bucket,
-                s.locks,
-            ));
             (
                 "service-clients-2t".into(),
                 s.model_program_clients(),
-                d,
+                s.knobs(),
                 s.clients,
                 EnumMode::Exact,
             )
         },
     ];
-    let mut model_records = Vec::new();
+    let mut model_outcomes = Vec::new();
     let mut model_violations = 0usize;
-    for (name, program, spec_digest, threads, enum_mode) in &model_cases {
+    for (name, program, knobs, threads, enum_mode) in &model_cases {
         let ccfg = CompilerConfig::default();
-        let compiled = instrument(program, &ccfg);
         let case = CaseSpec {
             name: name.clone(),
             threads: *threads,
@@ -382,9 +291,15 @@ fn main() {
             seed: 0xD5_0002,
             enum_mode: *enum_mode,
         };
-        let (o, _hit) =
-            run_case_cached(store, &compiled, &case, digest_debug(&(spec_digest, &ccfg)))
-                .unwrap_or_else(|e| panic!("{name}: model extraction failed: {e:?}"));
+        let o = campaign
+            .memo(
+                "case",
+                name,
+                format_args!("{:?}/{:?}", case.step_mode, case.sweep_mode),
+                (knobs, &ccfg, &case),
+                || run_case(&instrument(program, &ccfg), &case),
+            )
+            .unwrap_or_else(|e| panic!("{name}: model extraction failed: {e:?}"));
         model_violations += o.violations();
         let _ = writeln!(
             out,
@@ -400,7 +315,7 @@ fn main() {
             o.model_violations.len(),
             o.structural_violations.len(),
         );
-        model_records.push(o);
+        model_outcomes.push(o);
     }
 
     // Stage 4: teeth — a gating bug must trip a §8 DS invariant.
@@ -410,8 +325,7 @@ fn main() {
         threads: 4,
         ops: if quick { 128 } else { 1024 },
     };
-    let teeth = audit_recoverable_ds_cached(
-        store,
+    let teeth = audit_recoverable_ds(
         &teeth_stack,
         &mutant_cfg,
         &CompilerConfig::default(),
@@ -420,9 +334,8 @@ fn main() {
             ..unit_budget
         },
         &campaign,
-        digest_debug(&teeth_stack),
     )
-    .map(|(r, _)| {
+    .map(|r| {
         r.ds_violations
             .iter()
             .filter(|v| v.contains("stack-"))
@@ -437,21 +350,9 @@ fn main() {
         teeth,
     );
 
-    let total_s = memo_value(
-        store,
-        &StoreKey::new(
-            "metawall",
-            "ds-service-wall",
-            "wall",
-            digest_debug(&(&cfg, quick)),
-            0,
-            store.map_or(0, ResultStore::code),
-        ),
-        |s| f64_from_bits(s.trim()),
-        |v| f64_bits(*v),
-        || t0.elapsed().as_secs_f64(),
-    )
-    .0;
+    let total_s = lightwsp_bench::memo_wall(&campaign, "ds-service-wall", (&cfg, quick), || {
+        t0.elapsed().as_secs_f64()
+    });
     let _ = writeln!(
         out,
         "total: service {svc_ops} ops / {svc_audited} crash audits; \
@@ -493,7 +394,7 @@ fn main() {
     }
     jw.close();
     jw.array("model");
-    for o in &model_records {
+    for o in &model_outcomes {
         jw.elem(&format!(
             "{{\"case\": \"{}\", \"points\": {}, \"audited\": {}, \"admitted\": {}, \
              \"exact\": {}, \"witnessed\": {}, \"model_violations\": {}, \
@@ -513,11 +414,7 @@ fn main() {
     if let Err(e) = std::fs::write("BENCH_ds.json", jw.finish()) {
         eprintln!("warning: could not write BENCH_ds.json: {e}");
     }
-    if let Some(s) = store {
-        if let Err(e) = s.flush() {
-            eprintln!("warning: could not flush result store: {e}");
-        }
-    }
+    lightwsp_bench::flush_store(&campaign);
 
     assert_eq!(
         violations_total, 0,

@@ -31,12 +31,11 @@
 //! matrices and wall-clocks are served from it on a warm re-run.
 
 use lightwsp_bench::evalrun::cache_line;
-use lightwsp_core::cache::{f64_bits, f64_from_bits};
 use lightwsp_core::oracle::{
-    fuzz_sweep_cached, litmus_sweep_cached, model_mutant_kill_matrix, mutant_kill_matrix_cached,
+    fuzz_sweep, litmus_sweep, model_mutant_kill_matrix, mutant_kill_matrix, mutant_name,
     ALL_MUTANTS,
 };
-use lightwsp_core::{digest_debug, memo_value, JsonWriter, ResultStore, StoreKey, SweepRecord};
+use lightwsp_core::{JsonWriter, SweepReport};
 use lightwsp_model::harness::EnumMode;
 use lightwsp_model::{FuzzBias, ModelMutant};
 use lightwsp_sim::{StepMode, SweepMode};
@@ -46,7 +45,7 @@ use std::time::Instant;
 /// Fixed fuzz seed: CI and the paper artifact reproduce bit-identically.
 const FUZZ_SEED: u64 = 0x11BD_57A7;
 
-fn summarize(out: &mut String, label: &str, mode: StepMode, rep: &SweepRecord) {
+fn summarize(out: &mut String, label: &str, mode: StepMode, rep: &SweepReport) {
     let _ = writeln!(
         out,
         "{label:<8} ({:<10}) cases={:<5} points={:<7} audited={:<7} admitted={:<7} \
@@ -79,39 +78,10 @@ fn summarize(out: &mut String, label: &str, mode: StepMode, rep: &SweepRecord) {
     }
 }
 
-fn memo_wall(
-    store: Option<&ResultStore>,
-    name: &str,
-    config: u64,
-    measured: impl FnOnce() -> f64,
-) -> f64 {
-    let key = StoreKey::new(
-        "metawall",
-        name,
-        "wall",
-        config,
-        0,
-        store.map_or(0, ResultStore::code),
-    );
-    memo_value(
-        store,
-        &key,
-        |s| f64_from_bits(s.trim()),
-        |v| f64_bits(*v),
-        measured,
-    )
-    .0
-}
-
 fn main() {
     let quick = lightwsp_bench::Cli::from_env(false).quick;
     let fuzz_count: u64 = if quick { 200 } else { 2400 };
-    let store = lightwsp_bench::store();
-    let store = store.as_ref();
-    let mut c = lightwsp_bench::campaign();
-    if let Some(s) = store {
-        c.attach_store(s.clone());
-    }
+    let c = lightwsp_bench::campaign_with(lightwsp_bench::store());
     let t0 = Instant::now();
     let mut out = String::from("== LRPO model oracle — litmus & fuzz differential sweep ==\n");
     let mut violations = 0usize;
@@ -119,12 +89,11 @@ fn main() {
 
     // Stage 1: litmus suite, exhaustive points, both step modes. Each
     // sweep is one stored record.
-    let mut litmus_reports: Vec<SweepRecord> = Vec::new();
+    let mut litmus_outcomes = Vec::new();
     for mode in [StepMode::SkipAhead, StepMode::Reference] {
-        let (rep, _hit) =
-            litmus_sweep_cached(store, &c, mode, SweepMode::Fork, EnumMode::Overapprox);
+        let (rep, outcomes) = litmus_sweep(&c, mode, SweepMode::Fork, EnumMode::Overapprox);
         summarize(&mut out, "litmus", mode, &rep);
-        for o in &rep.outcomes {
+        for o in &outcomes {
             let _ = writeln!(
                 out,
                 "    {:<24} points={:<5} audited={:<5} admitted={:<4} witnessed={:<4} \
@@ -140,7 +109,7 @@ fn main() {
         }
         violations += rep.violations();
         extract_errors += rep.extract_errors.len();
-        litmus_reports.push(rep);
+        litmus_outcomes.push(outcomes);
     }
 
     // Stage 1c: exact enumeration mode — the same suite with the
@@ -150,13 +119,8 @@ fn main() {
     // observed image must still be admitted, and the per-litmus
     // exact-vs-over-approx delta is the tightness the protocol order
     // buys.
-    let (exact_rep, _hit) = litmus_sweep_cached(
-        store,
-        &c,
-        StepMode::SkipAhead,
-        SweepMode::Fork,
-        EnumMode::Exact,
-    );
+    let (exact_rep, exact_outcomes) =
+        litmus_sweep(&c, StepMode::SkipAhead, SweepMode::Fork, EnumMode::Exact);
     summarize(&mut out, "exact", StepMode::SkipAhead, &exact_rep);
     violations += exact_rep.violations();
     extract_errors += exact_rep.extract_errors.len();
@@ -165,7 +129,7 @@ fn main() {
         out,
         "exact-vs-overapprox per litmus (canonical admitted images):"
     );
-    for o in &exact_rep.outcomes {
+    for o in &exact_outcomes {
         let exact = o.exact_admitted.unwrap_or(o.admitted);
         if o.exact_delta() > 0 {
             strict_deltas += 1;
@@ -187,7 +151,7 @@ fn main() {
         "exact: {} litmuses strictly tighter, {} fully witnessed of {}",
         strict_deltas,
         exact_rep.exact_complete,
-        exact_rep.outcomes.len(),
+        exact_outcomes.len(),
     );
 
     // Stage 1d: model-mutant kill matrix — deliberately-loose
@@ -195,22 +159,26 @@ fn main() {
     // litmus whose sweep witnessed its *entire* exact set (so the
     // surplus is proven unreachable, falsifying the mutant by
     // observation). Pure aggregation over the stage-1c outcomes.
-    let model_matrix = model_mutant_kill_matrix(&exact_rep.outcomes);
+    let model_matrix = model_mutant_kill_matrix(&exact_outcomes);
     let mut mm_unkilled = 0usize;
-    for row in &model_matrix {
+    for (mutant, killed_by) in &model_matrix {
         let _ = writeln!(
             out,
             "model-mutant {:<20} {} ({} falsifying litmuses: {})",
-            row.mutant,
-            if row.killed() { "KILLED" } else { "SURVIVED" },
-            row.killed_by.len(),
-            if row.killed_by.is_empty() {
+            mutant.name(),
+            if killed_by.is_empty() {
+                "SURVIVED"
+            } else {
+                "KILLED"
+            },
+            killed_by.len(),
+            if killed_by.is_empty() {
                 "-".to_string()
             } else {
-                row.killed_by.join(", ")
+                killed_by.join(", ")
             },
         );
-        if !row.killed() {
+        if killed_by.is_empty() {
             mm_unkilled += 1;
         }
     }
@@ -220,8 +188,7 @@ fn main() {
     // modes via the mode parity harness). Over-approximate
     // enumeration: the mutants perturb the simulated hardware, so a
     // traced protocol order from a broken machine proves nothing.
-    let (matrix, _hit) = mutant_kill_matrix_cached(
-        store,
+    let matrix = mutant_kill_matrix(
         &c,
         StepMode::SkipAhead,
         SweepMode::Fork,
@@ -229,16 +196,21 @@ fn main() {
     );
     let mut unkilled = 0usize;
     for mk in &matrix {
+        let detections: Vec<String> = mk
+            .killed_by
+            .iter()
+            .map(|(litmus, detector)| format!("{litmus}/{detector}"))
+            .collect();
         let _ = writeln!(
             out,
             "mutant {:<18} {} ({} detections: {})",
-            mk.mutant,
+            mutant_name(mk.mutant),
             if mk.killed() { "KILLED" } else { "SURVIVED" },
             mk.killed_by.len(),
-            if mk.killed_by.is_empty() {
+            if detections.is_empty() {
                 "-".to_string()
             } else {
-                mk.killed_by.join(", ")
+                detections.join(", ")
             },
         );
         if !mk.killed() {
@@ -252,14 +224,13 @@ fn main() {
     // the cross-thread-biased stream — always ≥ 2 threads, the shapes
     // where the modes differ — runs under exact enumeration, so every
     // observed image must be a cut of its run's protocol order.
-    let mut fuzz_reports: Vec<(FuzzBias, StepMode, SweepRecord)> = Vec::new();
+    let mut fuzz_reports: Vec<(FuzzBias, StepMode, SweepReport)> = Vec::new();
     for (bias, enum_mode) in [
         (FuzzBias::Uniform, EnumMode::Overapprox),
         (FuzzBias::CrossThread, EnumMode::Exact),
     ] {
         for mode in [StepMode::SkipAhead, StepMode::Reference] {
-            let (rep, _hit) = fuzz_sweep_cached(
-                store,
+            let rep = fuzz_sweep(
                 &c,
                 FUZZ_SEED,
                 fuzz_count,
@@ -275,7 +246,7 @@ fn main() {
         }
     }
 
-    let total_s = memo_wall(store, "model-litmus-wall", digest_debug(&quick), || {
+    let total_s = lightwsp_bench::memo_wall(&c, "model-litmus-wall", quick, || {
         t0.elapsed().as_secs_f64()
     });
     let _ = writeln!(
@@ -306,7 +277,7 @@ fn main() {
     jw.field("cache", cache_line(&c));
     jw.close();
     jw.array("litmus");
-    for (o, e) in litmus_reports[0].outcomes.iter().zip(&exact_rep.outcomes) {
+    for (o, e) in litmus_outcomes[0].iter().zip(&exact_outcomes) {
         assert_eq!(o.name, e.name, "suite order diverged between enum modes");
         jw.elem(&format!(
             "{{\"case\": \"{}\", \"points\": {}, \"audited\": {}, \"admitted\": {}, \
@@ -326,12 +297,12 @@ fn main() {
     }
     jw.close();
     jw.array("model_mutants");
-    for row in &model_matrix {
+    for (mutant, killed_by) in &model_matrix {
         jw.elem(&format!(
             "{{\"mutant\": \"{}\", \"killed\": {}, \"falsified_by\": {}}}",
-            row.mutant,
-            row.killed(),
-            row.killed_by.len(),
+            mutant.name(),
+            !killed_by.is_empty(),
+            killed_by.len(),
         ));
     }
     jw.close();
@@ -339,7 +310,7 @@ fn main() {
     for mk in &matrix {
         jw.elem(&format!(
             "{{\"mutant\": \"{}\", \"killed\": {}, \"detections\": {}}}",
-            mk.mutant,
+            mutant_name(mk.mutant),
             mk.killed(),
             mk.killed_by.len(),
         ));
@@ -368,11 +339,7 @@ fn main() {
     if let Err(e) = std::fs::write("BENCH_model.json", jw.finish()) {
         eprintln!("warning: could not write BENCH_model.json: {e}");
     }
-    if let Some(s) = store {
-        if let Err(e) = s.flush() {
-            eprintln!("warning: could not flush result store: {e}");
-        }
-    }
+    lightwsp_bench::flush_store(&c);
 
     assert_eq!(
         violations, 0,

@@ -27,7 +27,7 @@
 
 use lightwsp_bench::Cli;
 use lightwsp_compiler::Compiled;
-use lightwsp_core::oracle::litmus_sweep_cached;
+use lightwsp_core::oracle::litmus_sweep;
 use lightwsp_core::{Experiment, ExperimentOptions, Scheme};
 use lightwsp_ir::{DecodedProgram, DynEvent, Interp, Memory, Program};
 use lightwsp_mem::cache::{SetAssocCache, VictimPolicy};
@@ -624,8 +624,8 @@ fn gate_sweep(opts: &ExperimentOptions, quick: bool, out: &mut String) -> Vec<(G
         let sweep = |mode| {
             move || {
                 let t0 = Instant::now();
-                let (rec, _) = litmus_sweep_cached(None, c, step, mode, EnumMode::Overapprox);
-                (t0.elapsed().as_secs_f64(), rec.outcomes)
+                let (_, outcomes) = litmus_sweep(c, step, mode, EnumMode::Overapprox);
+                (t0.elapsed().as_secs_f64(), outcomes)
             }
         };
         let (r, outcomes) = race(

@@ -6,18 +6,13 @@
 //! optional [`ResultStore`] attached: per-run cells are served from the
 //! store when the (workload, scheme, config-digest, code-digest) key
 //! matches, and the figure wall-clocks are memoized as whole
-//! records — wall-clock
-//! numbers are stored as `f64` bit patterns, so a warm re-run on
-//! unchanged code regenerates `BENCH_eval.json` byte-for-byte except
-//! for the single-line `"cache"` meta field (mask with
-//! `grep -v '"cache":'` when comparing).
+//! records ([`memo_wall`]) — wall-clock numbers are stored as `f64`
+//! bit patterns, so a warm re-run on unchanged code regenerates
+//! `BENCH_eval.json` byte-for-byte except for the single-line `"cache"`
+//! meta field (mask with `grep -v '"cache":'` when comparing).
 
-use crate::{emit, emit_text, figures, Cli, Filter};
-use lightwsp_core::cache::{f64_bits, f64_from_bits};
-use lightwsp_core::{
-    digest_debug, memo_value, Campaign, ExperimentOptions, Job, JsonWriter, ResultStore, Scheme,
-    StoreKey,
-};
+use crate::{emit, emit_text, figures, memo_wall, Cli, Filter};
+use lightwsp_core::{Campaign, ExperimentOptions, Job, JsonWriter, ResultStore, Scheme};
 use lightwsp_workloads::all_workloads;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -73,85 +68,28 @@ pub struct EvalSummary {
     pub headline: String,
 }
 
-/// Serves the stored wall-clock for `name` or records `measured`.
-fn memo_wall(store: Option<&ResultStore>, name: &str, config: u64, measured: f64) -> f64 {
-    let key = StoreKey::new(
-        "metawall",
-        name,
-        "wall",
-        config,
-        0,
-        store.map_or(0, ResultStore::code),
-    );
-    memo_value(
-        store,
-        &key,
-        |s| f64_from_bits(s.trim()),
-        |v| f64_bits(*v),
-        || measured,
-    )
-    .0
-}
-
-/// Like [`memo_wall`] but computes the measurement lazily (full-run
-/// quick-subset timing is itself a multi-second simulation pass).
-fn memo_wall_lazy(
-    store: Option<&ResultStore>,
-    name: &str,
-    config: u64,
-    measure: impl FnOnce() -> f64,
-) -> f64 {
-    let key = StoreKey::new(
-        "metawall",
-        name,
-        "wall",
-        config,
-        0,
-        store.map_or(0, ResultStore::code),
-    );
-    memo_value(
-        store,
-        &key,
-        |s| f64_from_bits(s.trim()),
-        |v| f64_bits(*v),
-        measure,
-    )
-    .0
-}
-
 /// Runs the (filtered) evaluation and assembles `BENCH_eval.json`.
 pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
-    let mut c = crate::campaign();
-    if let Some(s) = &eo.store {
-        c.attach_store(s.clone());
-    }
-    let store = eo.store.as_ref();
+    let c = crate::campaign_with(eo.store.clone());
     let opts = &eo.opts;
     let f = &eo.filter;
-    let cfg_digest = digest_debug(&(opts, eo.quick));
     let t0 = Instant::now();
 
     let mut fig07_s = None;
     if f.section("fig07") {
         let t = Instant::now();
         emit(&figures::fig07(&c, opts));
-        fig07_s = Some(memo_wall(
-            store,
-            "fig07-wall",
-            cfg_digest,
-            t.elapsed().as_secs_f64(),
-        ));
+        fig07_s = Some(memo_wall(&c, "fig07-wall", (opts, eo.quick), || {
+            t.elapsed().as_secs_f64()
+        }));
     }
     let mut fig11_s = None;
     if f.section("fig11") {
         let t = Instant::now();
         emit(&figures::fig11(&c, opts));
-        fig11_s = Some(memo_wall(
-            store,
-            "fig11-wall",
-            cfg_digest,
-            t.elapsed().as_secs_f64(),
-        ));
+        fig11_s = Some(memo_wall(&c, "fig11-wall", (opts, eo.quick), || {
+            t.elapsed().as_secs_f64()
+        }));
     }
     if f.section("fig08") {
         emit(&figures::fig08(&c, opts));
@@ -219,22 +157,19 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
     // null. Only meaningful when both figures ran.
     let quick_subset_s = match (fig07_s, fig11_s) {
         (Some(a), Some(b)) if eo.quick => Some(a + b),
-        (Some(_), Some(_)) => Some(memo_wall_lazy(
-            store,
+        (Some(_), Some(_)) => Some(memo_wall(
+            &c,
             "quick-subset-wall",
-            cfg_digest,
+            (opts, eo.quick),
             quick_subset_wall_s,
         )),
         _ => None,
     };
 
     let wall_s = t0.elapsed().as_secs_f64();
-    let total_s = memo_wall(
-        store,
-        "total-wall",
-        digest_debug(&(opts, eo.quick, f.normalized())),
-        wall_s,
-    );
+    let total_s = memo_wall(&c, "total-wall", (opts, eo.quick, f.normalized()), || {
+        wall_s
+    });
 
     // Assemble the document. Every value below is either memoized or
     // derived from memoized values, so a warm pass is byte-identical —
@@ -291,6 +226,7 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
          {cells_served} served)",
         c.workers(),
     );
+    crate::flush_store(&c);
 
     EvalSummary {
         json,

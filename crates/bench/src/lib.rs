@@ -22,7 +22,8 @@
 use lightwsp_core::report::Figure;
 use lightwsp_core::{parse_threads, Campaign, ExperimentOptions, ResultStore};
 use lightwsp_workloads::all_workloads;
-use std::fmt::Display;
+use std::convert::Infallible;
+use std::fmt::{Debug, Display};
 use std::fs;
 use std::path::PathBuf;
 
@@ -88,22 +89,56 @@ pub fn exit_usage(msg: &dyn Display) -> ! {
     std::process::exit(2)
 }
 
-/// Opens the campaign result store named by the `LIGHTWSP_STORE`
-/// environment variable (a directory path, created on demand), or
-/// returns `None` when the variable is unset. An unopenable store is a
-/// warning, not an error — every bin degrades to compute-everything.
+/// Opens the result store named by the `LIGHTWSP_STORE` environment
+/// variable (a directory path, created on demand), or returns `None`
+/// when the variable is unset or empty. A store that cannot be opened
+/// is printed with its path and cause (a corrupt batch names its file)
+/// and exits with status 2.
 pub fn store() -> Option<ResultStore> {
     let dir = std::env::var("LIGHTWSP_STORE").ok()?;
     if dir.is_empty() {
         return None;
     }
-    match ResultStore::open(&dir) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("warning: could not open result store {dir}: {e}");
-            None
-        }
+    let store = ResultStore::open(&dir).unwrap_or_else(|e| {
+        exit_usage(&format_args!(
+            "could not open result store LIGHTWSP_STORE={dir:?}: {e}"
+        ))
+    });
+    Some(store)
+}
+
+/// [`campaign`] with `store` attached: the campaign every store-routed
+/// bin runs on, its one handle to the store (pass [`store`]).
+pub fn campaign_with(store: Option<ResultStore>) -> Campaign {
+    let mut c = campaign();
+    if let Some(store) = store {
+        c.attach_store(store);
     }
+    c
+}
+
+/// Writes the campaign's pending store records to disk. A failure is a
+/// warning: the bin's own outputs are already written.
+pub fn flush_store(c: &Campaign) {
+    if let Some(Err(e)) = c.store().map(ResultStore::flush) {
+        eprintln!("warning: could not flush result store: {e}");
+    }
+}
+
+/// The wall-clock seconds of the stage `name`: `measure`d on a cold
+/// pass, served from the campaign's store on a warm one (keyed on
+/// `config`), so a warm pass reproduces the cold pass's BENCH file
+/// byte for byte.
+pub fn memo_wall(
+    c: &Campaign,
+    name: &str,
+    config: impl Debug,
+    measure: impl FnOnce() -> f64,
+) -> f64 {
+    let Ok(wall_s) = c.memo("metawall", name, "wall", config, || {
+        Ok::<_, Infallible>(measure())
+    });
+    wall_s
 }
 
 /// The section ids of `all_figures`, in run order. `fig16` also writes

@@ -1,34 +1,61 @@
-//! Digest-keyed result caching on top of [`lightwsp_store`].
+//! The result store's record codecs.
 //!
-//! The store holds opaque string payloads; this module owns the codecs
-//! that turn the evaluation's result types into those payloads and
-//! back, plus the [`memo_record`] discipline every cached computation
-//! follows:
+//! The store ([`lightwsp_store`]) holds opaque string payloads. Every
+//! value a campaign memoizes implements [`Record`], which turns it into
+//! such a payload and back, and [`Campaign::memo`](crate::Campaign::memo)
+//! is the one path between those values and the store: it keys each
+//! record on the inputs that shape it plus the code digest, never
+//! caches an error, and recomputes a record that fails to decode.
 //!
-//! * **errors are never cached** — a failed golden run or extraction is
-//!   recomputed every time;
-//! * **corrupt records fall back to recompute** — a record that fails
-//!   to decode (e.g. written by a future format) is treated as a miss
-//!   and overwritten, never trusted;
-//! * **wall-clock values are part of the record** — a warm run serves
-//!   the cold run's measured timings verbatim, which is what makes
-//!   `BENCH_*.json` byte-identical across warm re-runs.
+//! Each audit stores the report type it returns, so a warm run serves
+//! exactly what the cold run computed. The record families (the `kind`
+//! field of a [`StoreKey`](lightwsp_store::StoreKey)):
 //!
-//! Record families (the `kind` field of [`StoreKey`]): `"run"` (whole
-//! simulation runs, written by [`Campaign`](crate::Campaign)),
-//! `"crashcell"` ([`CrashCellRecord`]), `"dscell"` ([`DsCellRecord`]),
-//! `"case"` ([`CaseRecord`]), `"sweeprep"` ([`SweepRecord`]),
-//! `"killmatrix"` ([`MutantKillRecord`] lists), `"section"` /
-//! `"metawall"` ([`TextRecord`], used by the `all_figures` harness for
-//! memoized timing sections and meta wall-clock fields).
+//! | kind | record | keyed in |
+//! |---|---|---|
+//! | `"run"` | [`RunResult`] and its wall-clock ms | [`Campaign::run_one_timed`](crate::Campaign::run_one_timed) |
+//! | `"crashcell"` | [`CrashAuditReport`] | [`audit_workload_crashes`](crate::recovery::audit_workload_crashes) |
+//! | `"dscell"` | [`DsAuditReport`] | [`audit_recoverable_ds`](crate::dsaudit::audit_recoverable_ds) |
+//! | `"sweeprep"` | [`SweepReport`], with its [`CaseOutcome`]s for a litmus sweep | [`litmus_sweep`](crate::oracle::litmus_sweep), [`fuzz_sweep`](crate::oracle::fuzz_sweep) |
+//! | `"killmatrix"` | a [`MutantKill`] list | [`mutant_kill_matrix`](crate::oracle::mutant_kill_matrix) |
+//! | `"case"` | [`CaseOutcome`] | the `ds_service` bin, around `run_case` |
+//! | `"metawall"` | a wall-clock `f64` | the bench bins' stage timings |
+//!
+//! Decoding builds each report as a struct literal, so a report field
+//! without a codec fails to compile instead of silently dropping out of
+//! warm runs. Typed parts decode through their stable names
+//! ([`INVARIANTS`], [`CrashPointKind::name`], [`mutant_name`],
+//! [`DETECTORS`], [`Scheme::name`], workload names); an unknown name is
+//! a decode error, so the record is recomputed. Wall-clock values are
+//! stored as `f64` bit patterns: a warm run renders the cold run's
+//! timings digit for digit, which is what makes `BENCH_*.json`
+//! byte-identical across warm re-runs.
 
 use crate::dsaudit::DsAuditReport;
-use lightwsp_model::harness::CaseOutcome;
-use lightwsp_sim::CrashAuditReport;
-use lightwsp_store::{ResultStore, StoreKey};
+use crate::experiment::RunResult;
+use crate::oracle::{mutant_name, MutantKill, SweepReport, ALL_MUTANTS, DETECTORS};
+use lightwsp_model::harness::{CaseOutcome, MutantModelRow};
+use lightwsp_sim::crash::INVARIANTS;
+use lightwsp_sim::{
+    Completion, CrashAuditReport, CrashPoint, CrashPointKind, InvariantViolation, Scheme, SimStats,
+};
+use lightwsp_workloads::all_workloads;
 use std::collections::BTreeMap;
 
 pub use lightwsp_store::{code_digest, code_digest_from_env, digest_debug, digest_str};
+
+/// A value the result store can hold.
+pub trait Record: Sized {
+    /// Serialises for the store.
+    fn encode(&self) -> String;
+
+    /// Parses [`Record::encode`] output.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first missing, malformed or unknown part.
+    fn decode(text: &str) -> Result<Self, String>;
+}
 
 /// Escapes whitespace and backslashes, so escaped strings are safe
 /// both as one-line list items and as `kv_line` values (which split on
@@ -68,7 +95,7 @@ fn unesc(s: &str) -> String {
 }
 
 /// Renders `name=value` pairs as one line (values must not contain
-/// whitespace; strings go through [`esc`] plus their own field rules).
+/// whitespace; strings go through [`esc`]).
 fn kv_line(pairs: &[(&str, String)]) -> String {
     pairs
         .iter()
@@ -89,83 +116,33 @@ fn parse_kv(line: &str) -> Result<BTreeMap<&str, &str>, String> {
     Ok(map)
 }
 
+/// The raw value of field `name`.
+fn field<'a>(map: &BTreeMap<&str, &'a str>, name: &str) -> Result<&'a str, String> {
+    map.get(name)
+        .copied()
+        .ok_or_else(|| format!("missing field {name}"))
+}
+
 fn kv_get<T: std::str::FromStr>(map: &BTreeMap<&str, &str>, name: &str) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
-    map.get(name)
-        .ok_or_else(|| format!("missing field {name}"))?
+    field(map, name)?
         .parse()
         .map_err(|e| format!("field {name}: {e}"))
 }
 
-/// Encodes an `f64` as its bit pattern (decoding is bit-exact; stored
-/// wall-clocks must reproduce the cold run's rendering digit-for-digit).
-pub fn f64_bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// Inverse of [`f64_bits`].
-pub fn f64_from_bits(s: &str) -> Result<f64, String> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("bad f64 bits {s:?}: {e}"))
-}
-
-/// The caching discipline: serve `key` from `store` when present and
-/// decodable, otherwise compute, record on success, and return. The
-/// boolean is `true` when the result came from the store. With no
-/// store, always computes.
-///
-/// # Errors
-///
-/// Propagates `compute`'s error (errors are never cached).
-pub fn memo_record<T, E>(
-    store: Option<&ResultStore>,
-    key: &StoreKey,
-    decode: impl Fn(&str) -> Result<T, String>,
-    encode: impl Fn(&T) -> String,
-    compute: impl FnOnce() -> Result<T, E>,
-) -> Result<(T, bool), E> {
-    if let Some(store) = store {
-        if let Some(raw) = store.get(key) {
-            if let Ok(v) = decode(&raw) {
-                return Ok((v, true));
-            }
-        }
-        let v = compute()?;
-        store.put(key.clone(), encode(&v));
-        Ok((v, false))
-    } else {
-        compute().map(|v| (v, false))
-    }
-}
-
-/// [`memo_record`] for infallible computations.
-pub fn memo_value<T>(
-    store: Option<&ResultStore>,
-    key: &StoreKey,
-    decode: impl Fn(&str) -> Result<T, String>,
-    encode: impl Fn(&T) -> String,
-    compute: impl FnOnce() -> T,
-) -> (T, bool) {
-    let r: Result<(T, bool), std::convert::Infallible> =
-        memo_record(store, key, decode, encode, || Ok(compute()));
-    match r {
-        Ok(v) => v,
-        Err(e) => match e {},
-    }
-}
-
-fn list_lines(out: &mut String, tag: &str, items: &[String]) {
+/// Appends one `tag\t<escaped item>` line per item.
+fn list_lines<S: AsRef<str>>(out: &mut String, tag: &str, items: impl IntoIterator<Item = S>) {
     for item in items {
         out.push('\n');
         out.push_str(tag);
         out.push('\t');
-        out.push_str(&esc(item));
+        out.push_str(&esc(item.as_ref()));
     }
 }
 
+/// Splits a record into its head line and its unescaped list items.
 fn split_record(text: &str) -> (&str, Vec<(&str, String)>) {
     let mut lines = text.lines();
     let head = lines.next().unwrap_or("");
@@ -183,98 +160,191 @@ fn take_list(items: &[(&str, String)], tag: &str) -> Vec<String> {
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Crash-audit cells
-// ---------------------------------------------------------------------
-
-/// The stored shape of one crash-audit cell: everything
-/// `crash_audit`'s report/JSON emission reads from a
-/// [`CrashAuditReport`], with violations flattened to display strings.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CrashCellRecord {
-    /// Points requested.
-    pub points: usize,
-    /// Points that actually interrupted the run.
-    pub audited: usize,
-    /// Points past the end of the run.
-    pub beyond_end: usize,
-    /// Audited points per crash-point kind.
-    pub audited_by_kind: [usize; 6],
-    /// Rendered invariant violations (empty = contract held).
-    pub violations: Vec<String>,
-    /// WPQ entries battery-flushed across audited failures.
-    pub entries_flushed: u64,
-    /// WPQ entries discarded across audited failures.
-    pub entries_discarded: u64,
-    /// Undo-log rollbacks applied across audited failures.
-    pub undo_rolled_back: u64,
-    /// Cycles of the failure-free golden run.
-    pub golden_cycles: u64,
+/// Decodes every `tag` item with `decode`.
+fn take_typed<T>(
+    items: &[(&str, String)],
+    tag: &str,
+    decode: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    items
+        .iter()
+        .filter(|(t, _)| *t == tag)
+        .map(|(_, v)| decode(v))
+        .collect()
 }
 
-impl From<&CrashAuditReport> for CrashCellRecord {
-    fn from(r: &CrashAuditReport) -> CrashCellRecord {
-        CrashCellRecord {
-            points: r.points,
-            audited: r.audited,
-            beyond_end: r.beyond_end,
-            audited_by_kind: r.audited_by_kind,
-            violations: r.violations.iter().map(|v| v.to_string()).collect(),
-            entries_flushed: r.entries_flushed,
-            entries_discarded: r.entries_discarded,
-            undo_rolled_back: r.undo_rolled_back,
-            golden_cycles: r.golden_cycles,
-        }
+/// The member of `all` whose `name` is `s`: how a typed part decodes.
+fn named<T: Copy>(
+    all: impl IntoIterator<Item = T>,
+    name: impl Fn(T) -> &'static str,
+    s: &str,
+    what: &str,
+) -> Result<T, String> {
+    all.into_iter()
+        .find(|&t| name(t) == s)
+        .ok_or_else(|| format!("unknown {what} {s:?}"))
+}
+
+/// Comma-joins numbers for a kv value (no whitespace).
+fn csv<T: ToString>(v: &[T]) -> String {
+    v.iter().map(T::to_string).collect::<Vec<_>>().join(",")
+}
+
+/// Inverse of [`csv`]; an empty string is an empty vector.
+fn from_csv<T: std::str::FromStr>(s: &str) -> Result<Vec<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    if s.is_empty() {
+        return Ok(Vec::new());
+    }
+    s.split(',')
+        .map(|x| x.parse().map_err(|e| format!("list item {x:?}: {e}")))
+        .collect()
+}
+
+fn encode_violation(v: &InvariantViolation) -> String {
+    format!(
+        "{} {} {} {}",
+        v.invariant,
+        v.point.cycle,
+        v.point.kind.name(),
+        v.detail
+    )
+}
+
+fn decode_violation(s: &str) -> Result<InvariantViolation, String> {
+    let mut parts = s.splitn(4, ' ');
+    let mut next = || parts.next().ok_or_else(|| format!("short violation {s:?}"));
+    Ok(InvariantViolation {
+        invariant: named(INVARIANTS, |n| n, next()?, "invariant")?,
+        point: CrashPoint {
+            cycle: next()?
+                .parse()
+                .map_err(|e| format!("violation cycle: {e}"))?,
+            kind: named(
+                CrashPointKind::ALL,
+                CrashPointKind::name,
+                next()?,
+                "crash-point kind",
+            )?,
+        },
+        detail: next()?.to_string(),
+    })
+}
+
+/// A wall-clock value, stored as its bit pattern.
+impl Record for f64 {
+    fn encode(&self) -> String {
+        format!("{:016x}", self.to_bits())
+    }
+
+    fn decode(text: &str) -> Result<f64, String> {
+        u64::from_str_radix(text, 16)
+            .map(f64::from_bits)
+            .map_err(|e| format!("bad f64 bits {text:?}: {e}"))
     }
 }
 
-impl CrashCellRecord {
-    /// Serialises for the store.
-    pub fn encode(&self) -> String {
+/// A list: its records split by `#` lines.
+impl<T: Record> Record for Vec<T> {
+    fn encode(&self) -> String {
+        self.iter().map(T::encode).collect::<Vec<_>>().join("\n#\n")
+    }
+
+    fn decode(text: &str) -> Result<Vec<T>, String> {
+        if text.is_empty() {
+            return Ok(Vec::new());
+        }
+        text.split("\n#\n").map(T::decode).collect()
+    }
+}
+
+/// A pair: its two records split by a `##` line (so the first may not
+/// itself be a pair).
+impl<A: Record, B: Record> Record for (A, B) {
+    fn encode(&self) -> String {
+        format!("{}\n##\n{}", self.0.encode(), self.1.encode())
+    }
+
+    fn decode(text: &str) -> Result<(A, B), String> {
+        let (a, b) = text
+            .split_once("\n##\n")
+            .ok_or("pair record missing its ## line")?;
+        Ok((A::decode(a)?, B::decode(b)?))
+    }
+}
+
+/// A whole run. Its workload decodes through the roster's names, so a
+/// run of a spec named outside the roster is always recomputed.
+impl Record for RunResult {
+    fn encode(&self) -> String {
+        let head = kv_line(&[
+            ("workload", esc(self.workload)),
+            ("scheme", self.scheme.name().to_string()),
+            ("threads", self.threads.to_string()),
+            (
+                "completion",
+                match self.completion {
+                    Completion::Finished => "F",
+                    Completion::MaxCycles => "M",
+                }
+                .to_string(),
+            ),
+        ]);
+        format!("{head}\n{}", self.stats.encode_record())
+    }
+
+    fn decode(text: &str) -> Result<RunResult, String> {
+        let (head, stats) = text.split_once('\n').ok_or("run record missing stats")?;
+        let map = parse_kv(head)?;
+        Ok(RunResult {
+            workload: named(
+                all_workloads().iter().map(|w| w.name),
+                |n| n,
+                &unesc(field(&map, "workload")?),
+                "workload",
+            )?,
+            scheme: named(Scheme::ALL, Scheme::name, field(&map, "scheme")?, "scheme")?,
+            threads: kv_get(&map, "threads")?,
+            completion: match field(&map, "completion")? {
+                "F" => Completion::Finished,
+                "M" => Completion::MaxCycles,
+                other => return Err(format!("bad completion {other:?}")),
+            },
+            stats: SimStats::decode_record(stats)?,
+        })
+    }
+}
+
+impl Record for CrashAuditReport {
+    fn encode(&self) -> String {
         let mut out = kv_line(&[
             ("points", self.points.to_string()),
             ("audited", self.audited.to_string()),
             ("beyond_end", self.beyond_end.to_string()),
-            (
-                "by_kind",
-                self.audited_by_kind
-                    .iter()
-                    .map(|n| n.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-            ),
+            ("by_kind", csv(&self.audited_by_kind)),
             ("entries_flushed", self.entries_flushed.to_string()),
             ("entries_discarded", self.entries_discarded.to_string()),
             ("undo_rolled_back", self.undo_rolled_back.to_string()),
             ("golden_cycles", self.golden_cycles.to_string()),
         ]);
-        list_lines(&mut out, "v", &self.violations);
+        list_lines(&mut out, "v", self.violations.iter().map(encode_violation));
         out
     }
 
-    /// Parses [`CrashCellRecord::encode`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn decode(text: &str) -> Result<CrashCellRecord, String> {
+    fn decode(text: &str) -> Result<CrashAuditReport, String> {
         let (head, items) = split_record(text);
         let map = parse_kv(head)?;
-        let by_kind_raw: String = kv_get(&map, "by_kind")?;
-        let mut audited_by_kind = [0usize; 6];
-        let parts: Vec<&str> = by_kind_raw.split(',').collect();
-        if parts.len() != 6 {
-            return Err(format!("by_kind needs 6 entries, got {}", parts.len()));
-        }
-        for (slot, p) in audited_by_kind.iter_mut().zip(parts) {
-            *slot = p.parse().map_err(|e| format!("by_kind: {e}"))?;
-        }
-        Ok(CrashCellRecord {
+        let by_kind: Vec<usize> = from_csv(field(&map, "by_kind")?)?;
+        Ok(CrashAuditReport {
             points: kv_get(&map, "points")?,
             audited: kv_get(&map, "audited")?,
             beyond_end: kv_get(&map, "beyond_end")?,
-            audited_by_kind,
-            violations: take_list(&items, "v"),
+            audited_by_kind: by_kind
+                .try_into()
+                .map_err(|v: Vec<usize>| format!("by_kind needs 6 entries, got {}", v.len()))?,
+            violations: take_typed(&items, "v", decode_violation)?,
             entries_flushed: kv_get(&map, "entries_flushed")?,
             entries_discarded: kv_get(&map, "entries_discarded")?,
             undo_rolled_back: kv_get(&map, "undo_rolled_back")?,
@@ -283,55 +353,8 @@ impl CrashCellRecord {
     }
 }
 
-// ---------------------------------------------------------------------
-// Data-structure audit cells
-// ---------------------------------------------------------------------
-
-/// The stored shape of one recoverable-DS audit cell (see
-/// [`DsAuditReport`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct DsCellRecord {
-    /// Structure name.
-    pub name: String,
-    /// Points prepared.
-    pub points: usize,
-    /// Points audited.
-    pub audited: usize,
-    /// Points past the end of the run.
-    pub beyond_end: usize,
-    /// Audited points resumed to completion.
-    pub resumed: usize,
-    /// Cycles of the failure-free run.
-    pub golden_cycles: u64,
-    /// Generic recovery-contract violations, rendered.
-    pub gate_violations: Vec<String>,
-    /// Structure-invariant violations.
-    pub ds_violations: Vec<String>,
-}
-
-impl From<&DsAuditReport> for DsCellRecord {
-    fn from(r: &DsAuditReport) -> DsCellRecord {
-        DsCellRecord {
-            name: r.name.clone(),
-            points: r.points,
-            audited: r.audited,
-            beyond_end: r.beyond_end,
-            resumed: r.resumed,
-            golden_cycles: r.golden_cycles,
-            gate_violations: r.gate_violations.iter().map(|v| v.to_string()).collect(),
-            ds_violations: r.ds_violations.clone(),
-        }
-    }
-}
-
-impl DsCellRecord {
-    /// Total violation count (gate + structure).
-    pub fn violations(&self) -> usize {
-        self.gate_violations.len() + self.ds_violations.len()
-    }
-
-    /// Serialises for the store.
-    pub fn encode(&self) -> String {
+impl Record for DsAuditReport {
+    fn encode(&self) -> String {
         let mut out = kv_line(&[
             ("name", esc(&self.name)),
             ("points", self.points.to_string()),
@@ -340,184 +363,59 @@ impl DsCellRecord {
             ("resumed", self.resumed.to_string()),
             ("golden_cycles", self.golden_cycles.to_string()),
         ]);
-        list_lines(&mut out, "g", &self.gate_violations);
+        list_lines(
+            &mut out,
+            "g",
+            self.gate_violations.iter().map(encode_violation),
+        );
         list_lines(&mut out, "d", &self.ds_violations);
         out
     }
 
-    /// Parses [`DsCellRecord::encode`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn decode(text: &str) -> Result<DsCellRecord, String> {
+    fn decode(text: &str) -> Result<DsAuditReport, String> {
         let (head, items) = split_record(text);
         let map = parse_kv(head)?;
-        Ok(DsCellRecord {
-            name: unesc(map.get("name").ok_or("missing field name")?),
+        Ok(DsAuditReport {
+            name: unesc(field(&map, "name")?),
             points: kv_get(&map, "points")?,
             audited: kv_get(&map, "audited")?,
             beyond_end: kv_get(&map, "beyond_end")?,
             resumed: kv_get(&map, "resumed")?,
             golden_cycles: kv_get(&map, "golden_cycles")?,
-            gate_violations: take_list(&items, "g"),
+            gate_violations: take_typed(&items, "g", decode_violation)?,
             ds_violations: take_list(&items, "d"),
         })
     }
 }
 
-// ---------------------------------------------------------------------
-// Model-oracle cases and sweep reports
-// ---------------------------------------------------------------------
-
-/// The stored shape of one mutant-model verdict
-/// ([`lightwsp_model::MutantModelRow`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct MutantModelRecord {
-    /// Mutant name (`drop_ack_order` & co).
-    pub name: String,
-    /// Size of the mutant's admitted set (`None` when its enumeration
-    /// cap was exceeded).
-    pub count: Option<u128>,
-    /// True when the case's fully-witnessed sweep falsified the mutant.
-    pub killed: bool,
+fn encode_mutant_row(row: &MutantModelRow) -> String {
+    format!(
+        "{}/{}/{}",
+        row.name,
+        row.count.map_or("-".to_string(), |c| c.to_string()),
+        if row.killed { "killed" } else { "alive" }
+    )
 }
 
-impl MutantModelRecord {
-    fn render(&self) -> String {
-        format!(
-            "{}/{}/{}",
-            self.name,
-            self.count.map_or("-".to_string(), |c| c.to_string()),
-            if self.killed { "killed" } else { "alive" }
-        )
-    }
-
-    fn parse(s: &str) -> Result<MutantModelRecord, String> {
-        let mut it = s.split('/');
-        let name = it.next().ok_or("empty mutant row")?.to_string();
-        let count = match it.next().ok_or("mutant row missing count")? {
+fn decode_mutant_row(s: &str) -> Result<MutantModelRow, String> {
+    let mut it = s.split('/');
+    let mut next = || it.next().ok_or_else(|| format!("short mutant row {s:?}"));
+    Ok(MutantModelRow {
+        name: next()?.to_string(),
+        count: match next()? {
             "-" => None,
-            c => Some(
-                c.parse::<u128>()
-                    .map_err(|e| format!("mutant count: {e}"))?,
-            ),
-        };
-        let killed = match it.next().ok_or("mutant row missing verdict")? {
+            c => Some(c.parse().map_err(|e| format!("mutant count: {e}"))?),
+        },
+        killed: match next()? {
             "killed" => true,
             "alive" => false,
             other => return Err(format!("bad mutant verdict {other:?}")),
-        };
-        Ok(MutantModelRecord {
-            name,
-            count,
-            killed,
-        })
-    }
+        },
+    })
 }
 
-/// Comma-joins a bucket vector for a kv value (no whitespace).
-fn buckets_to_csv(v: &[u64]) -> String {
-    v.iter()
-        .map(|x| x.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Inverse of [`buckets_to_csv`]; an empty string is an empty vector.
-fn csv_to_buckets(s: &str) -> Result<Vec<u64>, String> {
-    if s.is_empty() {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|x| x.parse::<u64>().map_err(|e| format!("bucket: {e}")))
-        .collect()
-}
-
-/// The stored shape of one model-harness [`CaseOutcome`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct CaseRecord {
-    /// Case name.
-    pub name: String,
-    /// Crash points requested.
-    pub points: usize,
-    /// Points that actually interrupted the run.
-    pub audited: usize,
-    /// Size of the over-approximate admitted set.
-    pub admitted: u128,
-    /// Size of the exact admitted set (exact-mode sweeps only).
-    pub exact_admitted: Option<u128>,
-    /// Distinct canonical images observed.
-    pub witnessed: usize,
-    /// Witnessed images with a cross-thread prefix combination.
-    pub witnessed_cross_thread: usize,
-    /// Witnessed images per thread-count bucket.
-    pub witnessed_buckets: Vec<u64>,
-    /// Exact admitted images per thread-count bucket (exact mode only).
-    pub exact_buckets: Option<Vec<u64>>,
-    /// Mutant-model verdicts (exact mode only).
-    pub model_mutants: Vec<MutantModelRecord>,
-    /// Images outside the admitted set.
-    pub model_violations: Vec<String>,
-    /// Structural invariant violations.
-    pub structural_violations: Vec<String>,
-}
-
-impl From<&CaseOutcome> for CaseRecord {
-    fn from(o: &CaseOutcome) -> CaseRecord {
-        CaseRecord {
-            name: o.name.clone(),
-            points: o.points,
-            audited: o.audited,
-            admitted: o.admitted,
-            exact_admitted: o.exact_admitted,
-            witnessed: o.witnessed,
-            witnessed_cross_thread: o.witnessed_cross_thread,
-            witnessed_buckets: o.witnessed_buckets.clone(),
-            exact_buckets: o.exact_buckets.clone(),
-            model_mutants: o
-                .model_mutants
-                .iter()
-                .map(|m| MutantModelRecord {
-                    name: m.name.clone(),
-                    count: m.count,
-                    killed: m.killed,
-                })
-                .collect(),
-            model_violations: o.model_violations.clone(),
-            structural_violations: o.structural_violations.clone(),
-        }
-    }
-}
-
-impl CaseRecord {
-    /// Unwitnessed admitted images under the mode's own set (see
-    /// [`CaseOutcome::overapprox`]).
-    pub fn overapprox(&self) -> u128 {
-        self.exact_admitted
-            .unwrap_or(self.admitted)
-            .saturating_sub(self.witnessed as u128)
-    }
-
-    /// Over-approximate images the exact mode excluded (0 when the
-    /// sweep ran over-approximate).
-    pub fn exact_delta(&self) -> u128 {
-        self.exact_admitted
-            .map_or(0, |e| self.admitted.saturating_sub(e))
-    }
-
-    /// True when the sweep witnessed the whole exact set cleanly.
-    pub fn exact_fully_witnessed(&self) -> bool {
-        self.model_violations.is_empty() && self.exact_admitted == Some(self.witnessed as u128)
-    }
-
-    /// Total violation count.
-    pub fn violations(&self) -> usize {
-        self.model_violations.len() + self.structural_violations.len()
-    }
-
-    /// Serialises for the store.
-    pub fn encode(&self) -> String {
+impl Record for CaseOutcome {
+    fn encode(&self) -> String {
         let mut pairs = vec![
             ("name", esc(&self.name)),
             ("points", self.points.to_string()),
@@ -525,147 +423,50 @@ impl CaseRecord {
             ("admitted", self.admitted.to_string()),
             ("witnessed", self.witnessed.to_string()),
             ("cross", self.witnessed_cross_thread.to_string()),
-            ("wbuckets", buckets_to_csv(&self.witnessed_buckets)),
+            ("wbuckets", csv(&self.witnessed_buckets)),
         ];
         if let Some(e) = self.exact_admitted {
             pairs.push(("exact", e.to_string()));
         }
         if let Some(eb) = &self.exact_buckets {
-            pairs.push(("ebuckets", buckets_to_csv(eb)));
+            pairs.push(("ebuckets", csv(eb)));
         }
         let mut out = kv_line(&pairs);
         list_lines(
             &mut out,
             "mm",
-            &self
-                .model_mutants
-                .iter()
-                .map(MutantModelRecord::render)
-                .collect::<Vec<_>>(),
+            self.model_mutants.iter().map(encode_mutant_row),
         );
         list_lines(&mut out, "m", &self.model_violations);
         list_lines(&mut out, "s", &self.structural_violations);
         out
     }
 
-    /// Parses [`CaseRecord::encode`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn decode(text: &str) -> Result<CaseRecord, String> {
+    fn decode(text: &str) -> Result<CaseOutcome, String> {
         let (head, items) = split_record(text);
         let map = parse_kv(head)?;
-        Ok(CaseRecord {
-            name: unesc(map.get("name").ok_or("missing field name")?),
+        Ok(CaseOutcome {
+            name: unesc(field(&map, "name")?),
             points: kv_get(&map, "points")?,
             audited: kv_get(&map, "audited")?,
             admitted: kv_get(&map, "admitted")?,
-            exact_admitted: match map.get("exact") {
-                Some(v) => Some(v.parse().map_err(|e| format!("field exact: {e}"))?),
-                None => None,
-            },
+            exact_admitted: map
+                .contains_key("exact")
+                .then(|| kv_get(&map, "exact"))
+                .transpose()?,
             witnessed: kv_get(&map, "witnessed")?,
             witnessed_cross_thread: kv_get(&map, "cross")?,
-            witnessed_buckets: csv_to_buckets(map.get("wbuckets").copied().unwrap_or(""))?,
-            exact_buckets: match map.get("ebuckets") {
-                Some(v) => Some(csv_to_buckets(v)?),
-                None => None,
-            },
-            model_mutants: take_list(&items, "mm")
-                .iter()
-                .map(|s| MutantModelRecord::parse(s))
-                .collect::<Result<_, _>>()?,
+            witnessed_buckets: from_csv(field(&map, "wbuckets")?)?,
+            exact_buckets: map.get("ebuckets").map(|v| from_csv(v)).transpose()?,
+            model_mutants: take_typed(&items, "mm", decode_mutant_row)?,
             model_violations: take_list(&items, "m"),
             structural_violations: take_list(&items, "s"),
         })
     }
-
-    /// Encodes a whole outcome list (one record per `#`-prefixed
-    /// block) — litmus sweeps store their per-case outcomes alongside
-    /// the aggregate.
-    pub fn encode_list(records: &[CaseRecord]) -> String {
-        records
-            .iter()
-            .map(|r| r.encode())
-            .collect::<Vec<_>>()
-            .join("\n#\n")
-    }
-
-    /// Parses [`CaseRecord::encode_list`] output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first malformed block.
-    pub fn decode_list(text: &str) -> Result<Vec<CaseRecord>, String> {
-        if text.is_empty() {
-            return Ok(Vec::new());
-        }
-        text.split("\n#\n").map(CaseRecord::decode).collect()
-    }
 }
 
-/// The stored shape of an aggregate
-/// [`SweepReport`](crate::SweepReport), with its per-case outcomes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SweepRecord {
-    /// Cases run.
-    pub cases: usize,
-    /// Points requested across all cases.
-    pub points: usize,
-    /// Points audited.
-    pub audited: usize,
-    /// Sum of admitted-set sizes.
-    pub admitted: u128,
-    /// Sum of exact admitted-set sizes (0 for over-approximate sweeps).
-    pub exact_admitted: u128,
-    /// Cases whose exact set was fully witnessed violation-free.
-    pub exact_complete: usize,
-    /// Distinct images witnessed.
-    pub witnessed: usize,
-    /// Cross-thread witnessed images.
-    pub witnessed_cross_thread: usize,
-    /// Model violations across the sweep.
-    pub model_violations: Vec<String>,
-    /// Structural violations across the sweep.
-    pub structural_violations: Vec<String>,
-    /// Extraction errors across the sweep.
-    pub extract_errors: Vec<String>,
-    /// Per-case outcomes (litmus sweeps; empty for fuzz).
-    pub outcomes: Vec<CaseRecord>,
-}
-
-impl SweepRecord {
-    /// Builds from an aggregate report plus optional outcomes.
-    pub fn new(rep: &crate::SweepReport, outcomes: &[CaseOutcome]) -> SweepRecord {
-        SweepRecord {
-            cases: rep.cases,
-            points: rep.points,
-            audited: rep.audited,
-            admitted: rep.admitted,
-            exact_admitted: rep.exact_admitted,
-            exact_complete: rep.exact_complete,
-            witnessed: rep.witnessed,
-            witnessed_cross_thread: rep.witnessed_cross_thread,
-            model_violations: rep.model_violations.clone(),
-            structural_violations: rep.structural_violations.clone(),
-            extract_errors: rep.extract_errors.clone(),
-            outcomes: outcomes.iter().map(CaseRecord::from).collect(),
-        }
-    }
-
-    /// Total violation count (model + structural).
-    pub fn violations(&self) -> usize {
-        self.model_violations.len() + self.structural_violations.len()
-    }
-
-    /// Unwitnessed admitted images.
-    pub fn overapprox(&self) -> u128 {
-        self.admitted.saturating_sub(self.witnessed as u128)
-    }
-
-    /// Serialises for the store.
-    pub fn encode(&self) -> String {
+impl Record for SweepReport {
+    fn encode(&self) -> String {
         let mut out = kv_line(&[
             ("cases", self.cases.to_string()),
             ("points", self.points.to_string()),
@@ -679,24 +480,13 @@ impl SweepRecord {
         list_lines(&mut out, "m", &self.model_violations);
         list_lines(&mut out, "s", &self.structural_violations);
         list_lines(&mut out, "e", &self.extract_errors);
-        out.push_str("\n##\n");
-        out.push_str(&CaseRecord::encode_list(&self.outcomes));
         out
     }
 
-    /// Parses [`SweepRecord::encode`] output.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn decode(text: &str) -> Result<SweepRecord, String> {
-        let (head_part, outcome_part) = match text.split_once("\n##\n") {
-            Some((h, o)) => (h, o),
-            None => (text, ""),
-        };
-        let (head, items) = split_record(head_part);
+    fn decode(text: &str) -> Result<SweepReport, String> {
+        let (head, items) = split_record(text);
         let map = parse_kv(head)?;
-        Ok(SweepRecord {
+        Ok(SweepReport {
             cases: kv_get(&map, "cases")?,
             points: kv_get(&map, "points")?,
             audited: kv_get(&map, "audited")?,
@@ -708,156 +498,42 @@ impl SweepRecord {
             model_violations: take_list(&items, "m"),
             structural_violations: take_list(&items, "s"),
             extract_errors: take_list(&items, "e"),
-            outcomes: CaseRecord::decode_list(outcome_part)?,
         })
     }
 }
 
-/// One row of the stored mutant kill matrix.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MutantKillRecord {
-    /// Mutant name (see [`crate::oracle::mutant_name`]).
-    pub mutant: String,
-    /// `litmus/detector` strings that flagged it.
-    pub killed_by: Vec<String>,
-}
-
-impl From<&crate::oracle::MutantKill> for MutantKillRecord {
-    fn from(m: &crate::oracle::MutantKill) -> MutantKillRecord {
-        MutantKillRecord {
-            mutant: crate::oracle::mutant_name(m.mutant).to_string(),
-            killed_by: m
-                .killed_by
+impl Record for MutantKill {
+    fn encode(&self) -> String {
+        let mut out = kv_line(&[("mutant", mutant_name(self.mutant).to_string())]);
+        list_lines(
+            &mut out,
+            "k",
+            self.killed_by
                 .iter()
-                .map(|(litmus, detector)| format!("{litmus}/{detector}"))
-                .collect(),
-        }
-    }
-}
-
-impl MutantKillRecord {
-    /// True if at least one litmus killed the mutant.
-    pub fn killed(&self) -> bool {
-        !self.killed_by.is_empty()
+                .map(|(litmus, detector)| format!("{litmus}/{detector}")),
+        );
+        out
     }
 
-    /// Serialises a whole matrix for the store.
-    pub fn encode_list(rows: &[MutantKillRecord]) -> String {
-        rows.iter()
-            .map(|r| {
-                let mut out = kv_line(&[("mutant", esc(&r.mutant))]);
-                list_lines(&mut out, "k", &r.killed_by);
-                out
-            })
-            .collect::<Vec<_>>()
-            .join("\n#\n")
-    }
-
-    /// Parses [`MutantKillRecord::encode_list`] output.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first malformed row.
-    pub fn decode_list(text: &str) -> Result<Vec<MutantKillRecord>, String> {
-        if text.is_empty() {
-            return Ok(Vec::new());
-        }
-        text.split("\n#\n")
-            .map(|block| {
-                let (head, items) = split_record(block);
-                let map = parse_kv(head)?;
-                Ok(MutantKillRecord {
-                    mutant: unesc(map.get("mutant").ok_or("missing field mutant")?),
-                    killed_by: take_list(&items, "k"),
-                })
-            })
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Free-form sections (memoized timing blocks, meta wall-clocks)
-// ---------------------------------------------------------------------
-
-/// A stored record pairing named scalar fields with a free-form text
-/// body — the shape of `all_figures`' memoized timing sections (the
-/// body is the pre-rendered JSON array, the fields the summary numbers
-/// that feed `meta`).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TextRecord {
-    /// Named scalar fields (stored verbatim; use [`f64_bits`] for
-    /// floats that must survive bit-exactly).
-    pub fields: BTreeMap<String, String>,
-    /// The text body.
-    pub text: String,
-}
-
-impl TextRecord {
-    /// Gets a field parsed via [`f64_from_bits`].
-    ///
-    /// # Errors
-    ///
-    /// Missing field or malformed bits.
-    pub fn f64(&self, name: &str) -> Result<f64, String> {
-        f64_from_bits(
-            self.fields
-                .get(name)
-                .ok_or_else(|| format!("missing {name}"))?,
-        )
-    }
-
-    /// Gets a field parsed with `FromStr`.
-    ///
-    /// # Errors
-    ///
-    /// Missing field or parse failure.
-    pub fn num<T: std::str::FromStr>(&self, name: &str) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        self.fields
-            .get(name)
-            .ok_or_else(|| format!("missing {name}"))?
-            .parse()
-            .map_err(|e| format!("field {name}: {e}"))
-    }
-
-    /// Sets a scalar field.
-    pub fn set(&mut self, name: &str, value: impl ToString) {
-        self.fields.insert(name.to_string(), value.to_string());
-    }
-
-    /// Sets an `f64` field bit-exactly.
-    pub fn set_f64(&mut self, name: &str, value: f64) {
-        self.set(name, f64_bits(value));
-    }
-
-    /// Serialises for the store.
-    pub fn encode(&self) -> String {
-        let pairs: Vec<(&str, String)> = self
-            .fields
-            .iter()
-            .map(|(k, v)| (k.as_str(), esc(v)))
-            .collect();
-        format!("{}\n--\n{}", kv_line(&pairs), self.text)
-    }
-
-    /// Parses [`TextRecord::encode`] output.
-    ///
-    /// # Errors
-    ///
-    /// Malformed header line.
-    pub fn decode(text: &str) -> Result<TextRecord, String> {
-        let (head, body) = text
-            .split_once("\n--\n")
-            .ok_or("text record missing -- separator")?;
-        let fields = parse_kv(head)?
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), unesc(v)))
-            .collect();
-        Ok(TextRecord {
-            fields,
-            text: body.to_string(),
+    fn decode(text: &str) -> Result<MutantKill, String> {
+        let (head, items) = split_record(text);
+        let map = parse_kv(head)?;
+        Ok(MutantKill {
+            mutant: named(
+                ALL_MUTANTS,
+                mutant_name,
+                field(&map, "mutant")?,
+                "gating mutant",
+            )?,
+            killed_by: take_typed(&items, "k", |k| {
+                let (litmus, detector) = k
+                    .rsplit_once('/')
+                    .ok_or_else(|| format!("kill {k:?} names no detector"))?;
+                Ok((
+                    litmus.to_string(),
+                    named(DETECTORS, |d| d, detector, "detector")?,
+                ))
+            })?,
         })
     }
 }
@@ -865,181 +541,153 @@ impl TextRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lightwsp_sim::GatingMutant;
+
+    fn roundtrip<T: Record + PartialEq + std::fmt::Debug>(r: &T) {
+        assert_eq!(&T::decode(&r.encode()).unwrap(), r);
+    }
+
+    fn violation(invariant: &'static str, cycle: u64, kind: CrashPointKind) -> InvariantViolation {
+        InvariantViolation {
+            invariant,
+            point: CrashPoint { cycle, kind },
+            detail: format!("PM at 0x40:\tgot 1\ngolden {cycle}\\ "),
+        }
+    }
+
+    fn case(exact: bool) -> CaseOutcome {
+        CaseOutcome {
+            name: "mp + boundary".into(),
+            points: 100,
+            audited: 90,
+            admitted: u128::from(u64::MAX) * 3,
+            exact_admitted: exact.then_some(41),
+            witnessed: 40,
+            witnessed_cross_thread: 5,
+            witnessed_buckets: vec![1, 30, 9],
+            exact_buckets: exact.then(|| vec![1, 31, 9]),
+            model_mutants: vec![
+                MutantModelRow {
+                    name: "drop_ack_order".into(),
+                    count: Some(u128::from(u64::MAX) * 3),
+                    killed: true,
+                },
+                MutantModelRow {
+                    name: "unordered_prefixes".into(),
+                    count: None,
+                    killed: false,
+                },
+            ],
+            model_violations: vec!["img outside\tset".into()],
+            structural_violations: vec!["gate flushed\nearly".into()],
+        }
+    }
 
     #[test]
     fn crash_cell_roundtrip() {
-        let r = CrashCellRecord {
+        let r = CrashAuditReport {
             points: 10,
             audited: 8,
             beyond_end: 2,
             audited_by_kind: [1, 2, 3, 0, 1, 1],
-            violations: vec!["bad\nnews".into(), "worse\ttabs".into()],
+            violations: vec![
+                violation("gate-flush", 17, CrashPointKind::McSkew),
+                violation("resume-state-equivalence", 90, CrashPointKind::Seeded),
+            ],
             entries_flushed: 100,
             entries_discarded: 7,
             undo_rolled_back: 3,
             golden_cycles: 123_456,
         };
-        assert_eq!(CrashCellRecord::decode(&r.encode()).unwrap(), r);
-        assert!(CrashCellRecord::decode("points=1").is_err());
+        roundtrip(&r);
+        assert!(CrashAuditReport::decode("points=1").is_err());
+        let unknown = r.encode().replace("gate-flush", "gate-flash");
+        assert!(CrashAuditReport::decode(&unknown).is_err());
     }
 
     #[test]
     fn ds_cell_roundtrip() {
-        let r = DsCellRecord {
+        let r = DsAuditReport {
             name: "kv service".into(),
             points: 500,
             audited: 480,
             beyond_end: 20,
             resumed: 24,
             golden_cycles: 9_999_999,
-            gate_violations: vec![],
+            gate_violations: vec![violation("survivable-prefix", 5, CrashPointKind::MidRegion)],
             ds_violations: vec!["stack-lost-op @cycle 42".into()],
         };
-        assert_eq!(DsCellRecord::decode(&r.encode()).unwrap(), r);
-        assert_eq!(r.violations(), 1);
-    }
-
-    #[test]
-    fn sweep_record_roundtrip_with_outcomes() {
-        let case = CaseRecord {
-            name: "mp+boundary".into(),
-            points: 100,
-            audited: 90,
-            admitted: u128::from(u64::MAX) * 3,
-            exact_admitted: Some(41),
-            witnessed: 40,
-            witnessed_cross_thread: 5,
-            witnessed_buckets: vec![1, 30, 9],
-            exact_buckets: Some(vec![1, 31, 9]),
-            model_mutants: vec![
-                MutantModelRecord {
-                    name: "drop_ack_order".into(),
-                    count: Some(u128::from(u64::MAX) * 3),
-                    killed: false,
-                },
-                MutantModelRecord {
-                    name: "unordered_prefixes".into(),
-                    count: None,
-                    killed: false,
-                },
-            ],
-            model_violations: vec![],
-            structural_violations: vec!["gate flushed early".into()],
-        };
-        assert_eq!(case.exact_delta(), u128::from(u64::MAX) * 3 - 41);
-        assert!(!case.exact_fully_witnessed(), "41 exact vs 40 witnessed");
-        let r = SweepRecord {
-            cases: 1,
-            points: 100,
-            audited: 90,
-            admitted: case.admitted,
-            exact_admitted: 41,
-            exact_complete: 0,
-            witnessed: 40,
-            witnessed_cross_thread: 5,
-            model_violations: vec!["img outside set".into()],
-            structural_violations: vec![],
-            extract_errors: vec![],
-            outcomes: vec![case],
-        };
-        let d = SweepRecord::decode(&r.encode()).unwrap();
-        assert_eq!(d, r);
-        assert_eq!(d.violations(), 1);
-        assert!(d.overapprox() > 0);
+        roundtrip(&r);
+        let unknown = r.encode().replace("mid-region", "mid-regime");
+        assert!(DsAuditReport::decode(&unknown).is_err());
     }
 
     #[test]
     fn case_record_roundtrip_without_exact_fields() {
         // Over-approximate sweeps carry no exact fields; the record
         // must encode and decode without them.
-        let case = CaseRecord {
-            name: "plain".into(),
-            points: 10,
-            audited: 10,
-            admitted: 7,
-            exact_admitted: None,
-            witnessed: 6,
-            witnessed_cross_thread: 0,
-            witnessed_buckets: vec![1, 5],
-            exact_buckets: None,
-            model_mutants: vec![],
-            model_violations: vec![],
-            structural_violations: vec![],
+        let c = case(false);
+        roundtrip(&c);
+        assert_eq!(c.exact_delta(), 0);
+    }
+
+    #[test]
+    fn sweep_record_roundtrip_with_outcomes() {
+        let rep = SweepReport {
+            cases: 2,
+            points: 200,
+            audited: 180,
+            admitted: 12,
+            exact_admitted: 41,
+            exact_complete: 1,
+            witnessed: 40,
+            witnessed_cross_thread: 5,
+            model_violations: vec!["img outside set".into()],
+            structural_violations: vec!["gate flushed early".into()],
+            extract_errors: vec!["fuzz-7: shared\tlock".into()],
         };
-        let d = CaseRecord::decode(&case.encode()).unwrap();
-        assert_eq!(d, case);
-        assert_eq!(d.exact_delta(), 0);
-        assert_eq!(d.overapprox(), 1);
+        // A litmus sweep stores its outcomes beside the aggregate; a
+        // fuzz sweep stores the aggregate alone.
+        roundtrip(&(rep.clone(), vec![case(true), case(false)]));
+        roundtrip(&(rep.clone(), Vec::<CaseOutcome>::new()));
+        roundtrip(&rep);
     }
 
     #[test]
     fn kill_matrix_roundtrip() {
         let rows = vec![
-            MutantKillRecord {
-                mutant: "FlushUnacked".into(),
-                killed_by: vec!["mp/model".into(), "sb/structural".into()],
+            MutantKill {
+                mutant: GatingMutant::FlushUnacked,
+                killed_by: vec![("mp/2".into(), "model"), ("sb".into(), "structural")],
             },
-            MutantKillRecord {
-                mutant: "DropAck".into(),
+            MutantKill {
+                mutant: GatingMutant::FirstMcBoundary,
                 killed_by: vec![],
             },
         ];
-        let d = MutantKillRecord::decode_list(&MutantKillRecord::encode_list(&rows)).unwrap();
-        assert_eq!(d, rows);
-        assert!(d[0].killed() && !d[1].killed());
+        roundtrip(&rows);
+        let unknown = rows.encode().replace("structural", "structure");
+        assert!(Vec::<MutantKill>::decode(&unknown).is_err());
     }
 
     #[test]
-    fn text_record_roundtrip_and_f64() {
-        let mut r = TextRecord::default();
-        r.set_f64("wall_s", 1.234_567_8);
-        r.set("cells", 42u32);
-        r.text = "  {\"a\": 1},\n  {\"b\": 2}".into();
-        let d = TextRecord::decode(&r.encode()).unwrap();
-        assert_eq!(d, r);
-        assert_eq!(d.f64("wall_s").unwrap().to_bits(), 1.234_567_8f64.to_bits());
-        assert_eq!(d.num::<u32>("cells").unwrap(), 42);
-    }
-
-    #[test]
-    fn memo_value_serves_and_falls_back_on_corrupt() {
-        let store = ResultStore::in_memory_with(1);
-        let key = StoreKey::new("section", "x", "", 0, 0, 1);
-        let (v, hit) = memo_value(
-            Some(&store),
-            &key,
-            |s| Ok(s.to_string()),
-            |v: &String| v.clone(),
-            || "computed".to_string(),
-        );
-        assert!(!hit);
-        assert_eq!(v, "computed");
-        let (v, hit) = memo_value(
-            Some(&store),
-            &key,
-            |s| Ok(s.to_string()),
-            |v: &String| v.clone(),
-            || unreachable!("served"),
-        );
-        assert!(hit);
-        assert_eq!(v, "computed");
-        // A record that fails decoding is recomputed and overwritten.
-        store.put(key.clone(), "garbage".into());
-        let (v, hit) = memo_value(
-            Some(&store),
-            &key,
-            |s| {
-                if s == "garbage" {
-                    Err("corrupt".into())
-                } else {
-                    Ok(s.to_string())
-                }
+    fn run_record_and_wall_clock_roundtrip() {
+        let run = RunResult {
+            workload: "bzip2",
+            scheme: Scheme::Cwsp,
+            threads: 4,
+            completion: Completion::MaxCycles,
+            stats: SimStats {
+                cycles: 123_456,
+                insts: 7_890,
+                ..SimStats::default()
             },
-            |v: &String| v.clone(),
-            || "recomputed".to_string(),
-        );
-        assert!(!hit);
-        assert_eq!(v, "recomputed");
-        assert_eq!(store.get(&key).as_deref(), Some("recomputed"));
+        };
+        let wall = 1.234_567_8f64;
+        let (r, w) = <(RunResult, f64)>::decode(&(run.clone(), wall).encode()).unwrap();
+        assert_eq!(r, run);
+        assert_eq!(w.to_bits(), wall.to_bits());
+        let unknown = run.encode().replace("bzip2", "bzip3");
+        assert!(RunResult::decode(&unknown).is_err());
     }
 }

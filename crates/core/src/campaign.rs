@@ -26,17 +26,26 @@
 //! Worker count: [`Campaign::from_env`] reads `LIGHTWSP_THREADS` and
 //! rejects anything but a positive integer; unset, and for
 //! [`Campaign::new`], it is `std::thread::available_parallelism()`.
+//!
+//! **Result store:** a campaign optionally holds a persistent
+//! [`ResultStore`] ([`Campaign::attach_store`]), and [`Campaign::memo`]
+//! is the one path to it: whole runs, audit reports, sweeps and the
+//! bench bins' wall-clocks are all served and recorded through it.
 
+use crate::cache::Record;
 use crate::experiment::{ExperimentOptions, RunResult};
 use lightwsp_compiler::instrument;
 use lightwsp_compiler::prune::RecoveryRecipes;
 use lightwsp_ir::fxhash::{fx_hash, FxHashMap};
 use lightwsp_ir::Program;
-use lightwsp_sim::{Completion, Machine, Scheme};
+use lightwsp_sim::{Machine, Scheme};
 use lightwsp_store::{digest_debug, ResultStore, StoreKey};
 use lightwsp_workloads::WorkloadSpec;
+use std::convert::Infallible;
+use std::fmt::{Debug, Display};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// One unit of work: simulate `spec` under `scheme` with `opts`.
 #[derive(Clone, Debug)]
@@ -95,7 +104,7 @@ pub struct Campaign {
     compiled: Mutex<FxHashMap<u64, Slot<SharedCompile>>>,
     baselines: Mutex<FxHashMap<u64, Slot<u64>>>,
     store: Option<ResultStore>,
-    sim_served: AtomicU64,
+    runs: AtomicU64,
     sim_computed: AtomicU64,
 }
 
@@ -182,33 +191,72 @@ impl Campaign {
             compiled: Mutex::new(FxHashMap::default()),
             baselines: Mutex::new(FxHashMap::default()),
             store: None,
-            sim_served: AtomicU64::new(0),
+            runs: AtomicU64::new(0),
             sim_computed: AtomicU64::new(0),
         }
     }
 
-    /// Attaches a persistent result store: subsequent
-    /// [`run_one`](Campaign::run_one)/[`run_many`](Campaign::run_many)
-    /// calls are served from the store when a record exists for the
-    /// job's `(workload, scheme, config-digest, code-digest)` key, and
-    /// record their result (including the measured wall-clock) when
-    /// not. Baselines flow through the same cache, so a warm re-run of
-    /// an unchanged evaluation simulates nothing.
+    /// Attaches a persistent result store: from then on every
+    /// [`memo`](Campaign::memo) — each run of
+    /// [`run_one`](Campaign::run_one)/[`run_many`](Campaign::run_many),
+    /// baselines included, and each audit and sweep driven through this
+    /// campaign — is served from the store when it holds a record for
+    /// the same inputs and code digest, and recorded (with its measured
+    /// wall-clock, for runs) when not. A warm re-run of an unchanged
+    /// evaluation therefore simulates nothing.
     pub fn attach_store(&mut self, store: ResultStore) {
         self.store = Some(store);
     }
 
-    /// The attached result store, if any (bins reuse the handle for
-    /// their own record families).
+    /// The attached result store, if any (for flushing and counters).
     pub fn store(&self) -> Option<&ResultStore> {
         self.store.as_ref()
     }
 
+    /// The one path to the attached store: serves the `kind` record of
+    /// `workload`/`scheme` keyed on the digest of `config` (every input
+    /// that shapes the result) and the store's code digest, or runs
+    /// `compute` and records what it returns. Errors are never
+    /// recorded, and a record that fails to decode is recomputed and
+    /// overwritten. Without a store this just computes; the key is
+    /// built only when a store is attached.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `compute`'s error.
+    pub fn memo<T: Record, E>(
+        &self,
+        kind: &str,
+        workload: impl Display,
+        scheme: impl Display,
+        config: impl Debug,
+        compute: impl FnOnce() -> Result<T, E>,
+    ) -> Result<T, E> {
+        let Some(store) = &self.store else {
+            return compute();
+        };
+        let key = StoreKey::new(
+            kind,
+            workload.to_string(),
+            scheme.to_string(),
+            digest_debug(&config),
+            0,
+            store.code(),
+        );
+        if let Some(hit) = store.get(&key).and_then(|raw| T::decode(&raw).ok()) {
+            return Ok(hit);
+        }
+        let value = compute()?;
+        store.put(key, value.encode());
+        Ok(value)
+    }
+
     /// Cache counters: cells served from the store vs simulated.
     pub fn cache_stats(&self) -> CampaignCacheStats {
+        let simulated = self.sim_computed.load(Ordering::Relaxed);
         CampaignCacheStats {
-            served: self.sim_served.load(Ordering::Relaxed),
-            simulated: self.sim_computed.load(Ordering::Relaxed),
+            served: self.runs.load(Ordering::Relaxed).saturating_sub(simulated),
+            simulated,
             store: self.store.as_ref().map(|s| s.stats()),
         }
     }
@@ -274,67 +322,6 @@ impl Campaign {
         })
     }
 
-    /// The store coordinate of one run record: the config digest
-    /// covers everything [`simulate`](Campaign::simulate) consumes —
-    /// spec, budget, thread count, simulator config, and (for
-    /// instrumented schemes only, mirroring
-    /// [`compile_key`](Campaign::compile_key)) the compiler config —
-    /// so a knob change invalidates exactly the cells it affects.
-    fn run_key(code: u64, job: &Job) -> StoreKey {
-        let instrumented = job.scheme.is_instrumented();
-        let config = digest_debug(&(
-            &job.spec,
-            job.opts.insts_per_thread,
-            Self::threads_for(job),
-            &job.opts.sim,
-            instrumented.then_some(&job.opts.compiler),
-        ));
-        StoreKey::new("run", job.spec.name, job.scheme.name(), config, 0, code)
-    }
-
-    /// Serialises a run result (+ measured wall-clock) for the store.
-    fn encode_run(r: &RunResult, wall_ms: f64) -> String {
-        format!(
-            "completion={} threads={} wall_ms={:016x}\n{}",
-            match r.completion {
-                Completion::Finished => "F",
-                Completion::MaxCycles => "M",
-            },
-            r.threads,
-            wall_ms.to_bits(),
-            r.stats.encode_record(),
-        )
-    }
-
-    /// Parses [`encode_run`](Campaign::encode_run) output back into a
-    /// result for `job` (workload/scheme come from the job, matching
-    /// the key the record was stored under).
-    fn decode_run(text: &str, job: &Job) -> Result<(RunResult, f64), String> {
-        let (head, stats_line) = text.split_once('\n').ok_or("run record missing stats")?;
-        let mut completion = None;
-        let mut threads = None;
-        let mut wall_bits = None;
-        for pair in head.split_whitespace() {
-            match pair.split_once('=') {
-                Some(("completion", "F")) => completion = Some(Completion::Finished),
-                Some(("completion", "M")) => completion = Some(Completion::MaxCycles),
-                Some(("threads", v)) => threads = v.parse().ok(),
-                Some(("wall_ms", v)) => wall_bits = u64::from_str_radix(v, 16).ok(),
-                _ => return Err(format!("bad run field {pair:?}")),
-            }
-        }
-        Ok((
-            RunResult {
-                workload: job.spec.name,
-                scheme: job.scheme,
-                threads: threads.ok_or("missing threads")?,
-                completion: completion.ok_or("missing completion")?,
-                stats: lightwsp_sim::SimStats::decode_record(stats_line)?,
-            },
-            f64::from_bits(wall_bits.ok_or("missing wall_ms")?),
-        ))
-    }
-
     /// The uncached simulation path (same semantics as
     /// `Experiment::run`, but through the shared compile cache).
     fn simulate(&self, job: &Job) -> RunResult {
@@ -368,25 +355,25 @@ impl Campaign {
     /// from the record on a store hit (warm re-runs reproduce the cold
     /// run's benchmark records byte-for-byte).
     pub fn run_one_timed(&self, job: &Job) -> (RunResult, f64) {
-        let Some(store) = &self.store else {
-            let t0 = std::time::Instant::now();
+        self.runs.fetch_add(1, Ordering::Relaxed);
+        // The key covers everything `simulate` consumes — spec, budget,
+        // thread count, simulator config, and (for instrumented schemes
+        // only, mirroring `compile_key`) the compiler config — so a knob
+        // change invalidates exactly the cells it affects.
+        let config = (
+            &job.spec,
+            job.opts.insts_per_thread,
+            Self::threads_for(job),
+            &job.opts.sim,
+            job.scheme.is_instrumented().then_some(&job.opts.compiler),
+        );
+        let Ok(timed) = self.memo("run", job.spec.name, job.scheme.name(), config, || {
+            let t0 = Instant::now();
             let r = self.simulate(job);
             self.sim_computed.fetch_add(1, Ordering::Relaxed);
-            return (r, t0.elapsed().as_secs_f64() * 1e3);
-        };
-        let key = Self::run_key(store.code(), job);
-        if let Some(raw) = store.get(&key) {
-            if let Ok(hit) = Self::decode_run(&raw, job) {
-                self.sim_served.fetch_add(1, Ordering::Relaxed);
-                return hit;
-            }
-        }
-        let t0 = std::time::Instant::now();
-        let r = self.simulate(job);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        store.put(key, Self::encode_run(&r, wall_ms));
-        self.sim_computed.fetch_add(1, Ordering::Relaxed);
-        (r, wall_ms)
+            Ok::<_, Infallible>((r, t0.elapsed().as_secs_f64() * 1e3))
+        });
+        timed
     }
 
     /// Baseline cycles for a job's (workload, options), cached.
@@ -480,6 +467,40 @@ impl Campaign {
             .map(|o| o.expect("every item slot filled"))
             .collect()
     }
+}
+
+/// Calls an entry point that takes a campaign on one with an in-memory
+/// store, twice: the second call must be served (one more store hit,
+/// no put, an equal result). Then `changed` — the same call with one
+/// keyed input changed — must miss.
+#[cfg(test)]
+pub(crate) fn assert_served<T: PartialEq + Debug>(
+    call: impl Fn(&Campaign) -> T,
+    changed: impl Fn(&Campaign) -> T,
+) {
+    let mut c = Campaign::with_workers(2);
+    c.attach_store(ResultStore::in_memory_with(0xC0DE));
+    let stats = |c: &Campaign| c.store().map(ResultStore::stats).unwrap();
+    let cold = call(&c);
+    let before = stats(&c);
+    let warm = call(&c);
+    let after = stats(&c);
+    assert_eq!(
+        warm, cold,
+        "the served result differs from the computed one"
+    );
+    assert_eq!(
+        (after.hits, after.puts),
+        (before.hits + 1, before.puts),
+        "the second call was not served"
+    );
+    let _ = changed(&c);
+    let last = stats(&c);
+    assert_eq!(
+        (last.hits, last.misses),
+        (after.hits, after.misses + 1),
+        "a call with a changed input was served"
+    );
 }
 
 #[cfg(test)]
@@ -584,6 +605,32 @@ mod tests {
         let _ = other_code.run_many(&jobs);
         let os = other_code.cache_stats();
         assert_eq!((os.served, os.simulated), (0, 2));
+    }
+
+    #[test]
+    fn memo_serves_and_recomputes_what_fails_to_decode() {
+        let memo = |c: &Campaign, name: &str, v: Result<f64, &'static str>| {
+            c.memo("test", name, "wall", 7, || v)
+        };
+        // Without a store every call computes.
+        let bare = Campaign::with_workers(1);
+        assert_eq!(memo(&bare, "x", Ok(1.5)), Ok(1.5));
+        assert_eq!(memo(&bare, "x", Ok(2.5)), Ok(2.5));
+
+        let mut c = Campaign::with_workers(1);
+        c.attach_store(ResultStore::in_memory_with(1));
+        assert_eq!(memo(&c, "x", Ok(1.5)), Ok(1.5));
+        assert_eq!(memo(&c, "x", Ok(2.5)), Ok(1.5), "served");
+        // Errors are never recorded.
+        assert_eq!(memo(&c, "y", Err("failed")), Err("failed"));
+        assert_eq!(memo(&c, "y", Ok(3.5)), Ok(3.5));
+        // A record that fails to decode is recomputed and overwritten.
+        let store = c.store().unwrap();
+        let key = store.kind_entries("test")[0].key.clone();
+        assert_eq!(key.workload, "x");
+        store.put(key.clone(), "garbage".into());
+        assert_eq!(memo(&c, "x", Ok(4.5)), Ok(4.5));
+        assert_eq!(store.get(&key), Some(4.5f64.encode()));
     }
 
     #[test]

@@ -26,7 +26,6 @@
 //! [`crate::recovery::audit_workload_crashes`], so reports are
 //! bit-identical regardless of worker count.
 
-use crate::cache::{digest_debug, memo_record, DsCellRecord};
 use crate::campaign::Campaign;
 use lightwsp_compiler::{instrument, CompilerConfig};
 use lightwsp_sim::consistency::{golden_run, ConsistencyError};
@@ -34,7 +33,6 @@ use lightwsp_sim::crash::check_capture;
 use lightwsp_sim::{
     Completion, CrashInjector, CrashPoint, InvariantViolation, SimConfig, SweepMode,
 };
-use lightwsp_store::{ResultStore, StoreKey};
 use lightwsp_workloads::ds::RecoverableDs;
 
 /// Point budget and resume sampling for one structure's audit.
@@ -74,7 +72,7 @@ impl DsAuditBudget {
 }
 
 /// What one structure's crash sweep found.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct DsAuditReport {
     /// Structure name ([`RecoverableDs::name`]).
     pub name: String,
@@ -119,7 +117,10 @@ impl DsAuditReport {
 ///
 /// `cfg.num_cores` is overridden by the structure's thread count; the
 /// sweep is a fork-point sweep ([`audit_recoverable_ds_with`] selects
-/// the rerun reference).
+/// the rerun reference). With a store attached to `campaign`, the
+/// report is served from it when it holds one for the same structure
+/// ([`RecoverableDs::knobs`]), simulator config, compiler config,
+/// budget and code digest, and recorded otherwise.
 ///
 /// # Errors
 ///
@@ -132,11 +133,17 @@ pub fn audit_recoverable_ds(
     budget: &DsAuditBudget,
     campaign: &Campaign,
 ) -> Result<DsAuditReport, ConsistencyError> {
-    audit_recoverable_ds_with(ds, cfg, ccfg, budget, campaign, SweepMode::Fork)
+    campaign.memo(
+        "dscell",
+        ds.name(),
+        cfg.scheme.name(),
+        (ds.knobs(), ds.threads(), cfg, ccfg, budget),
+        || audit_recoverable_ds_with(ds, cfg, ccfg, budget, campaign, SweepMode::Fork),
+    )
 }
 
-/// [`audit_recoverable_ds`] with an explicit sweep mode; reports are
-/// identical under either.
+/// [`audit_recoverable_ds`] with an explicit sweep mode, never served
+/// from a store; reports are identical under either mode.
 ///
 /// # Errors
 ///
@@ -188,46 +195,6 @@ pub fn audit_recoverable_ds_with(
         report.merge(part);
     }
     Ok(report)
-}
-
-/// Store-cached [`audit_recoverable_ds`]: serves the cell from `store`
-/// when a record exists for the same structure name, scheme,
-/// configuration digest and code digest; otherwise runs the audit and
-/// records it. The boolean is `true` on a cache hit.
-///
-/// `ds_digest` must cover every construction parameter of `ds` that is
-/// not implied by its name (operation counts, seeds) — trait objects
-/// carry no `Debug` rendering, so the caller owns that part of the key.
-/// The simulator config, compiler config and budget are digested here.
-///
-/// # Errors
-///
-/// Propagates [`ConsistencyError`] from the golden run; errors are
-/// never cached.
-pub fn audit_recoverable_ds_cached(
-    store: Option<&ResultStore>,
-    ds: &dyn RecoverableDs,
-    cfg: &SimConfig,
-    ccfg: &CompilerConfig,
-    budget: &DsAuditBudget,
-    campaign: &Campaign,
-    ds_digest: u64,
-) -> Result<(DsCellRecord, bool), ConsistencyError> {
-    let key = StoreKey::new(
-        "dscell",
-        ds.name(),
-        cfg.scheme.name(),
-        digest_debug(&(ds_digest, ds.threads(), cfg, ccfg, budget)),
-        0,
-        store.map_or(0, ResultStore::code),
-    );
-    memo_record(
-        store,
-        &key,
-        DsCellRecord::decode,
-        DsCellRecord::encode,
-        || audit_recoverable_ds(ds, cfg, ccfg, budget, campaign).map(|r| (&r).into()),
-    )
 }
 
 /// Audits one sorted chunk with a dedicated sweeper. `start` is the
@@ -330,5 +297,26 @@ mod tests {
             report.ds_violations
         );
         assert!(report.resumed > 0);
+    }
+
+    #[test]
+    fn audit_is_served_from_the_campaign_store() {
+        let ds = DurableLogSpec {
+            writers: 2,
+            records: 16,
+        };
+        let longer = DurableLogSpec { records: 17, ..ds };
+        let cfg = SimConfig::new(Scheme::LightWsp);
+        let ccfg = CompilerConfig::default();
+        let budget = DsAuditBudget {
+            seeded: 2,
+            derived_per_kind: 1,
+            resume_every: 0,
+            ..DsAuditBudget::quick()
+        };
+        crate::campaign::assert_served(
+            |c| audit_recoverable_ds(&ds, &cfg, &ccfg, &budget, c).unwrap(),
+            |c| audit_recoverable_ds(&longer, &cfg, &ccfg, &budget, c).unwrap(),
+        );
     }
 }

@@ -61,7 +61,7 @@ impl ExperimentOptions {
 }
 
 /// The outcome of one simulation run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunResult {
     /// Workload name.
     pub workload: &'static str,

@@ -19,7 +19,10 @@
 //!   `RECOVERY.md` at each one;
 //! * [`oracle`] — campaign-parallel driver for the executable LRPO
 //!   persistency model ([`lightwsp_model`]): litmus sweeps, fuzz
-//!   sweeps, and the gating-mutant kill matrix.
+//!   sweeps, and the gating-mutant kill matrix;
+//! * [`cache`] — the result-store record codecs: with a store attached
+//!   to the [`Campaign`], every run, audit and sweep above is served
+//!   from it on a warm re-run.
 //!
 //! ```no_run
 //! use lightwsp_core::{Experiment, ExperimentOptions};
@@ -42,15 +45,9 @@ pub mod oracle;
 pub mod recovery;
 pub mod report;
 
-pub use cache::{
-    memo_record, memo_value, CaseRecord, CrashCellRecord, DsCellRecord, MutantKillRecord,
-    SweepRecord, TextRecord,
-};
+pub use cache::Record;
 pub use campaign::{parse_threads, BadThreads, Campaign, CampaignCacheStats, Job};
-pub use dsaudit::{
-    audit_recoverable_ds, audit_recoverable_ds_cached, audit_recoverable_ds_with, DsAuditBudget,
-    DsAuditReport,
-};
+pub use dsaudit::{audit_recoverable_ds, audit_recoverable_ds_with, DsAuditBudget, DsAuditReport};
 pub use experiment::{Experiment, ExperimentOptions, RunResult};
 pub use lightwsp_compiler::{instrument, Compiled, CompilerConfig};
 pub use lightwsp_model::harness::CaseOutcome;
@@ -60,10 +57,7 @@ pub use lightwsp_store::{
 };
 pub use lightwsp_workloads::{Suite, WorkloadSpec};
 pub use oracle::{
-    fuzz_sweep, fuzz_sweep_cached, litmus_sweep, litmus_sweep_cached, model_mutant_kill_matrix,
-    mutant_kill_matrix, mutant_kill_matrix_cached, run_case_cached, MutantKill, SweepReport,
+    fuzz_sweep, litmus_sweep, model_mutant_kill_matrix, mutant_kill_matrix, MutantKill, SweepReport,
 };
-pub use recovery::{
-    audit_workload_crashes, audit_workload_crashes_cached, check_workload_recovery, AuditBudget,
-};
+pub use recovery::{audit_workload_crashes, check_workload_recovery, AuditBudget};
 pub use report::JsonWriter;

@@ -5,20 +5,18 @@
 //! The per-case work (trace, golden, per-point capture, model check)
 //! is embarrassingly parallel — cases share nothing — so the sweep
 //! scales with the campaign's worker count exactly like the experiment
-//! harness.
+//! harness. With a store attached to the campaign, each sweep and
+//! matrix is one stored record, keyed on its inputs (the litmus suite
+//! itself is source code, so its identity rides on the code digest).
 
-use crate::cache::{
-    digest_debug, memo_record, memo_value, CaseRecord, MutantKillRecord, SweepRecord,
-};
 use crate::campaign::Campaign;
-use lightwsp_compiler::Compiled;
 use lightwsp_model::harness::{run_case, CaseOutcome, CaseSpec, EnumMode, PointPolicy};
-use lightwsp_model::{gen_case_biased, litmus_suite, ExtractError, FuzzBias, ModelMutant};
+use lightwsp_model::{gen_case_biased, litmus_suite, FuzzBias, ModelMutant};
 use lightwsp_sim::{GatingMutant, StepMode, SweepMode};
-use lightwsp_store::{ResultStore, StoreKey};
+use std::convert::Infallible;
 
 /// Aggregate of one sweep (litmus suite or a fuzz batch).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SweepReport {
     /// Cases run.
     pub cases: usize,
@@ -81,8 +79,25 @@ impl SweepReport {
 /// Runs the full litmus suite under `step_mode`/`sweep_mode` with a
 /// per-cycle exhaustive crash sweep, in parallel, in the requested
 /// enumeration mode. Returns the aggregate plus the per-litmus
-/// outcomes (in suite order).
+/// outcomes (in suite order), served from the campaign's store when it
+/// holds them.
 pub fn litmus_sweep(
+    campaign: &Campaign,
+    step_mode: StepMode,
+    sweep_mode: SweepMode,
+    enum_mode: EnumMode,
+) -> (SweepReport, Vec<CaseOutcome>) {
+    let Ok(sweep) = campaign.memo(
+        "sweeprep",
+        "litmus-suite",
+        format_args!("{step_mode:?}/{sweep_mode:?}/{}", enum_mode.name()),
+        (step_mode, sweep_mode, enum_mode),
+        || Ok::<_, Infallible>(run_litmus_sweep(campaign, step_mode, sweep_mode, enum_mode)),
+    );
+    sweep
+}
+
+fn run_litmus_sweep(
     campaign: &Campaign,
     step_mode: StepMode,
     sweep_mode: SweepMode,
@@ -121,8 +136,33 @@ pub fn litmus_sweep(
 /// Runs `count` generated programs from the stream rooted at `seed`
 /// under `step_mode`/`sweep_mode`, each audited at mechanism-derived
 /// plus seeded crash points, in parallel. `bias` selects the generator
-/// distribution and `enum_mode` the admitted-set enumeration.
+/// distribution and `enum_mode` the admitted-set enumeration. Served
+/// from the campaign's store when it holds the aggregate (the only
+/// part stored: no caller reads a fuzz case's outcome).
 pub fn fuzz_sweep(
+    campaign: &Campaign,
+    seed: u64,
+    count: u64,
+    step_mode: StepMode,
+    sweep_mode: SweepMode,
+    enum_mode: EnumMode,
+    bias: FuzzBias,
+) -> SweepReport {
+    let Ok(report) = campaign.memo(
+        "sweeprep",
+        format_args!("fuzz-{}", bias.name()),
+        format_args!("{step_mode:?}/{sweep_mode:?}/{}", enum_mode.name()),
+        (seed, count, step_mode, sweep_mode, enum_mode, bias),
+        || {
+            Ok::<_, Infallible>(run_fuzz_sweep(
+                campaign, seed, count, step_mode, sweep_mode, enum_mode, bias,
+            ))
+        },
+    );
+    report
+}
+
+fn run_fuzz_sweep(
     campaign: &Campaign,
     seed: u64,
     count: u64,
@@ -177,13 +217,17 @@ pub fn mutant_name(m: GatingMutant) -> &'static str {
     }
 }
 
+/// The detectors of a [`MutantKill`]: the model's admitted set, and the
+/// structural invariants of `RECOVERY.md` §4.
+pub const DETECTORS: [&str; 2] = ["model", "structural"];
+
 /// One mutant's fate under the litmus suite.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MutantKill {
     /// The mutant.
     pub mutant: GatingMutant,
-    /// `(litmus name, detector)` pairs that flagged it, where detector
-    /// is `"model"` or `"structural"`.
+    /// `(litmus name, detector)` pairs that flagged it, the detector
+    /// one of [`DETECTORS`].
     pub killed_by: Vec<(String, &'static str)>,
 }
 
@@ -197,8 +241,29 @@ impl MutantKill {
 /// Arms each mutant in turn and runs the whole litmus suite against it
 /// (both detectors active), in parallel over `(mutant, litmus)` pairs.
 /// Gating mutants perturb the simulated hardware, so `enum_mode`
-/// chooses how tight the model-side detector is.
+/// chooses how tight the model-side detector is. Served from the
+/// campaign's store when it holds the matrix.
 pub fn mutant_kill_matrix(
+    campaign: &Campaign,
+    step_mode: StepMode,
+    sweep_mode: SweepMode,
+    enum_mode: EnumMode,
+) -> Vec<MutantKill> {
+    let Ok(matrix) = campaign.memo(
+        "killmatrix",
+        "litmus-suite",
+        format_args!("{step_mode:?}/{sweep_mode:?}/{}", enum_mode.name()),
+        (step_mode, sweep_mode, enum_mode),
+        || {
+            Ok::<_, Infallible>(run_mutant_kill_matrix(
+                campaign, step_mode, sweep_mode, enum_mode,
+            ))
+        },
+    );
+    matrix
+}
+
+fn run_mutant_kill_matrix(
     campaign: &Campaign,
     step_mode: StepMode,
     sweep_mode: SweepMode,
@@ -234,11 +299,12 @@ pub fn mutant_kill_matrix(
                     continue;
                 }
                 if let Ok(out) = res {
+                    let [model, structural] = DETECTORS;
                     if !out.model_violations.is_empty() {
-                        killed_by.push((suite[*i].name.to_string(), "model"));
+                        killed_by.push((suite[*i].name.to_string(), model));
                     }
                     if !out.structural_violations.is_empty() {
-                        killed_by.push((suite[*i].name.to_string(), "structural"));
+                        killed_by.push((suite[*i].name.to_string(), structural));
                     }
                 }
             }
@@ -252,13 +318,15 @@ pub fn mutant_kill_matrix(
 
 /// Aggregates the per-case mutant-*model* verdicts of an exact-mode
 /// litmus sweep into a kill matrix: one row per [`ModelMutant`], listing
-/// the litmuses whose fully-witnessed sweeps falsified it (tagged with
-/// the mutant's admitted-set size there). Pure aggregation — the
-/// verdicts were computed by `run_case`, so this costs no simulation.
-pub fn model_mutant_kill_matrix(outcomes: &[CaseRecord]) -> Vec<MutantKillRecord> {
+/// the litmuses whose fully-witnessed sweeps falsified it, each as
+/// `litmus/count` with the mutant's admitted-set size there (`-` past
+/// its enumeration cap). An empty list means the mutant survived. Pure
+/// aggregation — the verdicts were computed by `run_case`, so this
+/// costs no simulation.
+pub fn model_mutant_kill_matrix(outcomes: &[CaseOutcome]) -> Vec<(ModelMutant, Vec<String>)> {
     ModelMutant::ALL
         .iter()
-        .map(|m| {
+        .map(|&m| {
             let mut killed_by = Vec::new();
             for out in outcomes {
                 for row in &out.model_mutants {
@@ -268,148 +336,49 @@ pub fn model_mutant_kill_matrix(outcomes: &[CaseRecord]) -> Vec<MutantKillRecord
                     }
                 }
             }
-            MutantKillRecord {
-                mutant: m.name().to_string(),
-                killed_by,
-            }
+            (m, killed_by)
         })
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Store-cached entry points
-// ---------------------------------------------------------------------
-//
-// All four wrappers follow the same shape: build a [`StoreKey`] from
-// the sweep's identity plus a digest of every input that shapes the
-// result, serve the stored record on a hit, otherwise run the sweep
-// and record it. The boolean is `true` on a cache hit; errors are
-// never cached.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::assert_served;
 
-/// Store-cached [`run_case`] for a single model-oracle case.
-///
-/// `case_digest` must cover how `compiled` was constructed (program
-/// identity plus compiler config) — `Compiled` carries no `Debug`
-/// rendering, so the caller owns that part of the key. The spec is
-/// digested here.
-///
-/// # Errors
-///
-/// Propagates [`ExtractError`] for out-of-domain programs.
-pub fn run_case_cached(
-    store: Option<&ResultStore>,
-    compiled: &Compiled,
-    spec: &CaseSpec,
-    case_digest: u64,
-) -> Result<(CaseRecord, bool), ExtractError> {
-    let key = StoreKey::new(
-        "case",
-        &spec.name,
-        format!("{:?}/{:?}", spec.step_mode, spec.sweep_mode),
-        digest_debug(&(case_digest, spec)),
-        0,
-        store.map_or(0, ResultStore::code),
-    );
-    memo_record(store, &key, CaseRecord::decode, CaseRecord::encode, || {
-        run_case(compiled, spec).map(|out| (&out).into())
-    })
-}
+    #[test]
+    fn litmus_sweep_is_served_from_the_campaign_store() {
+        let sweep = |enum_mode| {
+            move |c: &Campaign| litmus_sweep(c, StepMode::SkipAhead, SweepMode::Fork, enum_mode)
+        };
+        assert_served(sweep(EnumMode::Overapprox), sweep(EnumMode::Exact));
+    }
 
-/// Store-cached [`litmus_sweep`]: one record holds the aggregate plus
-/// every per-litmus outcome, keyed by the mode pair. The litmus suite
-/// itself is source code, so its identity rides on the code digest.
-pub fn litmus_sweep_cached(
-    store: Option<&ResultStore>,
-    campaign: &Campaign,
-    step_mode: StepMode,
-    sweep_mode: SweepMode,
-    enum_mode: EnumMode,
-) -> (SweepRecord, bool) {
-    let key = StoreKey::new(
-        "sweeprep",
-        "litmus-suite",
-        format!("{step_mode:?}/{sweep_mode:?}/{}", enum_mode.name()),
-        digest_debug(&(step_mode, sweep_mode, enum_mode)),
-        0,
-        store.map_or(0, ResultStore::code),
-    );
-    memo_value(
-        store,
-        &key,
-        SweepRecord::decode,
-        SweepRecord::encode,
-        || {
-            let (rep, outcomes) = litmus_sweep(campaign, step_mode, sweep_mode, enum_mode);
-            SweepRecord::new(&rep, &outcomes)
-        },
-    )
-}
+    #[test]
+    fn fuzz_sweep_is_served_from_the_campaign_store() {
+        let sweep = |seed| {
+            move |c: &Campaign| {
+                fuzz_sweep(
+                    c,
+                    seed,
+                    3,
+                    StepMode::SkipAhead,
+                    SweepMode::Fork,
+                    EnumMode::Exact,
+                    FuzzBias::CrossThread,
+                )
+            }
+        };
+        assert_served(sweep(0xF00D), sweep(0xF00E));
+    }
 
-/// Store-cached [`fuzz_sweep`], keyed by the stream seed, case count
-/// and mode pair. The record carries no per-case outcomes (the fuzz
-/// aggregate is all the bins read).
-#[allow(clippy::too_many_arguments)]
-pub fn fuzz_sweep_cached(
-    store: Option<&ResultStore>,
-    campaign: &Campaign,
-    seed: u64,
-    count: u64,
-    step_mode: StepMode,
-    sweep_mode: SweepMode,
-    enum_mode: EnumMode,
-    bias: FuzzBias,
-) -> (SweepRecord, bool) {
-    let key = StoreKey::new(
-        "sweeprep",
-        format!("fuzz-{}", bias.name()),
-        format!("{step_mode:?}/{sweep_mode:?}/{}", enum_mode.name()),
-        digest_debug(&(seed, count, step_mode, sweep_mode, enum_mode, bias)),
-        seed,
-        store.map_or(0, ResultStore::code),
-    );
-    memo_value(
-        store,
-        &key,
-        SweepRecord::decode,
-        SweepRecord::encode,
-        || {
-            SweepRecord::new(
-                &fuzz_sweep(
-                    campaign, seed, count, step_mode, sweep_mode, enum_mode, bias,
-                ),
-                &[],
-            )
-        },
-    )
-}
-
-/// Store-cached [`mutant_kill_matrix`]: one record holds the whole
-/// matrix for a mode pair.
-pub fn mutant_kill_matrix_cached(
-    store: Option<&ResultStore>,
-    campaign: &Campaign,
-    step_mode: StepMode,
-    sweep_mode: SweepMode,
-    enum_mode: EnumMode,
-) -> (Vec<MutantKillRecord>, bool) {
-    let key = StoreKey::new(
-        "killmatrix",
-        "litmus-suite",
-        format!("{step_mode:?}/{sweep_mode:?}/{}", enum_mode.name()),
-        digest_debug(&(step_mode, sweep_mode, enum_mode)),
-        0,
-        store.map_or(0, ResultStore::code),
-    );
-    memo_value(
-        store,
-        &key,
-        MutantKillRecord::decode_list,
-        |rows| MutantKillRecord::encode_list(rows),
-        || {
-            mutant_kill_matrix(campaign, step_mode, sweep_mode, enum_mode)
-                .iter()
-                .map(MutantKillRecord::from)
-                .collect()
-        },
-    )
+    #[test]
+    fn mutant_kill_matrix_is_served_from_the_campaign_store() {
+        let matrix = |enum_mode| {
+            move |c: &Campaign| {
+                mutant_kill_matrix(c, StepMode::SkipAhead, SweepMode::Fork, enum_mode)
+            }
+        };
+        assert_served(matrix(EnumMode::Overapprox), matrix(EnumMode::Exact));
+    }
 }

@@ -15,14 +15,12 @@
 //!   [`Campaign`] worker pool. `cargo run -p lightwsp-bench --bin
 //!   crash_audit` drives it over the full workload×scheme matrix.
 
-use crate::cache::{digest_debug, memo_record, CrashCellRecord};
 use crate::campaign::Campaign;
 use crate::experiment::{Experiment, ExperimentOptions};
 use lightwsp_sim::consistency::{
     check_crash_consistency, golden_run, ConsistencyError, ConsistencyReport,
 };
 use lightwsp_sim::{CrashAuditReport, CrashInjector, CrashPoint, Scheme, SimConfig};
-use lightwsp_store::{ResultStore, StoreKey};
 use lightwsp_workloads::WorkloadSpec;
 
 /// Runs the crash-consistency oracle on `spec` with failures injected
@@ -88,12 +86,33 @@ impl AuditBudget {
 /// run executes once, and each crash point then replays, cuts power,
 /// checks the structural invariants, and resumes to completion.
 ///
+/// With a store attached to `campaign`, the report is served from it
+/// when it holds one for the same inputs (workload spec, experiment
+/// options, simulator config, budget) and code digest, and recorded
+/// otherwise.
+///
 /// # Errors
 ///
 /// Returns a [`ConsistencyError`] if the golden (failure-free) run
 /// itself cannot complete; invariant violations are *reported*, not
 /// errors.
 pub fn audit_workload_crashes(
+    spec: &WorkloadSpec,
+    opts: &ExperimentOptions,
+    cfg: &SimConfig,
+    budget: &AuditBudget,
+    campaign: &Campaign,
+) -> Result<CrashAuditReport, ConsistencyError> {
+    campaign.memo(
+        "crashcell",
+        spec.name,
+        cfg.scheme.name(),
+        (spec, opts, cfg, budget),
+        || run_audit(spec, opts, cfg, budget, campaign),
+    )
+}
+
+fn run_audit(
     spec: &WorkloadSpec,
     opts: &ExperimentOptions,
     cfg: &SimConfig,
@@ -129,42 +148,6 @@ pub fn audit_workload_crashes(
     Ok(report)
 }
 
-/// Store-cached [`audit_workload_crashes`]: serves the cell from
-/// `store` when a record exists for the same workload, scheme `label`,
-/// configuration digest (every audit input: workload spec, experiment
-/// options, simulator config, budget) and code digest; otherwise runs
-/// the audit and records it. The boolean is `true` on a cache hit.
-///
-/// # Errors
-///
-/// Propagates [`ConsistencyError`] from the golden run; errors are
-/// never cached.
-pub fn audit_workload_crashes_cached(
-    store: Option<&ResultStore>,
-    label: &str,
-    spec: &WorkloadSpec,
-    opts: &ExperimentOptions,
-    cfg: &SimConfig,
-    budget: &AuditBudget,
-    campaign: &Campaign,
-) -> Result<(CrashCellRecord, bool), ConsistencyError> {
-    let key = StoreKey::new(
-        "crashcell",
-        spec.name,
-        label,
-        digest_debug(&(spec, opts, cfg, budget)),
-        0,
-        store.map_or(0, ResultStore::code),
-    );
-    memo_record(
-        store,
-        &key,
-        CrashCellRecord::decode,
-        CrashCellRecord::encode,
-        || audit_workload_crashes(spec, opts, cfg, budget, campaign).map(|r| (&r).into()),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,6 +169,28 @@ mod tests {
         opts.insts_per_thread = 6_000;
         let report = check_workload_recovery(&w, &opts, &[1_500]).unwrap();
         assert!(report.failures <= 1);
+    }
+
+    #[test]
+    fn audit_is_served_from_the_campaign_store() {
+        let w = workload("hmmer").unwrap();
+        let mut opts = ExperimentOptions::quick();
+        opts.insts_per_thread = 4_000;
+        let mut cfg = opts.sim.clone();
+        cfg.scheme = Scheme::LightWsp;
+        let budget = AuditBudget {
+            seeded: 2,
+            derived_per_kind: 1,
+            ..AuditBudget::quick()
+        };
+        let reseeded = AuditBudget {
+            seed: budget.seed + 1,
+            ..budget
+        };
+        crate::campaign::assert_served(
+            |c| audit_workload_crashes(&w, &opts, &cfg, &budget, c).unwrap(),
+            |c| audit_workload_crashes(&w, &opts, &cfg, &reseeded, c).unwrap(),
+        );
     }
 
     #[test]

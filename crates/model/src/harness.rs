@@ -111,7 +111,7 @@ pub struct CaseSpec {
 }
 
 /// One mutant model's verdict on a case (exact mode only).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MutantModelRow {
     /// Mutant name ([`ModelMutant::name`]).
     pub name: String,
@@ -125,7 +125,7 @@ pub struct MutantModelRow {
 }
 
 /// The outcome of one case.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CaseOutcome {
     /// Case name (copied from the spec).
     pub name: String,
@@ -184,9 +184,14 @@ impl CaseOutcome {
         self.model_violations.is_empty() && self.exact_admitted == Some(self.witnessed as u128)
     }
 
+    /// Violations of either kind.
+    pub fn violations(&self) -> usize {
+        self.model_violations.len() + self.structural_violations.len()
+    }
+
     /// True if any detector fired (for mutant runs: the kill verdict).
     pub fn killed(&self) -> bool {
-        !self.model_violations.is_empty() || !self.structural_violations.is_empty()
+        self.violations() > 0
     }
 }
 

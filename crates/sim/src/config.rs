@@ -35,6 +35,16 @@ pub enum Scheme {
 }
 
 impl Scheme {
+    /// Every scheme, in declaration order.
+    pub const ALL: [Scheme; 6] = [
+        Scheme::Baseline,
+        Scheme::LightWsp,
+        Scheme::PspIdeal,
+        Scheme::Capri,
+        Scheme::Ppa,
+        Scheme::Cwsp,
+    ];
+
     /// True if the scheme runs the LightWSP-compiler-instrumented binary
     /// (region boundaries + live-out checkpoints).
     pub fn is_instrumented(self) -> bool {

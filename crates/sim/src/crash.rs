@@ -100,10 +100,23 @@ pub struct CrashPoint {
     pub kind: CrashPointKind,
 }
 
+/// The names of the invariants the auditor asserts, as `RECOVERY.md`
+/// §4 lists them: the five structural ones [`check_capture`] checks,
+/// then the two end-to-end ones of a resumed run.
+pub const INVARIANTS: [&str; 7] = [
+    "survivable-prefix",
+    "gate-flush",
+    "gate-discard",
+    "resolution-exact",
+    "resume-from-checkpoint",
+    "resume-completes",
+    "resume-state-equivalence",
+];
+
 /// A violated recovery invariant at one crash point.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InvariantViolation {
-    /// The invariant's name as documented in `RECOVERY.md`.
+    /// The invariant's name, one of [`INVARIANTS`].
     pub invariant: &'static str,
     /// The crash point that exposed it.
     pub point: CrashPoint,
@@ -125,7 +138,7 @@ impl std::fmt::Display for InvariantViolation {
 }
 
 /// Aggregate result of auditing a set of crash points.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CrashAuditReport {
     /// Points requested.
     pub points: usize,
@@ -681,6 +694,22 @@ pub fn check_capture(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`INVARIANTS`] is the table of `RECOVERY.md` §4, in its order.
+    #[test]
+    fn invariants_are_the_recovery_md_table() {
+        let doc = include_str!("../../../RECOVERY.md");
+        let section = doc
+            .split("## 4. Named invariants")
+            .nth(1)
+            .and_then(|s| s.split("\n## ").next())
+            .expect("RECOVERY.md has a §4");
+        let names: Vec<&str> = section
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+            .collect();
+        assert_eq!(names, INVARIANTS);
+    }
 
     /// `prepare_points` canonicalises: sorted by `(cycle, kind)`, exact
     /// duplicates removed, same-cycle different-kind points kept.

@@ -9,8 +9,8 @@
 //! instead: each record is keyed by
 //! `(kind, workload, scheme, config-digest, point, code-digest)`
 //! ([`StoreKey`]), appended to immutable sorted [`Batch`]es, organised
-//! into a [`Spine`] with background merge/compaction, and queried
-//! through merged [`Cursor`]s. Because the **code digest** (a
+//! into a [`Spine`] that merges them as it grows, and queried through
+//! merged [`Cursor`]s. Because the **code digest** (a
 //! build-time fingerprint of every simulation-relevant source file,
 //! see [`digest`]) is part of the key, a warm re-run on unchanged code
 //! re-simulates nothing, a config tweak invalidates exactly the
@@ -18,20 +18,21 @@
 //! queryable for perf-trajectory analysis.
 //!
 //! The crate is dependency-free (it sits *below* `lightwsp-core` in
-//! the workspace graph) and stores opaque string payloads; the codec
-//! for each record family lives with the type that owns it, in
-//! `lightwsp-core::cache`.
+//! the workspace graph) and stores opaque string payloads. Each record
+//! family's codec is implemented on the report type that owns it, via
+//! `lightwsp-core`'s `cache::Record` trait, and `Campaign::memo` there
+//! is the one path that builds keys and reads or writes records.
 //!
 //! ```
 //! use lightwsp_store::{ResultStore, StoreKey};
 //!
 //! let store = ResultStore::in_memory_with(0xC0DE);
 //! let key = StoreKey::new("run", "bzip2", "LightWSP", 42, 0, store.code());
-//! let (value, hit) = store.memo(&key, || "cycles=123".to_string());
-//! assert!(!hit);
-//! let (value2, hit2) = store.memo(&key, || unreachable!("served from store"));
-//! assert!(hit2);
-//! assert_eq!(value, value2);
+//! assert_eq!(store.get(&key), None);
+//! store.put(key.clone(), "cycles=123".to_string());
+//! assert_eq!(store.get(&key).as_deref(), Some("cycles=123"));
+//! let stats = store.stats();
+//! assert_eq!((stats.hits, stats.misses, stats.puts), (1, 1, 1));
 //! ```
 
 #![warn(missing_docs)]

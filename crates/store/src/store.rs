@@ -1,6 +1,5 @@
 //! The durable result store: a [`Spine`] of immutable batch files plus
-//! a pending write buffer, cache statistics, and an optional background
-//! compactor thread.
+//! a pending write buffer and cache statistics.
 //!
 //! ## Layout
 //!
@@ -8,10 +7,12 @@
 //! [`Batch`] each, named by the contiguous global-sequence range they
 //! cover. There is no manifest: opening a store globs the directory,
 //! drops any file whose range is covered by a wider file (the only
-//! leftover an interrupted compaction can produce — merged output is
-//! renamed into place *before* its inputs are retired), and rebuilds
-//! the spine. All writes go through a write-temp-then-rename protocol,
-//! in keeping with the repository's crash-consistency sensibilities.
+//! leftover an interrupted or failed compaction can produce — merged
+//! output is renamed into place *before* its inputs are retired), and
+//! rebuilds the spine. Every batch file is written to a temp file,
+//! fsynced, renamed into place, and made durable with an fsync of the
+//! directory, in keeping with the repository's crash-consistency
+//! sensibilities.
 //!
 //! ## Write path
 //!
@@ -20,21 +21,20 @@
 //! [`AUTOFLUSH_ENTRIES`] puts, or `Drop`) seals the buffer into a new
 //! immutable batch, persists it, and hands it to the spine — campaigns
 //! therefore append batches instead of accumulating results in memory.
-//! Once the spine exceeds [`MERGE_FANOUT`](crate::MERGE_FANOUT) batches, adjacent pairs are
-//! merged — inline by the flusher, or off the caller's path when
-//! [`ResultStore::start_compactor`] has spawned the background merger.
-//! Merging never changes query results (last-writer-wins by sequence
-//! number at every level), which is the determinism property the
-//! proptests pin.
+//! Once the spine exceeds [`MERGE_FANOUT`](crate::MERGE_FANOUT)
+//! batches, the flusher merges adjacent pairs. Merging never changes
+//! query results (last-writer-wins by sequence number at every level),
+//! which is the determinism property the proptests pin.
 
 use crate::batch::{Batch, Entry};
 use crate::digest::code_digest_from_env;
 use crate::key::StoreKey;
 use crate::spine::{Cursor, Spine};
-use std::io;
+use std::fs::File;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Pending-buffer size that triggers an automatic flush.
 pub const AUTOFLUSH_ENTRIES: usize = 4096;
@@ -72,8 +72,8 @@ struct Inner {
     dir: Option<PathBuf>,
     code: u64,
     state: Mutex<State>,
-    /// Serialises mergers (inline flusher vs background compactor);
-    /// held across the off-`state`-lock merge work.
+    /// Serialises mergers (concurrent flushers); held across the
+    /// off-`state`-lock merge work.
     merge_lock: Mutex<()>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -82,18 +82,6 @@ struct Inner {
     compactions: AtomicU64,
     loaded_batches: u64,
     loaded_entries: u64,
-    compactor: Mutex<CompactorState>,
-    signal: Condvar,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum CompactorState {
-    /// No background thread: flushes merge inline.
-    Inline,
-    /// Background thread running; flushes just signal it.
-    Running,
-    /// Background thread asked to exit.
-    ShuttingDown,
 }
 
 /// A digest-keyed, spine-backed result store. Cheap to clone (shared
@@ -101,8 +89,6 @@ enum CompactorState {
 #[derive(Clone)]
 pub struct ResultStore {
     inner: Arc<Inner>,
-    /// Joins the compactor on the last handle's drop.
-    thread: Arc<Mutex<Option<std::thread::JoinHandle<()>>>>,
 }
 
 fn batch_file_name(b: &Batch) -> String {
@@ -115,10 +101,17 @@ fn parse_file_name(name: &str) -> Option<(u64, u64)> {
     Some((lo.parse().ok()?, hi.parse().ok()?))
 }
 
+/// Writes `dir/name` durably: the contents go to a temp file, which is
+/// fsynced before the rename, and the directory is fsynced after it, so
+/// a crash leaves either no file or the whole one.
 fn write_atomically(dir: &Path, name: &str, contents: &str) -> io::Result<()> {
     let tmp = dir.join(format!(".tmp-{name}"));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, dir.join(name))
+    let mut file = File::create(&tmp)?;
+    file.write_all(contents.as_bytes())?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, dir.join(name))?;
+    File::open(dir)?.sync_all()
 }
 
 impl ResultStore {
@@ -197,13 +190,8 @@ impl ResultStore {
         ))
     }
 
-    /// A store with no backing directory (session-local caching and
-    /// tests; batches live only in memory).
-    pub fn in_memory() -> ResultStore {
-        ResultStore::in_memory_with(code_digest_from_env())
-    }
-
-    /// [`ResultStore::in_memory`] with an explicit code digest.
+    /// A store with no backing directory and an explicit code digest
+    /// (tests; batches live only in memory).
     pub fn in_memory_with(code: u64) -> ResultStore {
         ResultStore::from_parts(None, code, Spine::new(), 0, 0, 0)
     }
@@ -233,10 +221,7 @@ impl ResultStore {
                 compactions: AtomicU64::new(0),
                 loaded_batches,
                 loaded_entries,
-                compactor: Mutex::new(CompactorState::Inline),
-                signal: Condvar::new(),
             }),
-            thread: Arc::new(Mutex::new(None)),
         }
     }
 
@@ -282,25 +267,15 @@ impl ResultStore {
         }
     }
 
-    /// Serves `key` from the store or computes, records, and returns
-    /// it. The boolean is `true` on a store hit.
-    pub fn memo(&self, key: &StoreKey, compute: impl FnOnce() -> String) -> (String, bool) {
-        if let Some(v) = self.get(key) {
-            return (v, true);
-        }
-        let v = compute();
-        self.put(key.clone(), v.clone());
-        (v, false)
-    }
-
     /// Seals the pending buffer into a new immutable batch, persists
-    /// it, and triggers compaction (inline, or via the background
-    /// thread when running). Returns the number of entries sealed.
+    /// it, and merges while the spine exceeds the fan-out. Returns the
+    /// number of entries sealed.
     ///
     /// # Errors
     ///
-    /// Propagates batch-file write errors (the sealed batch still
-    /// lands in the in-memory spine first).
+    /// Propagates the first batch-file write error, the sealed batch's
+    /// own or a merge's (the sealed batch still lands in the in-memory
+    /// spine first, and a failed merge keeps its inputs on disk).
     pub fn flush(&self) -> io::Result<usize> {
         let mut state = self.inner.state.lock().unwrap();
         if state.pending.is_empty() {
@@ -312,52 +287,45 @@ impl ResultStore {
         state.spine.insert(batch.clone());
         drop(state);
         self.inner.batches_appended.fetch_add(1, Ordering::Relaxed);
-        let mut result = Ok(n);
-        if let Some(dir) = &self.inner.dir {
-            result = write_atomically(dir, &batch_file_name(&batch), &batch.encode()).map(|()| n);
+        let mut result = self.persist(&batch);
+        while let Some(merged) = self.merge_step(|spine| spine.merge_candidate().map(|(i, _)| i)) {
+            result = result.and(merged);
         }
-        match *self.inner.compactor.lock().unwrap() {
-            CompactorState::Running => self.inner.signal.notify_all(),
-            _ => while self.merge_step() {},
-        }
-        result
+        result.map(|()| n)
     }
 
-    /// Performs one merge step if the spine exceeds the fan-out.
-    /// Returns whether a merge happened.
-    fn merge_step(&self) -> bool {
+    /// Writes `batch`'s file, when the store has a directory.
+    fn persist(&self, batch: &Batch) -> io::Result<()> {
+        match &self.inner.dir {
+            Some(dir) => write_atomically(dir, &batch_file_name(batch), &batch.encode()),
+            None => Ok(()),
+        }
+    }
+
+    /// Merges the pair at the index `pick` chooses, if any: builds the
+    /// merged batch off the state lock, persists it, swaps it in, then
+    /// retires the input files — only once the merged file is in
+    /// place, so a failed write leaves the inputs holding the records
+    /// (reopening prunes them once a later merge covers them). Returns
+    /// `None` when `pick` chose nothing, else the merged write's result.
+    fn merge_step(&self, pick: impl Fn(&Spine) -> Option<usize>) -> Option<io::Result<()>> {
         let _serial = self.inner.merge_lock.lock().unwrap();
         let (i, a, b) = {
             let state = self.inner.state.lock().unwrap();
-            let Some((i, j)) = state.spine.merge_candidate() else {
-                return false;
-            };
-            (
-                i,
-                state.spine.batches()[i].clone(),
-                state.spine.batches()[j].clone(),
-            )
+            let i = pick(&state.spine)?;
+            let batches = state.spine.batches();
+            (i, batches[i].clone(), batches[i + 1].clone())
         };
-        self.merge_pair(i, &a, &b);
-        true
-    }
-
-    /// Merges the pair at `i` (batches `a`, `b`): builds the merged
-    /// batch off the state lock, persists it, swaps it in, then
-    /// retires the input files. Caller holds `merge_lock`.
-    fn merge_pair(&self, i: usize, a: &Arc<Batch>, b: &Arc<Batch>) {
-        let merged = Arc::new(Batch::merge(a, b));
-        if let Some(dir) = &self.inner.dir {
-            // Persist the merged batch before retiring its inputs so an
-            // interruption leaves covered files, never missing data.
-            let _ = write_atomically(dir, &batch_file_name(&merged), &merged.encode());
-        }
-        {
-            let mut state = self.inner.state.lock().unwrap();
-            state.spine.replace_pair(i, merged.clone());
-        }
-        if let Some(dir) = &self.inner.dir {
-            for old in [a, b] {
+        let merged = Arc::new(Batch::merge(&a, &b));
+        let written = self.persist(&merged);
+        self.inner
+            .state
+            .lock()
+            .unwrap()
+            .spine
+            .replace_pair(i, merged.clone());
+        if let (Some(dir), Ok(())) = (&self.inner.dir, &written) {
+            for old in [&a, &b] {
                 let name = batch_file_name(old);
                 if name != batch_file_name(&merged) {
                     let _ = std::fs::remove_file(dir.join(name));
@@ -365,6 +333,7 @@ impl ResultStore {
             }
         }
         self.inner.compactions.fetch_add(1, Ordering::Relaxed);
+        Some(written)
     }
 
     /// Flushes, then merges the whole spine down to a single batch
@@ -372,83 +341,14 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// Propagates the flush's write error.
+    /// Propagates the first batch-file write error, as
+    /// [`flush`](ResultStore::flush) does.
     pub fn compact_all(&self) -> io::Result<()> {
-        self.flush()?;
-        loop {
-            let _serial = self.inner.merge_lock.lock().unwrap();
-            let (a, b) = {
-                let state = self.inner.state.lock().unwrap();
-                if state.spine.batch_count() < 2 {
-                    return Ok(());
-                }
-                (
-                    state.spine.batches()[0].clone(),
-                    state.spine.batches()[1].clone(),
-                )
-            };
-            self.merge_pair(0, &a, &b);
+        let mut result = self.flush().map(drop);
+        while let Some(merged) = self.merge_step(|spine| (spine.batch_count() >= 2).then_some(0)) {
+            result = result.and(merged);
         }
-    }
-
-    /// Spawns the background compactor: subsequent flushes return
-    /// immediately and merging happens off the caller's path. Idempotent.
-    pub fn start_compactor(&self) {
-        let mut comp = self.inner.compactor.lock().unwrap();
-        if *comp != CompactorState::Inline {
-            return;
-        }
-        *comp = CompactorState::Running;
-        drop(comp);
-        let store = ResultStore {
-            inner: self.inner.clone(),
-            // The worker must not own the joiner slot (it would
-            // self-join on drop).
-            thread: Arc::new(Mutex::new(None)),
-        };
-        let handle = std::thread::Builder::new()
-            .name("lightwsp-store-compactor".into())
-            .spawn(move || loop {
-                {
-                    let mut comp = store.inner.compactor.lock().unwrap();
-                    while *comp == CompactorState::Running
-                        && store
-                            .inner
-                            .state
-                            .lock()
-                            .unwrap()
-                            .spine
-                            .merge_candidate()
-                            .is_none()
-                    {
-                        comp = store.inner.signal.wait(comp).unwrap();
-                    }
-                    if *comp == CompactorState::ShuttingDown {
-                        return;
-                    }
-                }
-                while store.merge_step() {}
-            })
-            .expect("spawn store compactor");
-        *self.thread.lock().unwrap() = Some(handle);
-    }
-
-    /// Stops the background compactor (if running), draining remaining
-    /// merge work inline first. Idempotent.
-    pub fn stop_compactor(&self) {
-        {
-            let mut comp = self.inner.compactor.lock().unwrap();
-            if *comp != CompactorState::Running {
-                return;
-            }
-            *comp = CompactorState::ShuttingDown;
-            self.inner.signal.notify_all();
-        }
-        if let Some(handle) = self.thread.lock().unwrap().take() {
-            let _ = handle.join();
-        }
-        *self.inner.compactor.lock().unwrap() = CompactorState::Inline;
-        while self.merge_step() {}
+        result
     }
 
     /// A merged cursor over a consistent snapshot (pending entries
@@ -495,15 +395,9 @@ impl ResultStore {
 
 impl Drop for ResultStore {
     fn drop(&mut self) {
-        // Last handle out seals the pending buffer and parks the
-        // compactor; intermediate clones must not.
-        if Arc::strong_count(&self.inner) == 1 + 1 {
-            // One count is ours; the compactor thread (if any) holds
-            // another — stop it first, then flush.
-            self.stop_compactor();
-        }
+        // Last handle out seals the pending buffer; intermediate clones
+        // must not.
         if Arc::strong_count(&self.inner) == 1 {
-            self.stop_compactor();
             let _ = self.flush();
         }
     }
@@ -524,14 +418,11 @@ mod tests {
     }
 
     #[test]
-    fn memo_hits_after_put_and_counts() {
+    fn get_hits_after_put_and_counts() {
         let s = ResultStore::in_memory_with(1);
-        let (v, hit) = s.memo(&key(1), || "computed".into());
-        assert!(!hit);
-        assert_eq!(v, "computed");
-        let (v, hit) = s.memo(&key(1), || unreachable!("must be served"));
-        assert!(hit);
-        assert_eq!(v, "computed");
+        assert_eq!(s.get(&key(1)), None);
+        s.put(key(1), "computed".into());
+        assert_eq!(s.get(&key(1)).as_deref(), Some("computed"));
         let st = s.stats();
         assert_eq!((st.hits, st.misses, st.puts), (1, 1, 1));
     }
@@ -572,33 +463,56 @@ mod tests {
     }
 
     #[test]
-    fn compaction_inline_and_background_preserve_contents() {
-        for background in [false, true] {
-            let dir = tmp_dir(if background { "bg" } else { "inline" });
-            let s = ResultStore::open_with(&dir, 7).unwrap();
-            if background {
-                s.start_compactor();
+    fn compaction_preserves_contents() {
+        let dir = tmp_dir("compact");
+        let s = ResultStore::open_with(&dir, 7).unwrap();
+        for n in 0..40 {
+            s.put(key(n), format!("v{n}"));
+            if n % 5 == 4 {
+                s.flush().unwrap();
             }
-            for n in 0..40 {
-                s.put(key(n), format!("v{n}"));
-                if n % 5 == 4 {
-                    s.flush().unwrap();
-                }
-            }
-            s.stop_compactor();
-            s.compact_all().unwrap();
-            let st = s.stats();
-            assert_eq!(st.resident_batches, 1);
-            assert!(st.compactions > 0);
-            for n in 0..40 {
-                assert_eq!(s.get(&key(n)).as_deref(), Some(format!("v{n}").as_str()));
-            }
-            drop(s);
-            // Reopen sees exactly the compacted contents.
-            let s = ResultStore::open_with(&dir, 7).unwrap();
-            assert_eq!(s.kind_entries("run").len(), 40);
-            std::fs::remove_dir_all(&dir).unwrap();
         }
+        s.compact_all().unwrap();
+        let st = s.stats();
+        assert_eq!(st.resident_batches, 1);
+        assert!(st.compactions > 0);
+        for n in 0..40 {
+            assert_eq!(s.get(&key(n)).as_deref(), Some(format!("v{n}").as_str()));
+        }
+        drop(s);
+        // Reopen sees exactly the compacted contents, in one file.
+        let s = ResultStore::open_with(&dir, 7).unwrap();
+        assert_eq!(s.kind_entries("run").len(), 40);
+        assert_eq!(s.stats().loaded_batches, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_merge_keeps_its_inputs_on_disk() {
+        let dir = tmp_dir("failed-merge");
+        let s = ResultStore::open_with(&dir, 7).unwrap();
+        for n in 0..10 {
+            s.put(key(n), format!("v{n}"));
+            if n % 5 == 4 {
+                s.flush().unwrap();
+            }
+        }
+        // A directory where the merged batch's temp file goes makes its
+        // write fail.
+        let blocker = dir.join(".tmp-batch-000000000000-000000000009.lwsb");
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(s.compact_all().is_err(), "the merged write must fail");
+        // The merge still serves from memory...
+        assert_eq!(s.stats().resident_batches, 1);
+        assert_eq!(s.get(&key(3)).as_deref(), Some("v3"));
+        drop(s);
+        // ...and its inputs still hold every record on disk.
+        let s = ResultStore::open_with(&dir, 7).unwrap();
+        assert_eq!(s.stats().loaded_batches, 2);
+        for n in 0..10 {
+            assert_eq!(s.get(&key(n)).as_deref(), Some(format!("v{n}").as_str()));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -107,6 +107,10 @@ impl RecoverableDs for DurableLogSpec {
         self.writers
     }
 
+    fn knobs(&self) -> Vec<u64> {
+        vec![self.writers as u64, self.records]
+    }
+
     /// Each thread appends `records` records to its own log. Register
     /// use: r1 record cursor, r2 sequence, r3/r4 hash, r5 checksum,
     /// r6 tail address.

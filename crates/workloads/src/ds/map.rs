@@ -354,6 +354,16 @@ impl RecoverableDs for DurableMapSpec {
         self.threads
     }
 
+    fn knobs(&self) -> Vec<u64> {
+        vec![
+            self.threads as u64,
+            self.buckets as u64,
+            self.slots_per_bucket as u64,
+            self.locks as u64,
+            self.ops_per_thread,
+        ]
+    }
+
     /// Register use: r1 LCG state, r2 op index, r5 puts counter,
     /// r6 key scratch, r7–r10 put/get scratch, r11 gets counter,
     /// r12 private area base, r13/r14 selector scratch.

@@ -126,6 +126,12 @@ pub trait RecoverableDs: Sync {
     fn name(&self) -> &'static str;
     /// Software threads the program expects.
     fn threads(&self) -> usize;
+    /// The construction parameters that, with the name, fix the
+    /// program and its checkers, in a fixed order: what a result store
+    /// keys an audit of the structure on. (A `Debug` rendering cannot
+    /// serve: the service keeps derived state in a `HashMap`, whose
+    /// iteration order is process-random.)
+    fn knobs(&self) -> Vec<u64>;
     /// Builds the (uninstrumented) IR program; callers compile it with
     /// `lightwsp_compiler::instrument`.
     fn program(&self) -> lightwsp_ir::Program;

@@ -391,6 +391,10 @@ impl RecoverableDs for DurableQueueSpec {
         self.producers + 1
     }
 
+    fn knobs(&self) -> Vec<u64> {
+        vec![self.producers as u64, self.records, self.cap]
+    }
+
     fn program(&self) -> Program {
         assert!(self.cap.is_power_of_two());
         let mut b = FuncBuilder::new("durable_queue");

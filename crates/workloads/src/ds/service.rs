@@ -772,6 +772,17 @@ impl RecoverableDs for KvServiceSpec {
         self.clients + 1
     }
 
+    fn knobs(&self) -> Vec<u64> {
+        vec![
+            self.clients as u64,
+            self.ops_per_client,
+            self.cap,
+            self.buckets as u64,
+            self.slots_per_bucket as u64,
+            self.locks as u64,
+        ]
+    }
+
     fn program(&self) -> Program {
         let mut b = FuncBuilder::new("kv_service");
         let client = b.new_block();

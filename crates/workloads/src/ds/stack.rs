@@ -140,6 +140,10 @@ impl RecoverableDs for TreiberStackSpec {
         self.threads
     }
 
+    fn knobs(&self) -> Vec<u64> {
+        vec![self.threads as u64, self.ops]
+    }
+
     /// Register use: r1 LCG state, r2 op index, r3 pushes, r4 pops,
     /// r5 head, r6 next, r7 node address, r8 value, r9 lock address,
     /// r10 arena base, r11/r12 counter addresses, r13 selector,

@@ -16,7 +16,7 @@
 
 use lightwsp_core::oracle::{mutant_name, ALL_MUTANTS};
 use lightwsp_core::{
-    fuzz_sweep, litmus_sweep, model_mutant_kill_matrix, mutant_kill_matrix, Campaign, CaseRecord,
+    fuzz_sweep, litmus_sweep, model_mutant_kill_matrix, mutant_kill_matrix, Campaign,
 };
 use lightwsp_model::harness::EnumMode;
 use lightwsp_model::{FuzzBias, ModelMutant};
@@ -181,18 +181,17 @@ fn all_model_mutants_are_killed() {
         SweepMode::default(),
         EnumMode::Exact,
     );
-    let records: Vec<CaseRecord> = outcomes.iter().map(CaseRecord::from).collect();
     assert!(
-        records.iter().any(|r| r.exact_fully_witnessed()),
+        outcomes.iter().any(|o| o.exact_fully_witnessed()),
         "no litmus sweep witnessed its whole exact set; the kill matrix has no teeth"
     );
-    let matrix = model_mutant_kill_matrix(&records);
+    let matrix = model_mutant_kill_matrix(&outcomes);
     assert_eq!(matrix.len(), ModelMutant::ALL.len());
-    for row in &matrix {
+    for (mutant, killed_by) in &matrix {
         assert!(
-            row.killed(),
+            !killed_by.is_empty(),
             "model mutant {} survived: no fully-witnessed litmus exceeded its exact count",
-            row.mutant
+            mutant.name()
         );
     }
 }
