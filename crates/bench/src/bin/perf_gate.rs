@@ -535,11 +535,12 @@ fn capture_sweep(
     let mut sweeper = injector.sweeper();
     for &p in points {
         digest = mix(digest, p.cycle);
-        let Some((cap, pm_after)) = sweeper.capture_at(p) else {
+        let Some((cap, m)) = sweeper.cut_at(p) else {
             continue;
         };
         audited += 1;
-        check_capture(&cap, &pm_after, p, &mut violations);
+        let pm_after = m.pm_contents();
+        check_capture(&cap, pm_after, p, &mut violations);
         for v in [cap.at_cycle, cap.commit_frontier, cap.last_allocated] {
             digest = mix(digest, v);
         }
@@ -596,10 +597,10 @@ fn gate_sweep(opts: &ExperimentOptions, quick: bool, out: &mut String) -> Vec<(G
         cfg.scheme = Scheme::LightWsp;
         cfg.num_cores = w.threads;
         let compiled = Experiment::new(opts.clone()).compile(&w, cfg.scheme);
-        let injector = CrashInjector::new(&compiled, cfg.clone(), w.threads);
-        let (mut raw, horizon) = injector.derived_points(cap_per_kind);
-        raw.extend(injector.seeded_points(0x5EE9, seeded, horizon));
-        let points = CrashInjector::prepare_points(&raw);
+        let golden = CrashInjector::new(&compiled, cfg.clone(), w.threads)
+            .golden_points(cap_per_kind, 0x5EE9, seeded)
+            .expect("golden run completes");
+        let (points, horizon) = (golden.points, golden.cycles);
         let (r, (audited, violations, _)) = race_sweep(name, &compiled, &cfg, w.threads, &points);
         assert_eq!(violations, 0, "{name}: capture violations");
         let _ = writeln!(
@@ -665,7 +666,7 @@ fn gate_sweep(opts: &ExperimentOptions, quick: bool, out: &mut String) -> Vec<(G
             enum_mode: EnumMode::Overapprox,
         });
         let (_, horizon) =
-            CrashInjector::new(&l.compiled, cfg.clone(), l.threads).derived_points(1);
+            CrashInjector::new(&l.compiled, cfg.clone(), l.threads).traced_timelines();
         let points: Vec<CrashPoint> = (1..horizon)
             .map(|cycle| CrashPoint {
                 cycle,

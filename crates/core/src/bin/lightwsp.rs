@@ -14,17 +14,8 @@ use lightwsp_core::{Experiment, ExperimentOptions, Scheme};
 use lightwsp_workloads::{all_workloads, workload};
 use std::process::ExitCode;
 
-const SCHEMES: [Scheme; 6] = [
-    Scheme::Baseline,
-    Scheme::LightWsp,
-    Scheme::PspIdeal,
-    Scheme::Capri,
-    Scheme::Ppa,
-    Scheme::Cwsp,
-];
-
 fn parse_scheme(s: &str) -> Option<Scheme> {
-    SCHEMES
+    Scheme::ALL
         .into_iter()
         .find(|x| x.name().eq_ignore_ascii_case(s))
 }
@@ -35,7 +26,7 @@ fn usage() -> ExitCode {
          lightwsp compare <workload>\n  lightwsp recover <workload> [failure-cycle...]\n  \
          lightwsp trace <workload> [n]\n  lightwsp regions <workload>\n\
          schemes: {}",
-        SCHEMES.map(|s| s.name()).join(", ")
+        Scheme::ALL.map(|s| s.name()).join(", ")
     );
     ExitCode::FAILURE
 }
@@ -131,7 +122,7 @@ fn main() -> ExitCode {
                 "{:<12}{:>10}{:>10}{:>14}",
                 "scheme", "slowdown", "IPC", "persist-eff"
             );
-            for scheme in SCHEMES {
+            for scheme in Scheme::ALL {
                 let (sd, r) = exp.slowdown_with_stats(&w, scheme);
                 let eff = if scheme.uses_persist_path() {
                     format!("{:.1}%", r.stats.persistence_efficiency())

@@ -426,12 +426,30 @@ impl Campaign {
         self.map_parallel(jobs, |job, _| f(job))
     }
 
+    /// Runs `f` on one contiguous chunk of `items` per worker, with the
+    /// index of the chunk's first item, and returns the results in chunk
+    /// order. This is the crash audits' fan-out: merged in order, the
+    /// results equal one serial chunk's at any worker count.
+    pub fn map_chunks<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
+    where
+        I: Sync,
+        T: Send,
+        F: Fn(usize, &[I]) -> T + Sync,
+    {
+        let len = items.len().div_ceil(self.workers).max(1);
+        let chunks: Vec<(usize, &[I])> = items
+            .chunks(len)
+            .enumerate()
+            .map(|(i, c)| (i * len, c))
+            .collect();
+        self.map_parallel(&chunks, |&(start, chunk), _| f(start, chunk))
+    }
+
     /// Fans `f` over arbitrary `items` on the campaign's worker pool
     /// (dynamic self-scheduling, results in item order) — the engine
     /// behind [`run_many`](Campaign::run_many), exposed so other sweeps
-    /// (e.g. the crash auditor's per-crash-point fan-out) reuse the same
-    /// pool and its worker count. `f` receives each item and
-    /// its index.
+    /// (e.g. [`map_chunks`](Campaign::map_chunks)) reuse the same pool
+    /// and its worker count. `f` receives each item and its index.
     pub fn map_parallel<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
     where
         I: Sync,

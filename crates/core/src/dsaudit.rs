@@ -2,37 +2,36 @@
 //! (`lightwsp_workloads::ds`).
 //!
 //! [`audit_recoverable_ds`] runs one structure through the full
-//! treatment: compile, golden run (whose final image must satisfy the
-//! structure's `check_final`), then a fork-point crash sweep at
-//! mechanism-derived plus seeded points. At **every** audited point it
+//! treatment on the sweep path of [`lightwsp_sim::crash`]: compile, one
+//! traced golden run (whose final image must satisfy the structure's
+//! `check_final`) that also yields the mechanism-derived plus seeded
+//! points, then a fork-point crash sweep. At **every** audited point it
 //! cuts power, resolves the WPQ gate, and checks two independent
 //! layers against the durable image:
 //!
-//! 1. the generic recovery contract of `RECOVERY.md` §3–§7
+//! 1. the generic recovery contract of `RECOVERY.md` §4
 //!    ([`lightwsp_sim::crash::check_capture`]: survivable-prefix,
 //!    gate-flush, gate-discard, resolution-exact, …), and
 //! 2. the structure's own §8 invariants (`RecoverableDs::check_image`
 //!    — `log-torn-tail`, `map-shard-prefix`, `queue-no-lost-ack`, …).
 //!
 //! Capture checks are cheap (pure functions of the image), so the
-//! sweep runs them everywhere; *resume-to-completion* — restart the
-//! machine at the recovered image, run to the end, and re-check
-//! `check_final` (plus a byte-compare against the golden image when
-//! the structure is deterministic) — costs a full run per point and is
-//! sampled every [`DsAuditBudget::resume_every`]-th audited point.
+//! sweep runs them everywhere; *resume-to-completion* — the §4 resume
+//! check ([`CrashInjector::check_resume`], golden byte-compare only for
+//! deterministic structures), then `check_final` — costs a full run per
+//! point and is sampled every [`DsAuditBudget::resume_every`]-th point.
 //!
 //! Points fan out across a [`Campaign`] in contiguous sorted chunks
-//! (one fork-sweep mainline per worker), the same discipline as
+//! ([`Campaign::map_chunks`]), like
 //! [`crate::recovery::audit_workload_crashes`], so reports are
 //! bit-identical regardless of worker count.
 
 use crate::campaign::Campaign;
 use lightwsp_compiler::{instrument, CompilerConfig};
-use lightwsp_sim::consistency::{golden_run, ConsistencyError};
+use lightwsp_ir::Memory;
+use lightwsp_sim::consistency::ConsistencyError;
 use lightwsp_sim::crash::check_capture;
-use lightwsp_sim::{
-    Completion, CrashInjector, CrashPoint, InvariantViolation, SimConfig, SweepMode,
-};
+use lightwsp_sim::{CrashInjector, CrashPoint, InvariantViolation, SimConfig, SweepMode};
 use lightwsp_workloads::ds::RecoverableDs;
 
 /// Point budget and resume sampling for one structure's audit.
@@ -44,7 +43,7 @@ pub struct DsAuditBudget {
     pub seeded: usize,
     /// Cap on derived points per mechanism window.
     pub derived_per_kind: usize,
-    /// Resume-to-completion every n-th audited point (0 = never).
+    /// Resume-to-completion every n-th prepared point (0 = never).
     pub resume_every: usize,
 }
 
@@ -86,7 +85,7 @@ pub struct DsAuditReport {
     pub resumed: usize,
     /// Cycles of the failure-free run.
     pub golden_cycles: u64,
-    /// Generic recovery-contract violations (`RECOVERY.md` §3–§7).
+    /// Generic recovery-contract violations (`RECOVERY.md` §4).
     pub gate_violations: Vec<InvariantViolation>,
     /// Structure-invariant violations (`RECOVERY.md` §8), formatted
     /// with their crash point.
@@ -162,37 +161,26 @@ pub fn audit_recoverable_ds_with(
     let mut cfg = cfg.clone();
     cfg.num_cores = threads;
 
-    let injector = CrashInjector::new(&compiled, cfg.clone(), threads).with_sweep_mode(sweep);
-    let (mut points, horizon) = injector.derived_points(budget.derived_per_kind);
-    points.extend(injector.seeded_points(budget.seed, budget.seeded, horizon));
-    let points = CrashInjector::prepare_points(&points);
-    let (golden, golden_cycles) = golden_run(&compiled, &cfg, threads)?;
+    let injector = CrashInjector::new(&compiled, cfg, threads).with_sweep_mode(sweep);
+    let golden = injector.golden_points(budget.derived_per_kind, budget.seed, budget.seeded)?;
 
     let mut report = DsAuditReport {
         name: ds.name().to_string(),
-        golden_cycles,
+        golden_cycles: golden.cycles,
         ..DsAuditReport::default()
     };
     // The golden image anchors everything downstream: it must satisfy
     // the structure's completed-run checker before any point is swept.
-    for v in ds.check_final(&golden) {
+    for v in ds.check_final(&golden.image) {
         report.ds_violations.push(format!("golden image: {v}"));
     }
-
-    // Contiguous sorted chunks with global indices, one fork-sweep
-    // mainline per worker; merging in chunk order keeps the report
-    // independent of the worker count.
-    let chunk_len = points.len().div_ceil(campaign.workers().max(1)).max(1);
-    let chunks: Vec<(usize, &[CrashPoint])> = points
-        .chunks(chunk_len)
-        .enumerate()
-        .map(|(i, c)| (i * chunk_len, c))
-        .collect();
-    let partials: Vec<DsAuditReport> = campaign.map_parallel(&chunks, |&(start, chunk), _| {
-        audit_ds_chunk(ds, &injector, &cfg, &golden, budget, start, chunk)
-    });
-    for part in &partials {
-        report.merge(part);
+    // Resumed runs converge byte for byte only where the final image
+    // does not depend on timing.
+    let converges_to = ds.deterministic_final().then_some(&golden.image);
+    for part in campaign.map_chunks(&golden.points, |start, chunk| {
+        audit_ds_chunk(ds, &injector, converges_to, budget, start, chunk)
+    }) {
+        report.merge(&part);
     }
     Ok(report)
 }
@@ -203,8 +191,7 @@ pub fn audit_recoverable_ds_with(
 fn audit_ds_chunk(
     ds: &dyn RecoverableDs,
     injector: &CrashInjector<'_>,
-    cfg: &SimConfig,
-    golden: &lightwsp_ir::Memory,
+    golden: Option<&Memory>,
     budget: &DsAuditBudget,
     start: usize,
     chunk: &[CrashPoint],
@@ -231,17 +218,10 @@ fn audit_ds_chunk(
         if budget.resume_every == 0 || !global.is_multiple_of(budget.resume_every) {
             continue;
         }
-        // Resume to completion on a fresh cycle budget and hold the
-        // recovered end state to the completed-run contract.
+        // Resume to completion and hold the recovered end state to the
+        // completed-run contract.
         report.resumed += 1;
-        m.set_max_cycles(p.cycle.saturating_add(cfg.max_cycles));
-        if m.run() != Completion::Finished {
-            report.ds_violations.push(format!(
-                "[resume-completes] recovered run stalled at cycle {} after crash at {} ({})",
-                m.now(),
-                p.cycle,
-                p.kind.name()
-            ));
+        if !injector.check_resume(&mut m, p, golden, &mut report.gate_violations) {
             continue;
         }
         for v in ds.check_final(m.pm_contents()) {
@@ -250,21 +230,6 @@ fn audit_ds_chunk(
                 p.cycle,
                 p.kind.name()
             ));
-        }
-        if ds.deterministic_final() {
-            // Checkpoint/PC slots are timing-dependent recovery
-            // metadata (forced closes dump the live register file);
-            // convergence is only required of program state.
-            if let Some((addr, want, got)) = golden.first_difference_where(m.pm_contents(), |a| {
-                !lightwsp_ir::layout::is_checkpoint_addr(a)
-            }) {
-                report.ds_violations.push(format!(
-                    "[recovery-converges] recovered image diverges at {addr:#x} \
-                     (golden {want:#x}, got {got:#x}) after crash at {} ({})",
-                    p.cycle,
-                    p.kind.name()
-                ));
-            }
         }
     }
     report

@@ -11,16 +11,14 @@
 //!   [`lightwsp_sim::crash`]: a [`CrashInjector`] sweeps derived and
 //!   seeded crash points and asserts every named invariant of
 //!   `RECOVERY.md` (gate-flush, gate-discard, resolution-exact, …)
-//!   against the captured resolution, fanning points across a
-//!   [`Campaign`] worker pool. `cargo run -p lightwsp-bench --bin
+//!   against the captured resolution, one chunk of points per
+//!   [`Campaign`] worker. `cargo run -p lightwsp-bench --bin
 //!   crash_audit` drives it over the full workload×scheme matrix.
 
 use crate::campaign::Campaign;
 use crate::experiment::{Experiment, ExperimentOptions};
-use lightwsp_sim::consistency::{
-    check_crash_consistency, golden_run, ConsistencyError, ConsistencyReport,
-};
-use lightwsp_sim::{CrashAuditReport, CrashInjector, CrashPoint, Scheme, SimConfig};
+use lightwsp_sim::consistency::{check_crash_consistency, ConsistencyError, ConsistencyReport};
+use lightwsp_sim::{CrashAuditReport, CrashInjector, Scheme, SimConfig};
 use lightwsp_workloads::WorkloadSpec;
 
 /// Runs the crash-consistency oracle on `spec` with failures injected
@@ -82,9 +80,9 @@ impl AuditBudget {
 ///
 /// `cfg` carries the scheme and memory system (e.g. a 4-MC NUMA layout
 /// or a disabled-LRPO ablation); its core count is overridden by the
-/// workload's thread count. The workload is compiled once, the golden
-/// run executes once, and each crash point then replays, cuts power,
-/// checks the structural invariants, and resumes to completion.
+/// workload's thread count. The workload is compiled once, the traced
+/// golden run executes once, and each crash point then replays, cuts
+/// power, checks the structural invariants, and resumes to completion.
 ///
 /// With a store attached to `campaign`, the report is served from it
 /// when it holds one for the same inputs (workload spec, experiment
@@ -124,26 +122,16 @@ fn run_audit(
     let mut cfg = cfg.clone();
     let threads = opts.threads.unwrap_or(spec.threads);
     cfg.num_cores = threads;
-    let injector = CrashInjector::new(&compiled, cfg.clone(), threads);
-    let (mut points, horizon) = injector.derived_points(budget.derived_per_kind);
-    points.extend(injector.seeded_points(budget.seed, budget.seeded, horizon));
-    let points = CrashInjector::prepare_points(&points);
-    let (golden, golden_cycles) = golden_run(&compiled, &cfg, threads)?;
-    // Contiguous sorted chunks, one per worker: each chunk's sweeper
-    // advances its own mainline monotonically (fork mode), and merging
-    // in chunk order reproduces the serial sweep's report bit-for-bit
-    // regardless of the worker count.
-    let chunk_len = points.len().div_ceil(campaign.workers().max(1)).max(1);
-    let chunks: Vec<&[CrashPoint]> = points.chunks(chunk_len).collect();
-    let partials: Vec<CrashAuditReport> = campaign.map_parallel(&chunks, |c: &&[CrashPoint], _| {
-        injector.audit_chunk(&golden, c)
-    });
+    let injector = CrashInjector::new(&compiled, cfg, threads);
+    let golden = injector.golden_points(budget.derived_per_kind, budget.seed, budget.seeded)?;
     let mut report = CrashAuditReport {
-        golden_cycles,
+        golden_cycles: golden.cycles,
         ..CrashAuditReport::default()
     };
-    for part in &partials {
-        report.merge(part);
+    for part in campaign.map_chunks(&golden.points, |_, chunk| {
+        injector.audit_chunk(&golden.image, chunk)
+    }) {
+        report.merge(&part);
     }
     Ok(report)
 }

@@ -277,12 +277,13 @@ pub fn run_case(compiled: &Compiled, spec: &CaseSpec) -> Result<CaseOutcome, Ext
     let mut sweeper = injector.sweeper();
     let mut seen: FxHashSet<Vec<usize>> = FxHashSet::default();
     for p in points {
-        let Some((cap, pm_after)) = sweeper.capture_at(p) else {
+        let Some((cap, m)) = sweeper.cut_at(p) else {
             continue; // landed after completion + drain
         };
         outcome.audited += 1;
+        let pm_after = m.pm_contents();
 
-        match model.check_image(&pm_after) {
+        match model.check_image(pm_after) {
             Ok(witness) => {
                 if seen.insert(witness.clone()) {
                     outcome.witnessed += 1;
@@ -301,7 +302,7 @@ pub fn run_case(compiled: &Compiled, spec: &CaseSpec) -> Result<CaseOutcome, Ext
         }
 
         let mut structural = Vec::new();
-        check_capture(&cap, &pm_after, p, &mut structural);
+        check_capture(&cap, pm_after, p, &mut structural);
         outcome
             .structural_violations
             .extend(structural.into_iter().map(|v| v.to_string()));

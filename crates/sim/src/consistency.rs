@@ -69,12 +69,17 @@ pub fn golden_run(
     cfg: &SimConfig,
     threads: usize,
 ) -> Result<(Memory, u64), ConsistencyError> {
-    let mut m = Machine::new(
+    finish_golden(&mut Machine::new(
         compiled.program.clone(),
         compiled.recipes.clone(),
         cfg.clone(),
         threads,
-    );
+    ))
+}
+
+/// [`golden_run`] on an already-built cycle-0 machine; also returns the
+/// cycle count.
+pub(crate) fn finish_golden(m: &mut Machine) -> Result<(Memory, u64), ConsistencyError> {
     if m.run() != Completion::Finished {
         return Err(ConsistencyError {
             message: format!("golden run hit the cycle cap at {}", m.now()),

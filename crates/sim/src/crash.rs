@@ -32,9 +32,16 @@
 //! against the tracker's ground truth, so a deliberately broken gating
 //! rule ([`GatingMutant`](crate::config::GatingMutant)) is caught even
 //! when re-execution happens to converge to the right final state.
+//!
+//! Every crash-point audit (this module's, the data-structure audit and
+//! the LRPO model harness) takes each step from one place: the traced
+//! golden run and its points ([`CrashInjector::golden_points`]), the
+//! power cut ([`CrashSweeper::cut_at`]), the structural checks
+//! ([`check_capture`]) and the resume check
+//! ([`CrashInjector::check_resume`]).
 
 use crate::config::{SimConfig, SweepMode};
-use crate::consistency::{golden_run, ConsistencyError};
+use crate::consistency::{finish_golden, golden_run, ConsistencyError};
 use crate::machine::{Completion, CrashCapture, Machine};
 use crate::trace::RegionTimeline;
 use lightwsp_compiler::Compiled;
@@ -137,6 +144,18 @@ impl std::fmt::Display for InvariantViolation {
     }
 }
 
+/// A failure-free golden run and its prepared crash points
+/// ([`CrashInjector::golden_points`]).
+#[derive(Clone, Debug)]
+pub struct GoldenPoints {
+    /// The final durable image.
+    pub image: Memory,
+    /// The run's cycles (the seeded points' horizon).
+    pub cycles: u64,
+    /// Derived plus seeded points, prepared.
+    pub points: Vec<CrashPoint>,
+}
+
 /// Aggregate result of auditing a set of crash points.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CrashAuditReport {
@@ -200,15 +219,15 @@ impl CrashAuditReport {
 ///
 /// Points are independent in either mode — callers with a thread pool
 /// fan out *sorted contiguous chunks* ([`CrashInjector::audit_chunk`])
-/// and [`CrashAuditReport::merge`] the results.
+/// and [`CrashAuditReport::merge`] the results in chunk order.
 pub struct CrashInjector<'a> {
     compiled: &'a Compiled,
     cfg: SimConfig,
     threads: usize,
     sweep: SweepMode,
     /// Pristine cycle-0 machine; cloned (cheaply, via COW pages) for
-    /// every golden/traced/audit run instead of re-running
-    /// `Machine::new` and re-cloning the config per point.
+    /// every audit run instead of re-running `Machine::new` and
+    /// re-cloning the config per point.
     base: Machine,
 }
 
@@ -272,13 +291,11 @@ impl<'a> CrashInjector<'a> {
         self
     }
 
-    /// A fresh cycle-0 machine: a COW clone of the construction-time
-    /// template (no per-call config clone or cache re-initialisation).
-    fn fresh(&self) -> Machine {
-        self.base.fork()
-    }
-
-    fn machine(&self, cfg: SimConfig) -> Machine {
+    /// A cycle-0 machine that traces the timelines of the run's first
+    /// 8,192 regions.
+    fn traced(&self) -> Machine {
+        let mut cfg = self.cfg.clone();
+        cfg.trace_regions = 8192;
         Machine::new(
             self.compiled.program.clone(),
             self.compiled.recipes.clone(),
@@ -295,26 +312,41 @@ impl<'a> CrashInjector<'a> {
     /// (the model crate's `ProtocolOrder`). The run is deterministic,
     /// so one trace is valid for every crash point of the same config.
     pub fn traced_timelines(&self) -> (Vec<(RegionId, RegionTimeline)>, u64) {
-        let mut cfg = self.cfg.clone();
-        cfg.trace_regions = 8192;
-        let mut m = self.machine(cfg);
+        let mut m = self.traced();
         m.run();
         (m.region_trace().timelines(), m.now())
     }
 
-    /// Derives crash points from a traced run of the workload: for each
-    /// observed region timeline, one point per applicable
-    /// [`CrashPointKind`] window, evenly sampled down to `cap_per_kind`
-    /// points per kind. Also returns the traced run's total cycles (the
-    /// horizon for [`CrashInjector::seeded_points`]).
-    pub fn derived_points(&self, cap_per_kind: usize) -> (Vec<CrashPoint>, u64) {
-        let (timelines, horizon) = self.traced_timelines();
-        (self.derived_points_from(&timelines, cap_per_kind), horizon)
+    /// Runs the failure-free golden run once, traced, and returns its
+    /// final durable image and cycles with the prepared points: up to
+    /// `derived_per_kind` per mechanism window plus `seeded` from
+    /// `seed`. Tracing only records, so this is [`golden_run`], with
+    /// its completion and drain checks, plus the trace.
+    ///
+    /// # Errors
+    ///
+    /// As [`golden_run`].
+    pub fn golden_points(
+        &self,
+        derived_per_kind: usize,
+        seed: u64,
+        seeded: usize,
+    ) -> Result<GoldenPoints, ConsistencyError> {
+        let mut m = self.traced();
+        let (image, cycles) = finish_golden(&mut m)?;
+        let mut points = self.derived_points_from(&m.region_trace().timelines(), derived_per_kind);
+        points.extend(self.seeded_points(seed, seeded, cycles));
+        Ok(GoldenPoints {
+            image,
+            cycles,
+            points: Self::prepare_points(&points),
+        })
     }
 
-    /// [`CrashInjector::derived_points`] over an already-captured
-    /// trace, so callers that also need the protocol order pay for one
-    /// traced run instead of two.
+    /// Derives crash points from a traced run's timelines
+    /// ([`CrashInjector::traced_timelines`]): for each observed region
+    /// timeline, one point per applicable [`CrashPointKind`] window,
+    /// evenly sampled down to `cap_per_kind` points per kind.
     pub fn derived_points_from(
         &self,
         timelines: &[(RegionId, RegionTimeline)],
@@ -390,7 +422,7 @@ impl<'a> CrashInjector<'a> {
     pub fn sweeper(&self) -> CrashSweeper<'_, 'a> {
         CrashSweeper {
             injector: self,
-            mainline: (self.sweep == SweepMode::Fork).then(|| self.fresh()),
+            mainline: (self.sweep == SweepMode::Fork).then(|| self.base.fork()),
             finished: false,
             last_cycle: 0,
         }
@@ -408,12 +440,11 @@ impl<'a> CrashInjector<'a> {
     /// reported as violations, not errors.
     pub fn audit(&self, points: &[CrashPoint]) -> Result<CrashAuditReport, ConsistencyError> {
         let (golden, golden_cycles) = golden_run(self.compiled, &self.cfg, self.threads)?;
-        let mut report = CrashAuditReport {
+        let report = self.audit_chunk(&golden, &Self::prepare_points(points));
+        Ok(CrashAuditReport {
             golden_cycles,
-            ..CrashAuditReport::default()
-        };
-        report.merge(&self.audit_chunk(&golden, &Self::prepare_points(points)));
-        Ok(report)
+            ..report
+        })
     }
 
     /// Audits one sorted contiguous chunk of a prepared point sequence
@@ -423,33 +454,70 @@ impl<'a> CrashInjector<'a> {
     /// order, which reproduces the serial sweep bit-for-bit.
     pub fn audit_chunk(&self, golden: &Memory, points: &[CrashPoint]) -> CrashAuditReport {
         let mut sweeper = self.sweeper();
-        let mut report = CrashAuditReport::default();
+        let mut report = CrashAuditReport {
+            points: points.len(),
+            ..CrashAuditReport::default()
+        };
         for &p in points {
-            report.merge(&sweeper.audit_point(golden, p));
+            let Some((cap, mut m)) = sweeper.cut_at(p) else {
+                report.beyond_end += 1;
+                continue;
+            };
+            report.audited += 1;
+            report.audited_by_kind[p.kind.idx()] += 1;
+            report.entries_flushed += cap.report.entries_flushed;
+            report.entries_discarded += cap.report.entries_discarded;
+            report.undo_rolled_back += cap.report.undo_rolled_back;
+            check_capture(&cap, m.pm_contents(), p, &mut report.violations);
+            self.check_resume(&mut m, p, Some(golden), &mut report.violations);
         }
         report
     }
 
-    /// Audits a single crash point against a precomputed golden image
-    /// (from [`golden_run`]) and returns a one-point report.
-    ///
-    /// A one-point sweep: fork and rerun mode are indistinguishable
-    /// here. Kept for callers that fan out points individually;
-    /// batch callers should prefer [`CrashInjector::audit_chunk`],
-    /// which amortises the mainline advance across the whole chunk.
-    pub fn audit_point(&self, golden: &Memory, p: CrashPoint) -> CrashAuditReport {
-        self.audit_chunk(golden, &[p])
-    }
-
-    /// Cuts power at `p` and returns the audit capture together with
-    /// the post-resolution durable image, without resuming. Returns
-    /// `None` when the run finishes before `p.cycle` (nothing to cut).
-    ///
-    /// One-shot variant of [`CrashSweeper::capture_at`] — batch callers
-    /// (the model harness) should drive a sweeper over sorted points
-    /// instead of paying a run-from-zero per point.
-    pub fn capture_at(&self, p: CrashPoint) -> Option<(CrashCapture, Memory)> {
-        self.sweeper().capture_at(p)
+    /// Resumes `m`, the recovered machine of a power cut at `p`
+    /// ([`CrashSweeper::cut_at`]), to completion and checks the
+    /// end-to-end invariants, appending any violations:
+    /// `resume-completes`, and `resume-state-equivalence` against
+    /// `golden` when one is given. Returns whether the recovered run
+    /// completed.
+    pub fn check_resume(
+        &self,
+        m: &mut Machine,
+        p: CrashPoint,
+        golden: Option<&Memory>,
+        out: &mut Vec<InvariantViolation>,
+    ) -> bool {
+        // The recovered run gets a fresh budget: `run_until` may have
+        // stopped exactly at `max_cycles` (a crash point at the cap is
+        // legitimate), and resuming under the original cap would report
+        // a cap hit after zero post-crash cycles.
+        let max_cycles = self.cfg.max_cycles;
+        m.set_max_cycles(p.cycle.saturating_add(max_cycles));
+        if m.run() != Completion::Finished {
+            out.push(InvariantViolation {
+                invariant: "resume-completes",
+                point: p,
+                detail: format!(
+                    "recovered run exhausted a fresh {max_cycles}-cycle budget at {}",
+                    m.now()
+                ),
+            });
+            return false;
+        }
+        // Exclude checkpoint/PC slots: recovery metadata whose final
+        // contents depend on where forced region closes fired, which
+        // legitimately differs once a crash perturbs timing.
+        if let Some((addr, got, want)) = golden.and_then(|golden| {
+            m.pm_contents()
+                .first_difference_where(golden, |a| !layout::is_checkpoint_addr(a))
+        }) {
+            out.push(InvariantViolation {
+                invariant: "resume-state-equivalence",
+                point: p,
+                detail: format!("PM diverges at {addr:#x}: got {got:#x}, golden {want:#x}"),
+            });
+        }
+        true
     }
 }
 
@@ -478,15 +546,18 @@ pub struct CrashSweeper<'i, 'a> {
 }
 
 impl CrashSweeper<'_, '_> {
-    /// The machine state at `p.cycle`, or `None` when the workload
-    /// finishes (and drains) before that cycle.
+    /// Cuts power at `p` on a fork (or a fresh rerun) and returns the
+    /// audit capture plus the post-resolution *machine*, ready either
+    /// for inspection (`pm_contents`) or for resuming the recovered
+    /// run ([`CrashInjector::check_resume`]). `None` when the workload
+    /// finishes (and drains) before `p.cycle`.
     ///
     /// # Panics
     ///
     /// Panics in fork mode if `p` goes backwards — feed the sweeper
     /// [`CrashInjector::prepare_points`] output.
-    fn machine_at(&mut self, p: CrashPoint) -> Option<Machine> {
-        match &mut self.mainline {
+    pub fn cut_at(&mut self, p: CrashPoint) -> Option<(CrashCapture, Machine)> {
+        let mut m = match &mut self.mainline {
             Some(mainline) => {
                 assert!(
                     p.cycle >= self.last_cycle,
@@ -496,108 +567,30 @@ impl CrashSweeper<'_, '_> {
                     self.last_cycle,
                 );
                 self.last_cycle = p.cycle;
-                if self.finished {
-                    return None;
-                }
-                if mainline.run_until(p.cycle) {
+                if self.finished || mainline.run_until(p.cycle) {
                     self.finished = true;
                     return None;
                 }
-                Some(mainline.fork())
+                mainline.fork()
             }
             None => {
-                let mut m = self.injector.fresh();
-                (!m.run_until(p.cycle)).then_some(m)
+                let mut m = self.injector.base.fork();
+                if m.run_until(p.cycle) {
+                    return None;
+                }
+                m
             }
-        }
-    }
-
-    /// Cuts power at `p` on a fork (or a fresh rerun) and returns the
-    /// audit capture plus the post-resolution *machine*, ready either
-    /// for inspection (`pm_contents`) or for resuming the recovered
-    /// run. `None` when the run finishes before `p.cycle`.
-    ///
-    /// This is the primitive the data-structure audit driver
-    /// (`lightwsp-core`'s `dsaudit`) builds on: it checks
-    /// structure-specific invariants against the durable image and
-    /// resumes only a sampled subset of points, neither of which
-    /// [`CrashSweeper::audit_point`]'s fixed check suite covers.
-    pub fn cut_at(&mut self, p: CrashPoint) -> Option<(CrashCapture, Machine)> {
-        let mut m = self.machine_at(p)?;
+        };
         let cap = m.inject_power_failure_audited();
         Some((cap, m))
-    }
-
-    /// Cuts power at `p` on a fork (or a fresh rerun) and returns the
-    /// audit capture plus the post-resolution durable image, without
-    /// resuming. `None` when the run finishes before `p.cycle`.
-    pub fn capture_at(&mut self, p: CrashPoint) -> Option<(CrashCapture, Memory)> {
-        // COW pages make the image clone a shallow O(pages-table)
-        // snapshot, not a copy of the PM footprint.
-        self.cut_at(p)
-            .map(|(cap, m)| (cap, m.pm_contents().clone()))
-    }
-
-    /// Audits a single crash point against a precomputed golden image
-    /// and returns a one-point report: cut power, check the structural
-    /// invariants, resume to completion, compare final durable state.
-    pub fn audit_point(&mut self, golden: &Memory, p: CrashPoint) -> CrashAuditReport {
-        let mut report = CrashAuditReport {
-            points: 1,
-            ..CrashAuditReport::default()
-        };
-        let Some(mut m) = self.machine_at(p) else {
-            report.beyond_end += 1;
-            return report;
-        };
-        report.audited += 1;
-        report.audited_by_kind[p.kind.idx()] += 1;
-        let cap = m.inject_power_failure_audited();
-        report.entries_flushed += cap.report.entries_flushed;
-        report.entries_discarded += cap.report.entries_discarded;
-        report.undo_rolled_back += cap.report.undo_rolled_back;
-        check_capture(&cap, m.pm_contents(), p, &mut report.violations);
-
-        // Resume and require convergence to the golden durable state.
-        // The recovered run gets a fresh budget: `run_until` may have
-        // stopped exactly at `max_cycles` (a crash point at the cap is
-        // legitimate), and resuming under the original cap would report
-        // a cap hit after zero post-crash cycles.
-        let max_cycles = self.injector.cfg.max_cycles;
-        m.set_max_cycles(p.cycle.saturating_add(max_cycles));
-        if m.run() != Completion::Finished {
-            report.violations.push(InvariantViolation {
-                invariant: "resume-completes",
-                point: p,
-                detail: format!(
-                    "recovered run exhausted a fresh {max_cycles}-cycle budget at {}",
-                    m.now()
-                ),
-            });
-            return report;
-        }
-        // Exclude checkpoint/PC slots: recovery metadata whose final
-        // contents depend on where forced region closes fired, which
-        // legitimately differs once a crash perturbs timing.
-        if let Some((addr, got, want)) = m
-            .pm_contents()
-            .first_difference_where(golden, |a| !layout::is_checkpoint_addr(a))
-        {
-            report.violations.push(InvariantViolation {
-                invariant: "resume-state-equivalence",
-                point: p,
-                detail: format!("PM diverges at {addr:#x}: got {got:#x}, golden {want:#x}"),
-            });
-        }
-        report
     }
 }
 
 /// Checks the structural invariants of one [`CrashCapture`] against the
 /// post-resolution durable image `pm_after`, appending any violations.
 ///
-/// Exposed so tests can audit hand-built captures; normal use goes
-/// through [`CrashInjector::audit`].
+/// Every sweep calls it on each [`CrashSweeper::cut_at`] capture; tests
+/// also call it on hand-built captures.
 pub fn check_capture(
     cap: &CrashCapture,
     pm_after: &Memory,

@@ -35,9 +35,10 @@ pub mod trace;
 
 pub use config::{Axis, ExecMode, GatingMutant, Scheme, SimConfig, StepMode, SweepMode, AXES};
 pub use crash::{
-    CrashAuditReport, CrashInjector, CrashPoint, CrashPointKind, CrashSweeper, InvariantViolation,
+    CrashAuditReport, CrashInjector, CrashPoint, CrashPointKind, CrashSweeper, GoldenPoints,
+    InvariantViolation,
 };
-pub use machine::{Completion, CrashCapture, Machine, MachineSnapshot};
+pub use machine::{Completion, CrashCapture, Machine};
 pub use stats::{SimStats, StallCause};
 
 #[cfg(test)]

@@ -153,26 +153,6 @@ struct CoreCtx {
     bdry_progress: Vec<bool>,
 }
 
-/// An opaque point-in-time snapshot of a [`Machine`], captured by
-/// [`Machine::snapshot`] and reinstated by [`Machine::restore`]. Taking
-/// one is O(components + pages-table) — memory pages are shared
-/// copy-on-write with the live machine until either side writes.
-#[derive(Clone)]
-pub struct MachineSnapshot(Machine);
-
-impl MachineSnapshot {
-    /// Materialises an independent machine at the snapshotted state
-    /// (equivalent to `restore` onto a scratch machine).
-    pub fn to_machine(&self) -> Machine {
-        self.0.clone()
-    }
-
-    /// The snapshotted cycle.
-    pub fn now(&self) -> u64 {
-        self.0.now
-    }
-}
-
 /// The simulated machine.
 ///
 /// `Clone` is a full, independent snapshot of the machine state —
@@ -368,18 +348,6 @@ impl Machine {
             recipes,
             cfg,
         }
-    }
-
-    /// Captures a point-in-time snapshot of the whole machine. Cheap
-    /// (COW pages, `Arc`-shared program): O(components + pages-table).
-    pub fn snapshot(&self) -> MachineSnapshot {
-        MachineSnapshot(self.clone())
-    }
-
-    /// Restores the machine to a previously captured snapshot. The
-    /// snapshot is reusable: restoring does not consume it.
-    pub fn restore(&mut self, snap: &MachineSnapshot) {
-        *self = snap.0.clone();
     }
 
     /// Forks an independent machine at the current state. The fork and

@@ -2,10 +2,17 @@
 //! `Campaign::run_many` must produce results identical to the serial
 //! `Experiment::run` path — same cycles, instructions and regions —
 //! regardless of worker count, and its slowdowns must equal the serial
-//! normalisation bit-for-bit.
+//! normalisation bit-for-bit. The crash audits, which fan their points
+//! out in per-worker chunks, must report identically at any worker
+//! count too.
 
-use lightwsp_core::{Campaign, Experiment, ExperimentOptions, Job, Scheme};
+use lightwsp_core::{
+    audit_recoverable_ds, audit_workload_crashes, AuditBudget, Campaign, CompilerConfig,
+    DsAuditBudget, Experiment, ExperimentOptions, Job, Scheme, SimConfig,
+};
+use lightwsp_workloads::ds::log::DurableLogSpec;
 use lightwsp_workloads::workload;
+use std::fmt::Debug;
 
 fn jobs() -> Vec<Job> {
     let opts = ExperimentOptions::quick();
@@ -70,4 +77,55 @@ fn campaign_cache_reuse_is_invisible() {
         assert_eq!(a.stats.cycles, b.stats.cycles);
         assert_eq!(a.stats.insts, b.stats.insts);
     }
+}
+
+/// Runs `audit` on campaigns of 1, 2, 3 and 7 workers and returns its
+/// report, which must be the same at every count.
+fn same_at_any_worker_count<T: PartialEq + Debug>(audit: impl Fn(&Campaign) -> T) -> T {
+    let serial = audit(&Campaign::with_workers(1));
+    for workers in [2, 3, 7] {
+        assert_eq!(
+            audit(&Campaign::with_workers(workers)),
+            serial,
+            "{workers} workers"
+        );
+    }
+    serial
+}
+
+#[test]
+fn crash_audit_reports_identically_at_any_worker_count() {
+    let w = workload("hmmer").unwrap();
+    let mut opts = ExperimentOptions::quick();
+    opts.insts_per_thread = 4_000;
+    let cfg = SimConfig::new(Scheme::LightWsp);
+    let budget = AuditBudget {
+        seeded: 6,
+        derived_per_kind: 2,
+        ..AuditBudget::quick()
+    };
+    let report =
+        same_at_any_worker_count(|c| audit_workload_crashes(&w, &opts, &cfg, &budget, c).unwrap());
+    assert!(report.points > 7 && report.audited > 0, "{report:?}");
+}
+
+#[test]
+fn ds_audit_reports_identically_at_any_worker_count() {
+    let ds = DurableLogSpec {
+        writers: 2,
+        records: 48,
+    };
+    let (cfg, ccfg) = (SimConfig::new(Scheme::LightWsp), CompilerConfig::default());
+    let budget = DsAuditBudget {
+        seeded: 6,
+        derived_per_kind: 2,
+        resume_every: 5,
+        ..DsAuditBudget::quick()
+    };
+    let report =
+        same_at_any_worker_count(|c| audit_recoverable_ds(&ds, &cfg, &ccfg, &budget, c).unwrap());
+    // Points past the end of the run sort last, so the audited points
+    // are prepared indices 0.., and every fifth of them resumes.
+    assert!(report.points > 7, "{report:?}");
+    assert_eq!(report.resumed, report.audited.div_ceil(5), "{report:?}");
 }

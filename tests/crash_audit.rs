@@ -36,19 +36,19 @@ fn derived_points_cover_all_windows_and_audit_clean() {
     let w = workload("hmmer").unwrap();
     let compiled = compiled_for(&w, 12_000);
     let injector = CrashInjector::new(&compiled, small_cfg(Scheme::LightWsp), 1);
-    let (points, horizon) = injector.derived_points(4);
-    assert!(horizon > 0);
+    let golden = injector.golden_points(4, 0, 0).unwrap();
+    assert!(golden.cycles > 0);
     for kind in CrashPointKind::ALL {
         if kind == CrashPointKind::Seeded {
             continue;
         }
         assert!(
-            points.iter().any(|p| p.kind == kind),
+            golden.points.iter().any(|p| p.kind == kind),
             "no derived point for window {:?}",
             kind
         );
     }
-    let report = injector.audit(&points).unwrap();
+    let report = injector.audit_chunk(&golden.image, &golden.points);
     assert!(report.audited > 0);
     assert!(
         report.violations.is_empty(),
@@ -66,9 +66,8 @@ fn flush_unacked_mutant_is_caught() {
     let mut cfg = small_cfg(Scheme::LightWsp);
     cfg.gating_mutant = Some(GatingMutant::FlushUnacked);
     let injector = CrashInjector::new(&compiled, cfg, 1);
-    let (mut points, horizon) = injector.derived_points(4);
-    points.extend(injector.seeded_points(0xBAD_CAFE, 8, horizon));
-    let report = injector.audit(&points).unwrap();
+    let golden = injector.golden_points(4, 0xBAD_CAFE, 8).unwrap();
+    let report = injector.audit_chunk(&golden.image, &golden.points);
     assert!(
         report
             .violations
@@ -97,9 +96,8 @@ fn any_mc_boundary_mutant_is_caught() {
     let injector = CrashInjector::new(&compiled, cfg, 4);
     // The mc-skew derived points alone are enough to trip the mutant;
     // a few seeded points keep some off-window coverage cheap.
-    let (mut points, horizon) = injector.derived_points(8);
-    points.extend(injector.seeded_points(0x5EED, 8, horizon));
-    let report = injector.audit(&points).unwrap();
+    let golden = injector.golden_points(8, 0x5EED, 8).unwrap();
+    let report = injector.audit_chunk(&golden.image, &golden.points);
     assert!(
         report
             .violations
@@ -131,12 +129,12 @@ fn crash_point_at_the_cycle_cap_resumes_with_a_fresh_budget() {
     let mut cfg = base.clone();
     cfg.max_cycles = crash_cycle;
     let injector = CrashInjector::new(&compiled, cfg, 1);
-    let report = injector.audit_point(
+    let report = injector.audit_chunk(
         &golden,
-        CrashPoint {
+        &[CrashPoint {
             cycle: crash_cycle,
             kind: CrashPointKind::Seeded,
-        },
+        }],
     );
     assert_eq!(report.audited, 1, "the cap-coincident point must audit");
     assert!(
@@ -162,9 +160,8 @@ fn resume_from_checkpoint_is_exec_mode_invariant() {
         let mut cfg = small_cfg(Scheme::LightWsp);
         cfg.exec_mode = mode;
         let injector = CrashInjector::new(&compiled, cfg, 1);
-        let (mut points, horizon) = injector.derived_points(4);
-        points.extend(injector.seeded_points(0xC0FFEE, 8, horizon));
-        let report = injector.audit(&points).unwrap();
+        let golden = injector.golden_points(4, 0xC0FFEE, 8).unwrap();
+        let report = injector.audit_chunk(&golden.image, &golden.points);
         assert!(
             report.violations.is_empty(),
             "{} mode violated the recovery contract: {:?}",
@@ -173,12 +170,7 @@ fn resume_from_checkpoint_is_exec_mode_invariant() {
         );
         reports.push(report);
     }
-    let (d, r) = (&reports[0], &reports[1]);
-    assert_eq!(d.audited, r.audited, "audited-point counts differ");
-    assert_eq!(d.audited_by_kind, r.audited_by_kind);
-    assert_eq!(d.entries_flushed, r.entries_flushed);
-    assert_eq!(d.entries_discarded, r.entries_discarded);
-    assert_eq!(d.undo_rolled_back, r.undo_rolled_back);
+    assert_eq!(reports[0], reports[1], "the two engines' reports differ");
 }
 
 fn arbitrary_spec() -> impl Strategy<Value = WorkloadSpec> {
@@ -232,10 +224,9 @@ proptest! {
         let mut cfg = small_cfg(Scheme::LightWsp);
         cfg.mem.num_mcs = num_mcs;
         let injector = CrashInjector::new(&compiled, cfg, 1);
-        let (mut points, horizon) = injector.derived_points(2);
-        points.extend(injector.seeded_points(seed, 4, horizon));
-        let report = injector.audit(&points)
+        let golden = injector.golden_points(2, seed, 4)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let report = injector.audit_chunk(&golden.image, &golden.points);
         prop_assert!(
             report.violations.is_empty(),
             "contract violated: {:?}",

@@ -255,6 +255,31 @@ fn flush_unacked_mutant_is_caught_by_stack_invariant() {
     );
 }
 
+/// A DS audit resumes through the `RECOVERY.md` §4 resume check, so a
+/// deterministic structure's resumed run that diverges from the golden
+/// image is a typed `resume-state-equivalence` gate violation (the log
+/// diverges under `FlushUnacked`, which writes unpersisted stores to PM).
+#[test]
+fn ds_resume_divergence_is_a_recovery_contract_violation() {
+    let log = &small_suite()[0];
+    assert!(log.deterministic_final());
+    let mut cfg = cfg();
+    cfg.gating_mutant = Some(GatingMutant::FlushUnacked);
+    let budget = DsAuditBudget {
+        seeded: 4,
+        derived_per_kind: 1,
+        resume_every: 1,
+        ..DsAuditBudget::quick()
+    };
+    let c = Campaign::with_workers(2);
+    let report = audit_recoverable_ds(log.as_ref(), &cfg, &CompilerConfig::default(), &budget, &c);
+    let gate = report.unwrap().gate_violations;
+    let diverged = gate
+        .iter()
+        .any(|v| v.invariant == "resume-state-equivalence");
+    assert!(diverged, "no resumed run diverged: {gate:?}");
+}
+
 /// Audits `spec` under LightWSP with every audited point resumed to
 /// completion and asserts the audit finds nothing.
 fn assert_service_recovers_at_every_point(spec: KvServiceSpec, seeded: usize, per_kind: usize) {

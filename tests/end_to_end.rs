@@ -12,14 +12,7 @@ fn quick() -> Experiment {
 fn every_scheme_completes_on_a_representative_workload() {
     let mut exp = quick();
     let w = workload("bzip2").unwrap();
-    for scheme in [
-        Scheme::Baseline,
-        Scheme::LightWsp,
-        Scheme::PspIdeal,
-        Scheme::Capri,
-        Scheme::Ppa,
-        Scheme::Cwsp,
-    ] {
+    for scheme in Scheme::ALL {
         let r = exp.run(&w, scheme);
         assert_eq!(
             r.completion,

@@ -41,10 +41,9 @@ use lightwsp_compiler::{instrument, Compiled, CompilerConfig};
 use lightwsp_core::{audit_recoverable_ds_with, Campaign, DsAuditBudget, Experiment};
 use lightwsp_core::{DsAuditReport, ExperimentOptions};
 use lightwsp_ir::Memory;
-use lightwsp_sim::consistency::golden_run;
 use lightwsp_sim::{
     CrashAuditReport, CrashCapture, CrashInjector, CrashPoint, CrashPointKind, ExecMode,
-    GatingMutant, Machine, Scheme, SimConfig, StepMode, SweepMode, AXES,
+    GatingMutant, GoldenPoints, Machine, Scheme, SimConfig, StepMode, SweepMode, AXES,
 };
 use lightwsp_workloads::{workload, Suite, WorkloadSpec};
 use proptest::prelude::*;
@@ -78,15 +77,6 @@ macro_rules! axis_tests {
         }
     };
 }
-
-pub const ALL_SCHEMES: [Scheme; 6] = [
-    Scheme::Baseline,
-    Scheme::LightWsp,
-    Scheme::PspIdeal,
-    Scheme::Capri,
-    Scheme::Ppa,
-    Scheme::Cwsp,
-];
 
 /// The mode settings of one side of a check.
 #[derive(Clone, Copy, Debug, Default)]
@@ -336,19 +326,20 @@ fn render(r: &CrashAuditReport) -> String {
     )
 }
 
-/// Derived + seeded points plus two past the end of the run, left
-/// unsorted and undeduplicated (the drivers canonicalise).
-fn points_for(case: &Case, compiled: &Compiled, budget: Budget, seed: u64) -> Vec<CrashPoint> {
-    let injector = case.injector(compiled, Setting::default());
-    let (mut points, horizon) = injector.derived_points(budget.per_kind);
-    points.extend(injector.seeded_points(seed, budget.seeded, horizon));
-    for cycle in [horizon + 1_000, horizon * 3] {
-        points.push(CrashPoint {
+/// The golden run and its derived + seeded points, prepared, with two
+/// points past the end of the run appended in order.
+fn golden_for(case: &Case, compiled: &Compiled, budget: Budget, seed: u64) -> GoldenPoints {
+    let mut golden = case
+        .injector(compiled, Setting::default())
+        .golden_points(budget.per_kind, seed, budget.seeded)
+        .expect("golden run");
+    for cycle in [golden.cycles + 1_000, golden.cycles * 3] {
+        golden.points.push(CrashPoint {
             cycle,
             kind: CrashPointKind::Seeded,
         });
     }
-    points
+    golden
 }
 
 /// Runs `case` to completion under both sides of every pair.
@@ -397,18 +388,22 @@ pub fn captures(axis: &str) {
     for case in audit_cases(budget.insts) {
         let compiled = case.compiled();
         let seed = 0xCAFE ^ case.name.len() as u64;
-        let points = CrashInjector::prepare_points(&points_for(&case, &compiled, budget, seed));
+        let points = golden_for(&case, &compiled, budget, seed).points;
         for pair in pairs(axis, &[]) {
             let fast = case.injector(&compiled, pair.fast);
             let reference = case.injector(&compiled, pair.reference);
             let (mut fs, mut rs) = (fast.sweeper(), reference.sweeper());
             for &p in &points {
                 let label = format!("{} @{} / {}", case.name, p.cycle, pair.label);
-                match (fs.capture_at(p), rs.capture_at(p)) {
+                match (fs.cut_at(p), rs.cut_at(p)) {
                     (None, None) => {}
-                    (Some((fc, fpm)), Some((rc, rpm))) => {
+                    (Some((fc, fm)), Some((rc, rm))) => {
                         assert_same_capture(&label, &fc, &rc);
-                        assert_same_image(&format!("{label} (post-resolution)"), &fpm, &rpm);
+                        assert_same_image(
+                            &format!("{label} (post-resolution)"),
+                            fm.pm_contents(),
+                            rm.pm_contents(),
+                        );
                     }
                     (f, r) => panic!(
                         "beyond-end split: {label} (fast {}, reference {})",
@@ -432,7 +427,7 @@ pub fn experiment_matrix(axis: &str) {
             Experiment::new(o)
         };
         let (mut fast, mut reference) = (experiment(pair.fast), experiment(pair.reference));
-        for scheme in ALL_SCHEMES {
+        for scheme in Scheme::ALL {
             for name in ["hmmer", "mcf"] {
                 let w = workload(name).unwrap();
                 let (f, r) = (fast.run(&w, scheme), reference.run(&w, scheme));
@@ -606,7 +601,7 @@ pub fn audit_matrix(axis: &str) {
     for case in audit_cases(budget.insts) {
         let compiled = case.compiled();
         let seed = 0xC0FFEE ^ case.name.len() as u64;
-        let points = points_for(&case, &compiled, budget, seed);
+        let points = golden_for(&case, &compiled, budget, seed).points;
         for report in audit_pairs(&case, &compiled, &points, &pairs) {
             assert!(report.audited > 0, "nothing audited: {}", case.name);
             assert!(
@@ -680,7 +675,7 @@ pub fn mutant_audits(axis: &str) {
                 ..base
             };
             case.cfg.gating_mutant = mutant;
-            let points = points_for(&case, &compiled, budget, seed);
+            let points = golden_for(&case, &compiled, budget, seed).points;
             for report in audit_pairs(&case, &compiled, &points, &pairs) {
                 let label = format!("{} {mutant:?}", case.name);
                 assert!(report.audited > 0, "{label}: no point interrupted the run");
@@ -710,22 +705,21 @@ pub fn chunked_sweeps(axis: &str) {
     let budget = sized(axis, SWEEP_AUDIT, UNION_AUDIT);
     let case = Case::new("hmmer", small_cfg(Scheme::LightWsp), "hmmer", budget.insts);
     let compiled = case.compiled();
-    let (golden, golden_cycles) = golden_run(&compiled, &case.cfg, 1).unwrap();
-    let points = CrashInjector::prepare_points(&points_for(&case, &compiled, budget, 0x5EED));
+    let golden = golden_for(&case, &compiled, budget, 0x5EED);
     let fresh = || CrashAuditReport {
-        golden_cycles,
+        golden_cycles: golden.cycles,
         ..CrashAuditReport::default()
     };
     for pair in pairs(axis, &[]) {
         let fast = case.injector(&compiled, pair.fast);
         let mut serial = fresh();
-        serial.merge(&fast.audit_chunk(&golden, &points));
+        serial.merge(&fast.audit_chunk(&golden.image, &golden.points));
         let reference = case.injector(&compiled, pair.reference);
         for chunk_len in [1, 3, 7] {
             for (side, injector) in [("fast", &fast), ("reference", &reference)] {
                 let mut merged = fresh();
-                for chunk in points.chunks(chunk_len) {
-                    merged.merge(&injector.audit_chunk(&golden, chunk));
+                for chunk in golden.points.chunks(chunk_len) {
+                    merged.merge(&injector.audit_chunk(&golden.image, chunk));
                 }
                 assert_eq!(
                     render(&serial),
@@ -766,7 +760,7 @@ pub fn random_points(axis: &str, raw: &[(u64, usize)], seed: u64) {
 /// A random program shape, seed stream, scheme and MC count: whole
 /// runs identical.
 pub fn random_workload(axis: &str, spec: WorkloadSpec, scheme_idx: usize, num_mcs: usize) {
-    let mut cfg = SimConfig::new(ALL_SCHEMES[scheme_idx]);
+    let mut cfg = SimConfig::new(Scheme::ALL[scheme_idx]);
     cfg.mem.num_mcs = num_mcs;
     let case = Case {
         name: "prop",
