@@ -1,4 +1,5 @@
-//! Regenerates every table and figure of the paper's evaluation into
+//! Regenerates every table and figure of the paper's evaluation, and
+//! the beyond-paper ablation and memory-controller studies, into
 //! `results/`, fanning all simulations across one shared
 //! [`Campaign`](lightwsp_core::Campaign) and writing the
 //! machine-readable `BENCH_eval.json` (per-run records, figure
@@ -9,7 +10,8 @@
 //! * `--quick` — reduced instruction budget for smoke runs;
 //! * `--filter=<p,p,...>` (or `LIGHTWSP_FILTER`) — run only the
 //!   sections whose id contains a pattern (`fig07`…`fig18`, `tab02`,
-//!   `cam`, `regions`, `hwcost`, `runs`); `w:<pat>` narrows the
+//!   `cam`, `regions`, `hwcost`, `energy`, `ablations`, `mc_scaling`,
+//!   `runs`); `w:<pat>` narrows the
 //!   per-run matrix by workload name. A pattern that matches nothing
 //!   is an error. A filtered run still rewrites `BENCH_eval.json`,
 //!   holding only the selected sections;

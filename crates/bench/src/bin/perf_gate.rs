@@ -28,7 +28,7 @@
 use lightwsp_bench::Cli;
 use lightwsp_compiler::Compiled;
 use lightwsp_core::oracle::litmus_sweep;
-use lightwsp_core::{Experiment, ExperimentOptions, Scheme};
+use lightwsp_core::{Campaign, ExperimentOptions, Job, Scheme};
 use lightwsp_ir::{DecodedProgram, DynEvent, Interp, Memory, Program};
 use lightwsp_mem::cache::{SetAssocCache, VictimPolicy};
 use lightwsp_mem::cache_ref::SetAssocCacheRef;
@@ -196,12 +196,10 @@ fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
     }
 }
 
-/// One single-thread (workload, scheme, options) cell.
+/// One single-thread cell of a figure.
 struct Cell {
     figure: String,
-    spec: WorkloadSpec,
-    scheme: Scheme,
-    opts: ExperimentOptions,
+    job: Job,
 }
 
 /// Every single-thread workload under the four Fig. 7 schemes (the
@@ -219,9 +217,7 @@ fn fig07_cells(opts: &ExperimentOptions) -> Vec<Cell> {
         .flat_map(|w| {
             schemes.iter().map(move |&scheme| Cell {
                 figure: "fig07".to_string(),
-                spec: w.clone(),
-                scheme,
-                opts: opts.clone(),
+                job: Job::new(opts, w, scheme),
             })
         })
         .collect()
@@ -239,9 +235,7 @@ fn fig11_cells(opts: &ExperimentOptions) -> Vec<Cell> {
             for w in suite_workloads(suite).iter().filter(|w| w.threads == 1) {
                 cells.push(Cell {
                     figure: format!("fig11-wpq{wpq}"),
-                    spec: w.clone(),
-                    scheme: Scheme::LightWsp,
-                    opts: o.clone(),
+                    job: Job::new(&o, w, Scheme::LightWsp),
                 });
             }
         }
@@ -251,44 +245,44 @@ fn fig11_cells(opts: &ExperimentOptions) -> Vec<Cell> {
 
 /// Times `Machine::run` on `cell` with every axis at its default
 /// against the same run with `to_reference` applied to its config;
-/// witness `(cycles, insts)`.
-fn race_cell(cell: &Cell, reps: u32, to_reference: fn(&mut SimConfig)) -> (Race, (u64, u64)) {
-    let run = |e: Experiment| {
-        move || {
-            let mut m = e.machine_for(&cell.spec, cell.scheme);
-            let t0 = Instant::now();
-            m.run();
-            let dt = t0.elapsed().as_secs_f64();
-            (dt, (m.stats().cycles, m.stats().insts))
-        }
+/// witness `(cycles, insts)`. Both sides build their machines from
+/// `c`'s compile cache.
+fn race_cell(
+    c: &Campaign,
+    cell: &Cell,
+    reps: u32,
+    to_reference: fn(&mut SimConfig),
+) -> (Race, (u64, u64)) {
+    let run = |job: &Job| {
+        let mut m = c.machine(job);
+        let t0 = Instant::now();
+        m.run();
+        let dt = t0.elapsed().as_secs_f64();
+        (dt, (m.stats().cycles, m.stats().insts))
     };
-    let what = format!("{} {} {:?}", cell.figure, cell.spec.name, cell.scheme);
-    race(
-        &what,
-        reps,
-        run(Experiment::new(cell.opts.clone())),
-        run(Experiment::new({
-            let mut o = cell.opts.clone();
-            to_reference(&mut o.sim);
-            o
-        })),
-    )
+    let mut reference = cell.job.clone();
+    to_reference(&mut reference.opts.sim);
+    let what = format!(
+        "{} {} {:?}",
+        cell.figure, cell.job.spec.name, cell.job.scheme
+    );
+    race(&what, reps, || run(&cell.job), || run(&reference))
 }
 
-fn gate_step(opts: &ExperimentOptions, out: &mut String) -> Vec<(Gate, f64)> {
+fn gate_step(c: &Campaign, opts: &ExperimentOptions, out: &mut String) -> Vec<(Gate, f64)> {
     let (mut fast, mut reference) = (0.0, 0.0);
     let mut cells = fig07_cells(opts);
     cells.extend(fig11_cells(opts));
     for cell in &cells {
-        let (r, (cycles, _)) = race_cell(cell, 3, |c| c.step_mode = StepMode::Reference);
+        let (r, (cycles, _)) = race_cell(c, cell, 3, |s| s.step_mode = StepMode::Reference);
         fast += r.fast_s;
         reference += r.reference_s;
         let _ = writeln!(
             out,
             "  {:>12} {:>12} {:>9}: ref {:>8.2}ms fast {:>8.2}ms {:>5.2}x ({cycles} cycles)",
             cell.figure,
-            cell.spec.name,
-            cell.scheme.name(),
+            cell.job.spec.name,
+            cell.job.scheme.name(),
             r.reference_s * 1e3,
             r.fast_s * 1e3,
             r.speedup(),
@@ -330,7 +324,7 @@ fn run_decoded(p: &Program, dec: &DecodedProgram) -> (f64, u64) {
     (t0.elapsed().as_secs_f64(), t.insts_executed())
 }
 
-fn gate_exec(opts: &ExperimentOptions, out: &mut String) -> Vec<(Gate, f64)> {
+fn gate_exec(c: &Campaign, opts: &ExperimentOptions, out: &mut String) -> Vec<(Gate, f64)> {
     // Dispatch level: the bare engines, no timing simulator, with an
     // unbounded batch budget.
     let mut kernels = Vec::new();
@@ -357,16 +351,16 @@ fn gate_exec(opts: &ExperimentOptions, out: &mut String) -> Vec<(Gate, f64)> {
     // engines, gated on the compute-dense ones.
     let mut dense = Vec::new();
     for cell in &fig07_cells(opts) {
-        let (r, (cycles, _)) = race_cell(cell, 5, |c| c.exec_mode = ExecMode::Reference);
-        let is_dense = COMPUTE_DENSE.contains(&cell.spec.name);
+        let (r, (cycles, _)) = race_cell(c, cell, 5, |s| s.exec_mode = ExecMode::Reference);
+        let is_dense = COMPUTE_DENSE.contains(&cell.job.spec.name);
         if is_dense {
             dense.push(r.speedup());
         }
         let _ = writeln!(
             out,
             "  {:>12} {:>9}{}: ref {:>8.2}ms decoded {:>8.2}ms {:>5.2}x ({cycles} cycles)",
-            cell.spec.name,
-            cell.scheme.name(),
+            cell.job.spec.name,
+            cell.job.scheme.name(),
             if is_dense { " [dense]" } else { "        " },
             r.reference_s * 1e3,
             r.fast_s * 1e3,
@@ -583,7 +577,12 @@ fn race_sweep(
     )
 }
 
-fn gate_sweep(opts: &ExperimentOptions, quick: bool, out: &mut String) -> Vec<(Gate, f64)> {
+fn gate_sweep(
+    c: &Campaign,
+    opts: &ExperimentOptions,
+    quick: bool,
+    out: &mut String,
+) -> Vec<(Gate, f64)> {
     // Dense capture sweeps: every mechanism-window point plus seeded
     // cycles, where rerun pays the O(P·H) prefix replay.
     let mut opts = opts.clone();
@@ -593,15 +592,17 @@ fn gate_sweep(opts: &ExperimentOptions, quick: bool, out: &mut String) -> Vec<(G
     for name in ["hmmer", "vacation"] {
         let mut w = workload(name).expect("known workload");
         w.threads = w.threads.min(2);
+        let job = Job::new(&opts, &w, Scheme::LightWsp);
+        let threads = job.threads();
         let mut cfg = opts.sim.clone();
-        cfg.scheme = Scheme::LightWsp;
-        cfg.num_cores = w.threads;
-        let compiled = Experiment::new(opts.clone()).compile(&w, cfg.scheme);
-        let golden = CrashInjector::new(&compiled, cfg.clone(), w.threads)
+        cfg.scheme = job.scheme;
+        cfg.num_cores = threads;
+        let compiled = job.compile();
+        let golden = CrashInjector::new(&compiled, cfg.clone(), threads)
             .golden_points(cap_per_kind, 0x5EE9, seeded)
             .expect("golden run completes");
         let (points, horizon) = (golden.points, golden.cycles);
-        let (r, (audited, violations, _)) = race_sweep(name, &compiled, &cfg, w.threads, &points);
+        let (r, (audited, violations, _)) = race_sweep(name, &compiled, &cfg, threads, &points);
         assert_eq!(violations, 0, "{name}: capture violations");
         let _ = writeln!(
             out,
@@ -619,7 +620,6 @@ fn gate_sweep(opts: &ExperimentOptions, quick: bool, out: &mut String) -> Vec<(G
 
     // The litmus suite's exhaustive audit (every cycle of each traced
     // run, resumed), in both step modes; the outcomes must be identical.
-    let c = &lightwsp_bench::campaign();
     let (mut fork, mut rerun) = (0.0, 0.0);
     for step in [StepMode::SkipAhead, StepMode::Reference] {
         let sweep = |mode| {
@@ -690,19 +690,20 @@ fn gate_sweep(opts: &ExperimentOptions, quick: bool, out: &mut String) -> Vec<(G
 fn main() {
     let cli = Cli::from_env(false);
     let opts = cli.options();
+    let c = lightwsp_bench::campaign();
     let mut out = String::from("== perf gate: every fast path against its reference ==\n");
     let header = |out: &mut String, axis: &Axis| {
         let _ = writeln!(out, "{}: {} vs {}", axis.name, axis.fast, axis.reference);
     };
     let [step, exec, mem, sweep] = &AXES;
     header(&mut out, step);
-    let mut rows = gate_step(&opts, &mut out);
+    let mut rows = gate_step(&c, &opts, &mut out);
     header(&mut out, exec);
-    rows.extend(gate_exec(&opts, &mut out));
+    rows.extend(gate_exec(&c, &opts, &mut out));
     header(&mut out, mem);
     rows.extend(gate_mem(&mut out));
     header(&mut out, sweep);
-    rows.extend(gate_sweep(&opts, cli.quick, &mut out));
+    rows.extend(gate_sweep(&c, &opts, cli.quick, &mut out));
     debug_assert_eq!(rows.len(), GATES.len());
     let (table, pass) = verdict(&rows);
     out.push_str(&table);

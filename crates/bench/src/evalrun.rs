@@ -17,13 +17,6 @@ use lightwsp_workloads::all_workloads;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// Serial, pre-optimization (SipHash maps, per-word memory, no shared
-/// caches, one thread, per-cycle stepping) wall-clock of the
-/// fig07+fig11 `--quick` subset on the reference container (1 core):
-/// 4.39 s + 5.29 s. The acceptance speedup in `BENCH_eval.json` is
-/// measured against this.
-pub const SERIAL_SEED_FIG07_FIG11_QUICK_S: f64 = 9.68;
-
 /// Inputs of one evaluation pass.
 pub struct EvalOptions {
     /// Experiment configuration (budget, sim knobs).
@@ -135,6 +128,15 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
     if f.section("hwcost") {
         emit_text("secVG4_hwcost", &figures::tab_hw_cost());
     }
+    if f.section("energy") {
+        emit_text("secIIC1_energy", &figures::tab_jit_energy());
+    }
+    if f.section("ablations") {
+        emit(&figures::ablations(&c, opts));
+    }
+    if f.section("mc_scaling") {
+        emit(&figures::mc_scaling(&c, opts));
+    }
 
     // Per-run benchmark records over the Fig. 7 matrix. With a store
     // attached each cell is served directly (bit-identical stats and
@@ -150,21 +152,6 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
             .collect();
         c.run_many_timed(&jobs)
     });
-
-    // The serial-seed acceptance baseline was captured on the `--quick`
-    // fig07+fig11 subset; in a full run that subset is measured
-    // separately (a few extra seconds, memoized) so the field is never
-    // null. Only meaningful when both figures ran.
-    let quick_subset_s = match (fig07_s, fig11_s) {
-        (Some(a), Some(b)) if eo.quick => Some(a + b),
-        (Some(_), Some(_)) => Some(memo_wall(
-            &c,
-            "quick-subset-wall",
-            (opts, eo.quick),
-            quick_subset_wall_s,
-        )),
-        _ => None,
-    };
 
     let wall_s = t0.elapsed().as_secs_f64();
     let total_s = memo_wall(&c, "total-wall", (opts, eo.quick, f.normalized()), || {
@@ -185,17 +172,6 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
     }
     if let Some(v) = fig11_s {
         w.field("fig11_wall_s", format_args!("{v:.3}"));
-    }
-    if let Some(qs) = quick_subset_s {
-        w.field(
-            "serial_seed_fig07_fig11_quick_s",
-            format_args!("{SERIAL_SEED_FIG07_FIG11_QUICK_S:.2}"),
-        );
-        w.field("quick_subset_wall_s", format_args!("{qs:.3}"));
-        w.field(
-            "speedup_fig07_fig11_vs_serial_seed",
-            format_args!("{:.2}", SERIAL_SEED_FIG07_FIG11_QUICK_S / qs.max(1e-9)),
-        );
     }
     w.field("cache", cache_line(&c));
     w.close();
@@ -263,16 +239,4 @@ pub fn cache_line(c: &Campaign) -> String {
     }
     line.push('}');
     line
-}
-
-/// Wall-clock of the fig07+fig11 generators at the `--quick` budget on
-/// a fresh, store-less campaign — the subset the serial-seed baseline
-/// recorded. Memoized by the caller; a warm pass never re-measures.
-fn quick_subset_wall_s() -> f64 {
-    let opts = ExperimentOptions::quick();
-    let c = crate::campaign();
-    let t0 = Instant::now();
-    let _ = figures::fig07(&c, &opts);
-    let _ = figures::fig11(&c, &opts);
-    t0.elapsed().as_secs_f64()
 }

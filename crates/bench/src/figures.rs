@@ -1,21 +1,23 @@
 //! The figure/table generators. Each function reproduces one evaluation
-//! artifact of the paper and returns it ready for rendering; the `bin/`
-//! wrappers (and `all_figures`) drive them.
+//! artifact of the paper, or one beyond-paper study, and returns it
+//! ready for rendering; `all_figures` drives them.
 //!
 //! Every generator fans its simulations through a shared [`Campaign`]:
-//! jobs are built in the exact order the serial loops used to run, the
-//! campaign returns results in job order, and its caches only
+//! the campaign returns results in job order, and its caches only
 //! deduplicate bit-identical work — so figure numbers are byte-for-byte
-//! those of the serial `Experiment` path at any worker count. Passing
-//! one `Campaign` to several generators additionally shares baseline
-//! runs and compilations *across* figures (e.g. Figs. 7/13/15/17 all
-//! reuse the default-config compilations).
+//! those of running each job on a fresh campaign of its own, at any
+//! worker count. Passing one `Campaign` to several generators
+//! additionally shares baseline runs and compilations *across* figures
+//! (e.g. Figs. 7/13/15/17 all reuse the default-config compilations).
 
 use lightwsp_core::report::Figure;
 use lightwsp_core::{Campaign, ExperimentOptions, Job, RunResult, Scheme};
 use lightwsp_mem::cache::VictimPolicy;
+use lightwsp_mem::energy::{lightwsp_battery_joules, required_joules, PowerSupply};
 use lightwsp_mem::{cam, CxlDevice};
-use lightwsp_workloads::{all_workloads, geomean, memory_intensive, suite_workloads, Suite};
+use lightwsp_workloads::{
+    all_workloads, geomean, memory_intensive, suite_workloads, workload, Suite,
+};
 
 /// Cross-product of `specs` × `schemes` (spec-major), one job each.
 fn cross(
@@ -451,4 +453,129 @@ pub fn tab_hw_cost() -> String {
     out.push_str("Capri    : 54 KB/core (front-end + back-end undo/redo buffers)\n");
     out.push_str("paper: LightWSP 0.5 B/core, PPA 337 B/core, Capri 54 KB/core\n");
     out
+}
+
+/// §II-C1 motivation: JIT-checkpointing feasibility per PSU class vs
+/// LightWSP's battery requirement (analytical).
+pub fn tab_jit_energy() -> String {
+    let mut out = String::from("== §II-C1 — JIT-checkpoint residual-energy feasibility ==\n");
+    let configs: [(&str, u64, u64); 5] = [
+        ("32 cores + 16 KB cache", 32, 16 << 10),
+        ("64 cores + 40 MB cache", 64, 40 << 20),
+        ("8 cores + 16 MB LLC", 8, 16 << 20),
+        ("8 cores + 4 GB DRAM cache", 8, 4 << 30),
+        ("64 cores + 1 TB DRAM", 64, 1 << 40),
+    ];
+    out.push_str(&format!(
+        "{:<28}{:>12}{:>12}{:>12}\n",
+        "volatile state", "needed (J)", "ATX PSU", "server PSU"
+    ));
+    let (atx, server) = (PowerSupply::atx(), PowerSupply::server());
+    let feasible = |psu: &PowerSupply, cores, bytes| {
+        if psu.can_checkpoint(cores, bytes) {
+            "ok"
+        } else {
+            "INFEASIBLE"
+        }
+    };
+    for (name, cores, bytes) in configs {
+        out.push_str(&format!(
+            "{:<28}{:>12.3}{:>12}{:>12}\n",
+            name,
+            required_joules(cores, bytes),
+            feasible(&atx, cores, bytes),
+            feasible(&server, cores, bytes),
+        ));
+    }
+    out.push_str(&format!(
+        "\nLightWSP battery requirement (2 MCs x 512 B WPQ): {:.2e} J\n",
+        lightwsp_battery_joules(2, 512)
+    ));
+    out.push_str(
+        "paper (via LightPC): server PSU tops out at 64 cores/40 MB; ATX at 32 cores/16 KB;\n\
+         no PSU covers a terabyte-class DRAM cache -> JIT checkpointing cannot achieve WSP cheaply.\n",
+    );
+    out
+}
+
+/// Ablations of the design choices DESIGN.md §5 calls out: LRPO vs a
+/// naive sfence at every boundary (§III-B's strawman), no loop
+/// unrolling and a capped unroll factor (§IV-A region-size extension),
+/// and no checkpoint pruning (§IV-A). Each row is the LightWSP geomean
+/// slowdown over a representative workload set, against the same
+/// memory-mode baseline.
+pub fn ablations(c: &Campaign, opts: &ExperimentOptions) -> Figure {
+    let mut fig = Figure::new("ablations", "LightWSP design ablations", "slowdown");
+    let names = [
+        "bzip2",
+        "hmmer",
+        "lbm",
+        "libquantum",
+        "mcf",
+        "xz",
+        "vacation",
+        "radix",
+        "tpcc",
+    ];
+    let specs: Vec<_> = names.iter().map(|n| workload(n).unwrap()).collect();
+    let variant = |tweak: fn(&mut ExperimentOptions)| {
+        let mut o = opts.clone();
+        tweak(&mut o);
+        o
+    };
+    let variants = [
+        ("LightWSP (full)", opts.clone()),
+        ("no LRPO (sfence)", variant(|o| o.sim.disable_lrpo = true)),
+        ("no unrolling", variant(|o| o.compiler.unroll = false)),
+        (
+            "no pruning",
+            variant(|o| o.compiler.prune_checkpoints = false),
+        ),
+        ("unroll ≤2", variant(|o| o.compiler.max_unroll_factor = 2)),
+    ];
+    let mut jobs = Vec::new();
+    for (_, o) in &variants {
+        jobs.extend(cross(o, &specs, &[Scheme::LightWsp]));
+    }
+    let mut slowdowns = c.slowdowns(&jobs).into_iter();
+    for (series, _) in &variants {
+        let vals: Vec<f64> = (&mut slowdowns).take(specs.len()).collect();
+        // One grouping row: the set mixes suites.
+        fig.push(Suite::Cpu2006, "geomean(9 apps)", series, geomean(vals));
+    }
+    fig
+}
+
+/// Memory-controller scaling, beyond the paper: LightWSP's claim is
+/// cheap support for multiple memory controllers (§III-B, §IV-B). The
+/// sweep scales the machine from 1 to 4 MCs, LightWSP's lazy ordering
+/// against Capri's stop-and-wait, per suite.
+pub fn mc_scaling(c: &Campaign, opts: &ExperimentOptions) -> Figure {
+    let mut fig = Figure::new("mc_scaling", "Memory-controller scaling", "slowdown");
+    let mcs = [1usize, 2, 4];
+    let suites = [Suite::Cpu2006, Suite::Whisper];
+    let schemes = [Scheme::LightWsp, Scheme::Capri];
+    let mut jobs = Vec::new();
+    for &n in &mcs {
+        let mut o = opts.clone();
+        o.sim.mem.num_mcs = n;
+        for suite in suites {
+            for &scheme in &schemes {
+                jobs.extend(cross(&o, &suite_workloads(suite), &[scheme]));
+            }
+        }
+    }
+    let mut slowdowns = c.slowdowns(&jobs).into_iter();
+    for &n in &mcs {
+        for suite in suites {
+            for &scheme in &schemes {
+                let vals: Vec<f64> = (&mut slowdowns)
+                    .take(suite_workloads(suite).len())
+                    .collect();
+                let series = format!("{}@{n}MC", scheme.name());
+                fig.push(suite, suite.name(), &series, geomean(vals));
+            }
+        }
+    }
+    fig
 }

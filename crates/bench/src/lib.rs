@@ -5,10 +5,7 @@
 //!
 //! | binary | artifact |
 //! |---|---|
-//! | `all_figures` | every figure and table of §V into `results/` plus `BENCH_eval.json`; `--filter` selects sections |
-//! | `ablations` | DESIGN.md §5 ablations (LRPO, unrolling, pruning, combining) |
-//! | `mc_scaling` | 1–4 memory-controller scaling study |
-//! | `tab_jit_energy` | §II-C1 — JIT-checkpoint residual-energy feasibility |
+//! | `all_figures` | every figure and table of §V, the §II-C1 energy table, the DESIGN.md §5 ablations and the 1–4 memory-controller scaling study into `results/`, plus `BENCH_eval.json`; `--filter` selects sections |
 //! | `recovery_check` | §IV-F — crash-consistency validation sweep |
 //! | `crash_audit` | `RECOVERY.md` — seeded & derived crash-point audit, `BENCH_crash.json` |
 //! | `model_litmus` | LRPO model litmus/fuzz differential sweep, `BENCH_model.json` |
@@ -143,10 +140,30 @@ pub fn memo_wall(
 
 /// The section ids of `all_figures`, in run order. `fig16` also writes
 /// `secVF5_overflow`; `cam`, `regions` and `hwcost` write the §V-G
-/// tables; `runs` is the per-run record array of `BENCH_eval.json`.
-pub const SECTIONS: [&str; 17] = [
-    "fig07", "fig11", "fig08", "fig09", "fig10", "fig12", "fig13", "fig14", "fig15", "fig16",
-    "fig17", "fig18", "tab02", "cam", "regions", "hwcost", "runs",
+/// tables; `energy` writes `secIIC1_energy`; `ablations` and
+/// `mc_scaling` are the beyond-paper studies; `runs` is the per-run
+/// record array of `BENCH_eval.json`.
+pub const SECTIONS: [&str; 20] = [
+    "fig07",
+    "fig11",
+    "fig08",
+    "fig09",
+    "fig10",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "fig18",
+    "tab02",
+    "cam",
+    "regions",
+    "hwcost",
+    "energy",
+    "ablations",
+    "mc_scaling",
+    "runs",
 ];
 
 /// Cell selection for `all_figures`: comma-separated patterns from

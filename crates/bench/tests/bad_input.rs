@@ -47,8 +47,8 @@ fn unknown_flag_is_rejected() {
 fn bad_worker_count_is_rejected() {
     for bad in ["0", "four"] {
         let out = run(
-            env!("CARGO_BIN_EXE_tab_jit_energy"),
-            &[],
+            env!("CARGO_BIN_EXE_all_figures"),
+            &["--filter=energy"],
             &[("LIGHTWSP_THREADS", bad)],
         );
         assert_rejected(&out, "positive integer");

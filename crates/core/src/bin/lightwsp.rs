@@ -8,34 +8,65 @@
 //! lightwsp trace <workload> [n]         # region lifetimes through LRPO
 //! lightwsp regions <workload>           # static region structure
 //! ```
+//!
+//! `run`, `compare` and `trace` run on a [`Campaign`] sized by
+//! `LIGHTWSP_THREADS`, so `trace` follows the very machine `run`
+//! reports on. Bad input (an unknown subcommand, workload or scheme, a
+//! count that does not parse, a surplus argument, a bad
+//! `LIGHTWSP_THREADS`) exits with status 2, naming the accepted values.
 
 use lightwsp_core::recovery::check_workload_recovery;
-use lightwsp_core::{Experiment, ExperimentOptions, Scheme};
+use lightwsp_core::{Campaign, ExperimentOptions, Job, Scheme, WorkloadSpec};
 use lightwsp_workloads::{all_workloads, workload};
 use std::process::ExitCode;
 
-fn parse_scheme(s: &str) -> Option<Scheme> {
-    Scheme::ALL
-        .into_iter()
-        .find(|x| x.name().eq_ignore_ascii_case(s))
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  lightwsp list\n  lightwsp run <workload> [scheme]\n  \
-         lightwsp compare <workload>\n  lightwsp recover <workload> [failure-cycle...]\n  \
-         lightwsp trace <workload> [n]\n  lightwsp regions <workload>\n\
-         schemes: {}",
-        Scheme::ALL.map(|s| s.name()).join(", ")
-    );
-    ExitCode::FAILURE
-}
+const USAGE: &str = "usage:\n  lightwsp list\n  lightwsp run <workload> [scheme]\n  \
+                     lightwsp compare <workload>\n  lightwsp recover <workload> [failure-cycle...]\n  \
+                     lightwsp trace <workload> [n]\n  lightwsp regions <workload>";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    cli(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::from(2)
+    })
+}
+
+/// The workload named by `args[1]`.
+fn workload_arg(args: &[String]) -> Result<WorkloadSpec, String> {
+    let name = args
+        .get(1)
+        .ok_or_else(|| format!("missing <workload>\n{USAGE}"))?;
+    workload(name).ok_or_else(|| {
+        let names: Vec<&str> = all_workloads().iter().map(|w| w.name).collect();
+        format!("unknown workload {name:?}; accepted: {}", names.join(", "))
+    })
+}
+
+fn scheme_arg(s: &str) -> Result<Scheme, String> {
+    Scheme::ALL
+        .into_iter()
+        .find(|x| x.name().eq_ignore_ascii_case(s))
+        .ok_or_else(|| {
+            let names = Scheme::ALL.map(|s| s.name()).join(", ");
+            format!("unknown scheme {s:?}; accepted: {names}")
+        })
+}
+
+/// Rejects any argument past the first `n`.
+fn at_most(args: &[String], n: usize) -> Result<(), String> {
+    match args.get(n) {
+        Some(extra) => Err(format!("unexpected argument {extra:?}\n{USAGE}")),
+        None => Ok(()),
+    }
+}
+
+fn cli(args: &[String]) -> Result<ExitCode, String> {
+    let campaign = Campaign::from_env().map_err(|e| e.to_string())?;
     let opts = ExperimentOptions::paper_default();
     match args.first().map(String::as_str) {
         Some("list") => {
+            at_most(args, 1)?;
             println!(
                 "{:<14}{:<10}{:>9}{:>12}{:>8}",
                 "name", "suite", "threads", "working-set", "store%"
@@ -50,25 +81,14 @@ fn main() -> ExitCode {
                     w.store_fraction() * 100.0
                 );
             }
-            ExitCode::SUCCESS
         }
         Some("run") => {
-            let Some(name) = args.get(1) else {
-                return usage();
-            };
-            let Some(w) = workload(name) else {
-                eprintln!("unknown workload '{name}' (try `lightwsp list`)");
-                return ExitCode::FAILURE;
-            };
-            let scheme = match args.get(2) {
-                None => Scheme::LightWsp,
-                Some(s) => match parse_scheme(s) {
-                    Some(s) => s,
-                    None => return usage(),
-                },
-            };
-            let mut exp = Experiment::new(opts);
-            let (sd, r) = exp.slowdown_with_stats(&w, scheme);
+            let w = workload_arg(args)?;
+            let scheme = args
+                .get(2)
+                .map_or(Ok(Scheme::LightWsp), |s| scheme_arg(s))?;
+            at_most(args, 3)?;
+            let (sd, r) = campaign.slowdown(&Job::new(&opts, &w, scheme));
             let s = &r.stats;
             println!(
                 "{} under {} ({} threads):",
@@ -103,107 +123,101 @@ fn main() -> ExitCode {
             );
             println!(
                 "  WPQ occupancy mean/max: {:.1} / {} of {}",
-                s.wpq_mean_occupancy,
-                s.wpq_max_occupancy,
-                exp.options().sim.mem.wpq_entries
+                s.wpq_mean_occupancy, s.wpq_max_occupancy, opts.sim.mem.wpq_entries
             );
-            ExitCode::SUCCESS
         }
         Some("compare") => {
-            let Some(name) = args.get(1) else {
-                return usage();
-            };
-            let Some(w) = workload(name) else {
-                eprintln!("unknown workload '{name}'");
-                return ExitCode::FAILURE;
-            };
-            let mut exp = Experiment::new(opts);
+            let w = workload_arg(args)?;
+            at_most(args, 2)?;
+            let jobs: Vec<Job> = Scheme::ALL
+                .iter()
+                .map(|&scheme| Job::new(&opts, &w, scheme))
+                .collect();
             println!(
                 "{:<12}{:>10}{:>10}{:>14}",
                 "scheme", "slowdown", "IPC", "persist-eff"
             );
-            for scheme in Scheme::ALL {
-                let (sd, r) = exp.slowdown_with_stats(&w, scheme);
-                let eff = if scheme.uses_persist_path() {
+            for (sd, r) in campaign.slowdown_many(&jobs) {
+                let eff = if r.scheme.uses_persist_path() {
                     format!("{:.1}%", r.stats.persistence_efficiency())
                 } else {
                     "-".into()
                 };
                 println!(
                     "{:<12}{:>10.3}{:>10.2}{:>14}",
-                    scheme.name(),
+                    r.scheme.name(),
                     sd,
                     r.stats.ipc(),
                     eff
                 );
             }
-            ExitCode::SUCCESS
         }
         Some("recover") => {
-            let Some(name) = args.get(1) else {
-                return usage();
-            };
-            let Some(w) = workload(name) else {
-                eprintln!("unknown workload '{name}'");
-                return ExitCode::FAILURE;
-            };
+            let w = workload_arg(args)?;
             let points: Vec<u64> = if args.len() > 2 {
-                args[2..].iter().filter_map(|a| a.parse().ok()).collect()
+                args[2..]
+                    .iter()
+                    .map(|a| {
+                        a.parse().map_err(|_| {
+                            format!(
+                                "{a:?} is not a failure cycle; accepted: a non-negative integer"
+                            )
+                        })
+                    })
+                    .collect::<Result<_, _>>()?
             } else {
                 (1..10).map(|i| i * 3_000).collect()
             };
             match check_workload_recovery(&w, &opts, &points) {
-                Ok(rep) => {
-                    println!(
-                        "{name}: crash-consistent across {} failure(s); {} durable words \
-                         compared; golden {} cycles, recovered {} cycles",
-                        rep.failures, rep.words_compared, rep.golden_cycles, rep.recovery_cycles
-                    );
-                    ExitCode::SUCCESS
-                }
+                Ok(rep) => println!(
+                    "{}: crash-consistent across {} failure(s); {} durable words \
+                     compared; golden {} cycles, recovered {} cycles",
+                    w.name,
+                    rep.failures,
+                    rep.words_compared,
+                    rep.golden_cycles,
+                    rep.recovery_cycles
+                ),
                 Err(e) => {
-                    eprintln!("{name}: {e}");
-                    ExitCode::FAILURE
+                    eprintln!("{}: {e}", w.name);
+                    return Ok(ExitCode::FAILURE);
                 }
             }
         }
         Some("regions") => {
-            let Some(name) = args.get(1) else {
-                return usage();
-            };
-            let Some(w) = workload(name) else {
-                eprintln!("unknown workload '{name}'");
-                return ExitCode::FAILURE;
-            };
-            let exp = Experiment::new(opts.clone());
-            let compiled = exp.compile(&w, Scheme::LightWsp);
+            let w = workload_arg(args)?;
+            at_most(args, 2)?;
+            let compiled = Job::new(&opts, &w, Scheme::LightWsp).compile();
             print!(
                 "{}",
                 lightwsp_compiler::regions::render_report(&compiled.program)
             );
-            ExitCode::SUCCESS
         }
         Some("trace") => {
-            let Some(name) = args.get(1) else {
-                return usage();
+            let w = workload_arg(args)?;
+            let n = match args.get(2).map(|a| (a, a.parse::<usize>())) {
+                None => 24,
+                Some((_, Ok(n))) if n > 0 => n,
+                Some((a, _)) => {
+                    return Err(format!(
+                        "{a:?} is not a region count; accepted: a positive integer"
+                    ))
+                }
             };
-            let Some(w) = workload(name) else {
-                eprintln!("unknown workload '{name}'");
-                return ExitCode::FAILURE;
-            };
-            let n: usize = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(24);
-            let exp = Experiment::new(opts.clone());
-            let compiled = exp.compile(&w, Scheme::LightWsp);
-            let mut cfg = opts.sim.clone();
-            cfg.scheme = Scheme::LightWsp;
-            cfg.num_cores = w.threads;
-            cfg.trace_regions = n.max(256);
-            let mut m =
-                lightwsp_core::Machine::new(compiled.program, compiled.recipes, cfg, w.threads);
+            at_most(args, 3)?;
+            let mut traced = opts;
+            traced.sim.trace_regions = n.max(256);
+            let mut m = campaign.machine(&Job::new(&traced, &w, Scheme::LightWsp));
             m.run();
             print!("{}", m.region_trace().render(n));
-            ExitCode::SUCCESS
         }
-        _ => usage(),
+        Some(other) => {
+            return Err(format!(
+                "unknown subcommand {other:?}; accepted: list, run, compare, recover, trace, \
+                 regions\n{USAGE}"
+            ))
+        }
+        None => return Err(USAGE.to_string()),
     }
+    Ok(ExitCode::SUCCESS)
 }

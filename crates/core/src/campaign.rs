@@ -12,16 +12,21 @@
 //!   machine then shares the same [`Arc`]'d program;
 //! * a **baseline-cycles cache** keyed by (workload, thread count,
 //!   simulator config) — every slowdown normalisation reuses one
-//!   baseline run per configuration, exactly like the serial
-//!   [`Experiment`](crate::Experiment) but shared across schemes *and*
-//!   across figures when one campaign drives the whole evaluation.
+//!   baseline run per configuration, shared across schemes *and* across
+//!   figures when one campaign drives the whole evaluation.
+//!
+//! The rules of a run live on [`Job`]: its thread count
+//! ([`Job::threads`]), its compilation ([`Job::compile`]) and its
+//! simulator config ([`Job::sim_config`]). The campaign only caches
+//! around them, so [`Campaign::machine`] builds every figure machine.
 //!
 //! **Determinism:** each job is an independent deterministic
 //! simulation, results are written back by job index, and the caches
 //! only ever deduplicate work whose output is bit-identical to an
 //! uncached computation. `run_many` therefore returns byte-identical
 //! results for any worker count, including 1 — the regression test in
-//! `tests/` pins this against the serial `Experiment` path.
+//! `tests/` pins this against running each job on a fresh one-worker
+//! campaign of its own.
 //!
 //! Worker count: [`Campaign::from_env`] reads `LIGHTWSP_THREADS` and
 //! rejects anything but a positive integer; unset, and for
@@ -34,11 +39,11 @@
 
 use crate::cache::Record;
 use crate::experiment::{ExperimentOptions, RunResult};
-use lightwsp_compiler::instrument;
 use lightwsp_compiler::prune::RecoveryRecipes;
+use lightwsp_compiler::{instrument, Compiled, CompilerConfig};
 use lightwsp_ir::fxhash::{fx_hash, FxHashMap};
 use lightwsp_ir::Program;
-use lightwsp_sim::{Machine, Scheme};
+use lightwsp_sim::{Machine, Scheme, SimConfig};
 use lightwsp_store::{digest_debug, ResultStore, StoreKey};
 use lightwsp_workloads::WorkloadSpec;
 use std::convert::Infallible;
@@ -66,6 +71,53 @@ impl Job {
             spec: spec.clone(),
             scheme,
         }
+    }
+
+    /// The thread count the job simulates: the options' override
+    /// (Fig. 16), else the workload's own.
+    pub fn threads(&self) -> usize {
+        self.opts.threads.unwrap_or(self.spec.threads)
+    }
+
+    /// The compiler config the job's binary depends on: `None` for the
+    /// hardware-only schemes, which run the original program.
+    fn compiler(&self) -> Option<&CompilerConfig> {
+        self.scheme.is_instrumented().then_some(&self.opts.compiler)
+    }
+
+    /// Generates the workload at the job's instruction budget and
+    /// compiles it: instrumented schemes get the full pass pipeline,
+    /// hardware-only schemes run the original binary.
+    pub fn compile(&self) -> Compiled {
+        let program = self
+            .spec
+            .clone()
+            .scaled_to(self.opts.insts_per_thread)
+            .generate();
+        match self.compiler() {
+            Some(config) => instrument(&program, config),
+            None => Compiled {
+                program,
+                recipes: RecoveryRecipes::default(),
+                stats: Default::default(),
+            },
+        }
+    }
+
+    /// The simulator config the job runs under: the options' template
+    /// with the job's scheme, one core per thread, and the DRAM cache
+    /// warmed over the workload's data (shared counters, scratch and
+    /// every thread's private window), emulating the paper's
+    /// fast-forward (§V-A).
+    pub fn sim_config(&self) -> SimConfig {
+        let threads = self.threads();
+        let mut cfg = self.opts.sim.clone();
+        cfg.scheme = self.scheme;
+        cfg.num_cores = threads;
+        let window = self.spec.working_set.next_power_of_two();
+        let heap = lightwsp_ir::layout::HEAP_BASE;
+        cfg.warm_dram = vec![(heap - 0x8000, heap + window * threads as u64)];
+        cfg
     }
 }
 
@@ -266,26 +318,15 @@ impl Campaign {
         self.workers
     }
 
-    /// Thread count a job simulates (options override, else the spec's).
-    fn threads_for(job: &Job) -> usize {
-        job.opts.threads.unwrap_or(job.spec.threads)
-    }
-
     /// Fingerprint of everything a compilation depends on.
+    /// Uninstrumented schemes all run the original binary, so their
+    /// entry is not fragmented by compiler config.
     fn compile_key(job: &Job) -> u64 {
-        let instrumented = job.scheme.is_instrumented();
         fx_hash(&format!(
-            "{:?}|{}|{}|{:?}",
+            "{:?}|{}|{:?}",
             job.spec,
             job.opts.insts_per_thread,
-            instrumented,
-            // Uninstrumented schemes all run the original binary; don't
-            // fragment their cache entry by compiler config.
-            if instrumented {
-                Some(&job.opts.compiler)
-            } else {
-                None
-            },
+            job.compiler(),
         ))
     }
 
@@ -295,50 +336,37 @@ impl Campaign {
             "{:?}|{}|{}|{:?}",
             job.spec,
             job.opts.insts_per_thread,
-            Self::threads_for(job),
+            job.threads(),
             job.opts.sim,
         ))
     }
 
     fn compiled_for(&self, job: &Job) -> SharedCompile {
         get_or_compute(&self.compiled, Self::compile_key(job), || {
-            let program = job
-                .spec
-                .clone()
-                .scaled_to(job.opts.insts_per_thread)
-                .generate();
-            if job.scheme.is_instrumented() {
-                let c = instrument(&program, &job.opts.compiler);
-                SharedCompile {
-                    program: Arc::new(c.program),
-                    recipes: Arc::new(c.recipes),
-                }
-            } else {
-                SharedCompile {
-                    program: Arc::new(program),
-                    recipes: Arc::new(RecoveryRecipes::default()),
-                }
+            let c = job.compile();
+            SharedCompile {
+                program: Arc::new(c.program),
+                recipes: Arc::new(c.recipes),
             }
         })
     }
 
-    /// The uncached simulation path (same semantics as
-    /// `Experiment::run`, but through the shared compile cache).
-    fn simulate(&self, job: &Job) -> RunResult {
-        let threads = Self::threads_for(job);
+    /// Builds `job`'s ready-to-run machine from the shared compile
+    /// cache without running it: the machine every figure cell runs,
+    /// for callers that time or step `Machine::run` themselves.
+    pub fn machine(&self, job: &Job) -> Machine {
         let sc = self.compiled_for(job);
-        let mut cfg = job.opts.sim.clone();
-        cfg.scheme = job.scheme;
-        cfg.num_cores = threads;
-        let window = job.spec.working_set.next_power_of_two();
-        let heap = lightwsp_ir::layout::HEAP_BASE;
-        cfg.warm_dram = vec![(heap - 0x8000, heap + window * threads as u64)];
-        let mut machine = Machine::new(sc.program, sc.recipes, cfg, threads);
+        Machine::new(sc.program, sc.recipes, job.sim_config(), job.threads())
+    }
+
+    /// The uncached simulation path.
+    fn simulate(&self, job: &Job) -> RunResult {
+        let mut machine = self.machine(job);
         let completion = machine.run();
         RunResult {
             workload: job.spec.name,
             scheme: job.scheme,
-            threads,
+            threads: job.threads(),
             completion,
             stats: machine.stats().clone(),
         }
@@ -363,9 +391,9 @@ impl Campaign {
         let config = (
             &job.spec,
             job.opts.insts_per_thread,
-            Self::threads_for(job),
+            job.threads(),
             &job.opts.sim,
-            job.scheme.is_instrumented().then_some(&job.opts.compiler),
+            job.compiler(),
         );
         let Ok(timed) = self.memo("run", job.spec.name, job.scheme.name(), config, || {
             let t0 = Instant::now();
@@ -387,20 +415,25 @@ impl Campaign {
         })
     }
 
+    /// Execution slowdown of one job, normalised to its cached
+    /// memory-mode baseline (the y-axis of Figs. 7, 9–13, 15–17), with
+    /// the job's run result.
+    pub fn slowdown(&self, job: &Job) -> (f64, RunResult) {
+        let base = self.baseline_cycles(job) as f64;
+        let r = self.run_one(job);
+        (r.cycles() as f64 / base, r)
+    }
+
     /// Runs every job, fanning across the worker pool; results are in
     /// job order regardless of scheduling.
     pub fn run_many(&self, jobs: &[Job]) -> Vec<RunResult> {
         self.map_jobs(jobs, |job| self.run_one(job))
     }
 
-    /// Like [`run_many`](Campaign::run_many) but returns each job's
-    /// slowdown versus its cached baseline alongside the run result.
+    /// [`slowdown`](Campaign::slowdown) of every job, fanned across the
+    /// worker pool, in job order.
     pub fn slowdown_many(&self, jobs: &[Job]) -> Vec<(f64, RunResult)> {
-        self.map_jobs(jobs, |job| {
-            let base = self.baseline_cycles(job) as f64;
-            let r = self.run_one(job);
-            (r.cycles() as f64 / base, r)
-        })
+        self.map_jobs(jobs, |job| self.slowdown(job))
     }
 
     /// Slowdowns only (the common figure shape).
@@ -556,7 +589,8 @@ mod tests {
     fn compile_cache_is_shared_across_schemes() {
         // Two instrumented schemes with the same compiler config share
         // one compilation; this is observational (timing-free): both
-        // runs must succeed and agree with fresh-compile runs.
+        // runs must succeed and agree with fresh-compile runs, each on
+        // a campaign of its own.
         let c = Campaign::with_workers(2);
         let opts = ExperimentOptions::quick();
         let w = workload("bzip2").unwrap();
@@ -565,11 +599,10 @@ mod tests {
             Job::new(&opts, &w, Scheme::Capri),
         ];
         let rs = c.run_many(&jobs);
-        let mut exp = crate::Experiment::new(opts);
-        let a = exp.run(&w, Scheme::LightWsp);
-        let b = exp.run(&w, Scheme::Capri);
-        assert_eq!(rs[0].stats.cycles, a.stats.cycles);
-        assert_eq!(rs[1].stats.cycles, b.stats.cycles);
+        for (job, r) in jobs.iter().zip(&rs) {
+            let fresh = Campaign::with_workers(1).run_one(job);
+            assert_eq!(r.stats.cycles, fresh.stats.cycles);
+        }
     }
 
     #[test]
@@ -653,11 +686,13 @@ mod tests {
 
     #[test]
     fn baseline_cache_matches_experiment() {
+        // A job's cached baseline is its workload's memory-mode run, as
+        // a fresh campaign of its own runs it.
         let c = Campaign::with_workers(2);
         let opts = ExperimentOptions::quick();
         let w = workload("xz").unwrap();
         let job = Job::new(&opts, &w, Scheme::LightWsp);
-        let mut exp = crate::Experiment::new(opts);
-        assert_eq!(c.baseline_cycles(&job), exp.baseline_cycles(&w));
+        let fresh = Campaign::with_workers(1).run_one(&Job::new(&opts, &w, Scheme::Baseline));
+        assert_eq!(c.baseline_cycles(&job), fresh.cycles().max(1));
     }
 }

@@ -8,8 +8,10 @@
 //! * [`ExperimentOptions`] — the evaluation configuration (experiment-
 //!   scaled cache hierarchy, instruction budget, every sensitivity
 //!   knob);
-//! * [`Experiment`] — runs workloads under schemes, normalises against
-//!   cached baseline runs, and aggregates per-suite geomeans;
+//! * [`Campaign`] — the one path that compiles, configures and runs a
+//!   workload cell ([`Job`]): it fans jobs out over worker threads,
+//!   shares compilations between them and normalises against cached
+//!   baseline runs;
 //! * [`report`] — serialisable result tables with paper-style
 //!   formatting;
 //! * [`recovery`] — the public crash-consistency test API (golden run
@@ -25,13 +27,13 @@
 //!   from it on a warm re-run.
 //!
 //! ```no_run
-//! use lightwsp_core::{Experiment, ExperimentOptions};
+//! use lightwsp_core::{Campaign, ExperimentOptions, Job};
 //! use lightwsp_sim::Scheme;
 //! use lightwsp_workloads::workload;
 //!
-//! let mut exp = Experiment::new(ExperimentOptions::paper_default());
 //! let lbm = workload("lbm").unwrap();
-//! let slowdown = exp.slowdown(&lbm, Scheme::LightWsp);
+//! let job = Job::new(&ExperimentOptions::paper_default(), &lbm, Scheme::LightWsp);
+//! let (slowdown, _) = Campaign::new().slowdown(&job);
 //! println!("lbm LightWSP slowdown: {slowdown:.3}");
 //! ```
 
@@ -48,7 +50,7 @@ pub mod report;
 pub use cache::Record;
 pub use campaign::{parse_threads, BadThreads, Campaign, CampaignCacheStats, Job};
 pub use dsaudit::{audit_recoverable_ds, audit_recoverable_ds_with, DsAuditBudget, DsAuditReport};
-pub use experiment::{Experiment, ExperimentOptions, RunResult};
+pub use experiment::{ExperimentOptions, RunResult};
 pub use lightwsp_compiler::{instrument, Compiled, CompilerConfig};
 pub use lightwsp_model::harness::CaseOutcome;
 pub use lightwsp_sim::{Completion, Machine, Scheme, SimConfig, SimStats};

@@ -15,14 +15,16 @@
 //!   [`Campaign`] worker. `cargo run -p lightwsp-bench --bin
 //!   crash_audit` drives it over the full workload×scheme matrix.
 
-use crate::campaign::Campaign;
-use crate::experiment::{Experiment, ExperimentOptions};
+use crate::campaign::{Campaign, Job};
+use crate::experiment::ExperimentOptions;
 use lightwsp_sim::consistency::{check_crash_consistency, ConsistencyError, ConsistencyReport};
 use lightwsp_sim::{CrashAuditReport, CrashInjector, Scheme, SimConfig};
 use lightwsp_workloads::WorkloadSpec;
 
 /// Runs the crash-consistency oracle on `spec` with failures injected
-/// at the given cycles.
+/// at the given cycles. The workload compiles as a LightWSP
+/// [`Job`] would, but runs on `opts.sim` with a cold DRAM cache, not
+/// on the figures' warm-DRAM config.
 ///
 /// # Errors
 ///
@@ -33,13 +35,11 @@ pub fn check_workload_recovery(
     opts: &ExperimentOptions,
     failure_cycles: &[u64],
 ) -> Result<ConsistencyReport, ConsistencyError> {
-    let exp = Experiment::new(opts.clone());
-    let compiled = exp.compile(spec, Scheme::LightWsp);
+    let job = Job::new(opts, spec, Scheme::LightWsp);
     let mut cfg = opts.sim.clone();
     cfg.scheme = Scheme::LightWsp;
-    let threads = opts.threads.unwrap_or(spec.threads);
-    cfg.num_cores = threads;
-    check_crash_consistency(&compiled, &cfg, threads, failure_cycles)
+    cfg.num_cores = job.threads();
+    check_crash_consistency(&job.compile(), &cfg, job.threads(), failure_cycles)
 }
 
 /// How many crash points [`audit_workload_crashes`] sweeps.
@@ -117,12 +117,11 @@ fn run_audit(
     budget: &AuditBudget,
     campaign: &Campaign,
 ) -> Result<CrashAuditReport, ConsistencyError> {
-    let exp = Experiment::new(opts.clone());
-    let compiled = exp.compile(spec, cfg.scheme);
+    let job = Job::new(opts, spec, cfg.scheme);
+    let compiled = job.compile();
     let mut cfg = cfg.clone();
-    let threads = opts.threads.unwrap_or(spec.threads);
-    cfg.num_cores = threads;
-    let injector = CrashInjector::new(&compiled, cfg, threads);
+    cfg.num_cores = job.threads();
+    let injector = CrashInjector::new(&compiled, cfg, job.threads());
     let golden = injector.golden_points(budget.derived_per_kind, budget.seed, budget.seeded)?;
     let mut report = CrashAuditReport {
         golden_cycles: golden.cycles,

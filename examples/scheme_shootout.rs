@@ -6,11 +6,12 @@
 //! cargo run --release --example scheme_shootout
 //! ```
 
-use lightwsp_core::{Experiment, ExperimentOptions, Scheme};
+use lightwsp_core::{Campaign, ExperimentOptions, Job, Scheme};
 use lightwsp_workloads::workload;
 
 fn main() {
-    let mut exp = Experiment::new(ExperimentOptions::paper_default());
+    let c = Campaign::new();
+    let opts = ExperimentOptions::paper_default();
     let schemes = [
         Scheme::Baseline,
         Scheme::PspIdeal,
@@ -27,8 +28,9 @@ fn main() {
             "{:<12}{:>10}{:>12}{:>14}{:>12}",
             "scheme", "slowdown", "IPC", "persist-eff", "regions"
         );
-        for scheme in schemes {
-            let (sd, r) = exp.slowdown_with_stats(&w, scheme);
+        let jobs: Vec<Job> = schemes.iter().map(|&s| Job::new(&opts, &w, s)).collect();
+        for (sd, r) in c.slowdown_many(&jobs) {
+            let scheme = r.scheme;
             let eff = if scheme.uses_persist_path() {
                 format!("{:.1}%", r.stats.persistence_efficiency())
             } else {

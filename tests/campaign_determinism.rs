@@ -1,6 +1,8 @@
 //! Regression test for the parallel campaign's determinism contract:
 //! `Campaign::run_many` must produce results identical to the serial
-//! `Experiment::run` path — same cycles, instructions and regions —
+//! reference — each job run on a fresh one-worker campaign of its own,
+//! in job order, so no compile or baseline is shared across jobs and
+//! nothing fans out — with the same cycles, instructions and regions
 //! regardless of worker count, and its slowdowns must equal the serial
 //! normalisation bit-for-bit. The crash audits, which fan their points
 //! out in per-worker chunks, must report identically at any worker
@@ -8,7 +10,7 @@
 
 use lightwsp_core::{
     audit_recoverable_ds, audit_workload_crashes, AuditBudget, Campaign, CompilerConfig,
-    DsAuditBudget, Experiment, ExperimentOptions, Job, Scheme, SimConfig,
+    DsAuditBudget, ExperimentOptions, Job, Scheme, SimConfig,
 };
 use lightwsp_workloads::ds::log::DurableLogSpec;
 use lightwsp_workloads::workload;
@@ -29,8 +31,10 @@ fn jobs() -> Vec<Job> {
 #[test]
 fn campaign_matches_serial_experiment_at_any_worker_count() {
     let jobs = jobs();
-    let mut exp = Experiment::new(ExperimentOptions::quick());
-    let serial: Vec<_> = jobs.iter().map(|j| exp.run(&j.spec, j.scheme)).collect();
+    let serial: Vec<_> = jobs
+        .iter()
+        .map(|j| Campaign::with_workers(1).run_one(j))
+        .collect();
 
     for workers in [1usize, 2, 4, 7] {
         let c = Campaign::with_workers(workers);
@@ -54,10 +58,9 @@ fn campaign_matches_serial_experiment_at_any_worker_count() {
 #[test]
 fn campaign_slowdowns_match_serial_normalisation() {
     let jobs = jobs();
-    let mut exp = Experiment::new(ExperimentOptions::quick());
     let serial: Vec<f64> = jobs
         .iter()
-        .map(|j| exp.slowdown(&j.spec, j.scheme))
+        .map(|j| Campaign::with_workers(1).slowdown(j).0)
         .collect();
     let c = Campaign::with_workers(3);
     let parallel = c.slowdowns(&jobs);

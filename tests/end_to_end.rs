@@ -1,19 +1,25 @@
 //! Cross-crate integration tests: workload generation → compilation →
 //! simulation → normalisation, for every scheme.
 
-use lightwsp_core::{Experiment, ExperimentOptions, Scheme};
+use lightwsp_core::{Campaign, ExperimentOptions, Job, Scheme, WorkloadSpec};
 use lightwsp_workloads::{suite_workloads, workload, Suite};
 
-fn quick() -> Experiment {
-    Experiment::new(ExperimentOptions::quick())
+/// A quick-budget job for `w` under `scheme`.
+fn quick(w: &WorkloadSpec, scheme: Scheme) -> Job {
+    Job::new(&ExperimentOptions::quick(), w, scheme)
+}
+
+/// The slowdown of `w` under `scheme` with `opts`.
+fn slowdown(c: &Campaign, opts: &ExperimentOptions, w: &WorkloadSpec, scheme: Scheme) -> f64 {
+    c.slowdown(&Job::new(opts, w, scheme)).0
 }
 
 #[test]
 fn every_scheme_completes_on_a_representative_workload() {
-    let mut exp = quick();
+    let c = Campaign::new();
     let w = workload("bzip2").unwrap();
     for scheme in Scheme::ALL {
-        let r = exp.run(&w, scheme);
+        let r = c.run_one(&quick(&w, scheme));
         assert_eq!(
             r.completion,
             lightwsp_core::Completion::Finished,
@@ -33,11 +39,11 @@ fn every_scheme_completes_on_a_representative_workload() {
 fn slowdown_ordering_matches_the_paper() {
     // Fig. 7's headline: Capri ≫ {PPA, LightWSP} ≈ baseline-ish; and
     // Fig. 10: cWSP ≤ LightWSP.
-    let mut exp = quick();
+    let (c, opts) = (Campaign::new(), ExperimentOptions::quick());
     let w = workload("milc").unwrap();
-    let capri = exp.slowdown(&w, Scheme::Capri);
-    let lwsp = exp.slowdown(&w, Scheme::LightWsp);
-    let cwsp = exp.slowdown(&w, Scheme::Cwsp);
+    let capri = slowdown(&c, &opts, &w, Scheme::Capri);
+    let lwsp = slowdown(&c, &opts, &w, Scheme::LightWsp);
+    let cwsp = slowdown(&c, &opts, &w, Scheme::Cwsp);
     assert!(capri > lwsp, "capri {capri:.3} vs lightwsp {lwsp:.3}");
     assert!(lwsp < 1.6, "lightwsp overhead out of range: {lwsp:.3}");
     assert!(
@@ -50,19 +56,19 @@ fn slowdown_ordering_matches_the_paper() {
     // less cache-friendly than upstream's, so its quick-budget PPA
     // overhead no longer reflects the amortised figure.)
     let hm = workload("xz").unwrap();
-    let ppa = exp.slowdown(&hm, Scheme::Ppa);
+    let ppa = slowdown(&c, &opts, &hm, Scheme::Ppa);
     assert!(ppa < 1.3, "ppa overhead out of range: {ppa:.3}");
 }
 
 #[test]
 fn psp_loses_the_dram_cache_on_memory_intensive_workloads() {
-    let mut exp = quick();
+    let (c, opts) = (Campaign::new(), ExperimentOptions::quick());
     for w in lightwsp_workloads::memory_intensive() {
         if w.suite.is_multithreaded() {
             continue; // keep the quick test fast
         }
-        let psp = exp.slowdown(&w, Scheme::PspIdeal);
-        let lwsp = exp.slowdown(&w, Scheme::LightWsp);
+        let psp = slowdown(&c, &opts, &w, Scheme::PspIdeal);
+        let lwsp = slowdown(&c, &opts, &w, Scheme::LightWsp);
         assert!(
             psp > lwsp + 0.2,
             "{}: PSP {psp:.3} must clearly lose to LightWSP {lwsp:.3}",
@@ -75,9 +81,9 @@ fn psp_loses_the_dram_cache_on_memory_intensive_workloads() {
 fn multithreaded_suite_runs_and_synchronises() {
     let mut opts = ExperimentOptions::quick();
     opts.insts_per_thread = 6_000;
-    let mut exp = Experiment::new(opts);
+    let c = Campaign::new();
     for w in suite_workloads(Suite::Whisper) {
-        let r = exp.run(&w, Scheme::LightWsp);
+        let r = c.run_one(&Job::new(&opts, &w, Scheme::LightWsp));
         assert_eq!(
             r.completion,
             lightwsp_core::Completion::Finished,
@@ -97,12 +103,12 @@ fn multithreaded_suite_runs_and_synchronises() {
 fn instrumentation_overhead_is_in_the_paper_ballpark() {
     // §V-G3: the paper reports +7.03% dynamic instructions; generated
     // workloads should land within a few points of that.
-    let mut exp = quick();
+    let c = Campaign::new();
     let mut total = 0.0;
     let mut n = 0;
     for name in ["bzip2", "hmmer", "lbm", "xz", "imagick"] {
         let w = workload(name).unwrap();
-        let r = exp.run(&w, Scheme::LightWsp);
+        let r = c.run_one(&quick(&w, Scheme::LightWsp));
         total += r.stats.instrumentation_fraction();
         n += 1;
     }
@@ -116,9 +122,8 @@ fn instrumentation_overhead_is_in_the_paper_ballpark() {
 #[test]
 fn region_statistics_are_in_the_paper_ballpark() {
     // §V-G3: 91.33 insts/region and 11.29 stores/region on average.
-    let mut exp = quick();
     let w = workload("hmmer").unwrap();
-    let r = exp.run(&w, Scheme::LightWsp);
+    let r = Campaign::new().run_one(&quick(&w, Scheme::LightWsp));
     let ipr = r.stats.insts_per_region();
     let spr = r.stats.stores_per_region();
     assert!((30.0..300.0).contains(&ipr), "insts/region {ipr:.1}");
@@ -128,18 +133,17 @@ fn region_statistics_are_in_the_paper_ballpark() {
 #[test]
 fn wpq_sensitivity_monotone() {
     // Fig. 11: a larger WPQ is never slower.
+    let c = Campaign::new();
     let w = workload("tpcc").unwrap();
     let mut slow = ExperimentOptions::quick();
     slow.sim.mem = slow.sim.mem.with_wpq_entries(16);
     slow.compiler.store_threshold = 8;
-    let mut exp_small = Experiment::new(slow);
-    let small = exp_small.slowdown(&w, Scheme::LightWsp);
+    let small = slowdown(&c, &slow, &w, Scheme::LightWsp);
 
     let mut fast = ExperimentOptions::quick();
     fast.sim.mem = fast.sim.mem.with_wpq_entries(256);
     fast.compiler.store_threshold = 128;
-    let mut exp_big = Experiment::new(fast);
-    let big = exp_big.slowdown(&w, Scheme::LightWsp);
+    let big = slowdown(&c, &fast, &w, Scheme::LightWsp);
     assert!(
         big <= small * 1.02,
         "WPQ-256 ({big:.3}) should not lose to WPQ-16 ({small:.3})"
@@ -149,13 +153,14 @@ fn wpq_sensitivity_monotone() {
 #[test]
 fn persist_bandwidth_sensitivity_monotone() {
     // Fig. 15: less persist-path bandwidth is never faster.
+    let c = Campaign::new();
     let w = workload("lbm").unwrap();
     let mut o1 = ExperimentOptions::quick();
     o1.sim.mem = o1.sim.mem.with_persist_bandwidth_gbps(1);
-    let s1 = Experiment::new(o1).slowdown(&w, Scheme::LightWsp);
+    let s1 = slowdown(&c, &o1, &w, Scheme::LightWsp);
     let mut o4 = ExperimentOptions::quick();
     o4.sim.mem = o4.sim.mem.with_persist_bandwidth_gbps(4);
-    let s4 = Experiment::new(o4).slowdown(&w, Scheme::LightWsp);
+    let s4 = slowdown(&c, &o4, &w, Scheme::LightWsp);
     assert!(s4 <= s1 * 1.02, "4GB/s ({s4:.3}) vs 1GB/s ({s1:.3})");
 }
 
@@ -164,11 +169,12 @@ fn cxl_pmem_is_slowest_cxl_device() {
     // Fig. 17: CXL-PMem (lowest bandwidth, Optane latencies) shows the
     // largest overhead among the CXL devices.
     use lightwsp_mem::CxlDevice;
+    let c = Campaign::new();
     let w = workload("milc").unwrap();
     let run = |dev: CxlDevice| {
         let mut o = ExperimentOptions::quick();
         o.sim.mem = o.sim.mem.with_cxl(dev);
-        Experiment::new(o).slowdown(&w, Scheme::LightWsp)
+        slowdown(&c, &o, &w, Scheme::LightWsp)
     };
     let fastest = run(CxlDevice::CxlI);
     let slowest = run(CxlDevice::CxlPmem);
@@ -184,16 +190,15 @@ fn machine_functional_state_matches_pure_interpreter() {
     // equal a pure functional interpretation of the same (instrumented)
     // program — timing never changes semantics (single-threaded).
     use lightwsp_ir::interp::{Interp, Memory};
-    let exp = quick();
-    let w = workload("bzip2").unwrap();
-    let compiled = exp.compile(&w, Scheme::LightWsp);
+    let job = quick(&workload("bzip2").unwrap(), Scheme::LightWsp);
+    let compiled = job.compile();
 
     let mut pure_mem = Memory::new();
     let mut t = Interp::new(&compiled.program, 0);
     t.run(&compiled.program, &mut pure_mem, 50_000_000);
     assert!(t.finished());
 
-    let mut cfg = exp.options().sim.clone();
+    let mut cfg = job.opts.sim.clone();
     cfg.scheme = Scheme::LightWsp;
     let mut m =
         lightwsp_core::Machine::new(compiled.program.clone(), compiled.recipes.clone(), cfg, 1);

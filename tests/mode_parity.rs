@@ -38,8 +38,8 @@
 mod ds_suite;
 
 use lightwsp_compiler::{instrument, Compiled, CompilerConfig};
-use lightwsp_core::{audit_recoverable_ds_with, Campaign, DsAuditBudget, Experiment};
-use lightwsp_core::{DsAuditReport, ExperimentOptions};
+use lightwsp_core::{audit_recoverable_ds_with, Campaign, DsAuditBudget};
+use lightwsp_core::{DsAuditReport, ExperimentOptions, Job};
 use lightwsp_ir::Memory;
 use lightwsp_sim::{
     CrashAuditReport, CrashCapture, CrashInjector, CrashPoint, CrashPointKind, ExecMode,
@@ -417,20 +417,23 @@ pub fn captures(axis: &str) {
 }
 
 /// Every scheme on two single-thread workloads through the high-level
-/// `Experiment` harness (warm DRAM, scaled caches — what the figures
-/// run).
+/// `Campaign` path (warm DRAM, scaled caches — what the figures run).
 pub fn experiment_matrix(axis: &str) {
+    let c = Campaign::with_workers(1);
     for pair in pairs(axis, &[]) {
-        let experiment = |setting: Setting| {
+        let options = |setting: Setting| {
             let mut o = ExperimentOptions::quick();
             setting.apply(&mut o.sim);
-            Experiment::new(o)
+            o
         };
-        let (mut fast, mut reference) = (experiment(pair.fast), experiment(pair.reference));
+        let (fast, reference) = (options(pair.fast), options(pair.reference));
         for scheme in Scheme::ALL {
             for name in ["hmmer", "mcf"] {
                 let w = workload(name).unwrap();
-                let (f, r) = (fast.run(&w, scheme), reference.run(&w, scheme));
+                let (f, r) = (
+                    c.run_one(&Job::new(&fast, &w, scheme)),
+                    c.run_one(&Job::new(&reference, &w, scheme)),
+                );
                 let label = format!("{name}/{scheme:?} / {}", pair.label);
                 assert_eq!(f.completion, r.completion, "{label}");
                 assert_eq!(f.stats, r.stats, "{label}");
