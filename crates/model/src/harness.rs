@@ -96,8 +96,8 @@ pub struct CaseSpec {
     pub step_mode: StepMode,
     /// Crash-point traversal mode: fork the mainline at each sorted
     /// point (fast) or re-simulate from cycle 0 per point (the
-    /// executable specification). Outcomes are bit-identical; the
-    /// `model_litmus` bin times both to report the speedup.
+    /// executable specification). Outcomes are bit-identical;
+    /// `perf_gate`'s litmus rows time both and gate the speedup.
     pub sweep_mode: SweepMode,
     /// Cross-thread enumeration mode (over-approximate or exact).
     pub enum_mode: EnumMode,

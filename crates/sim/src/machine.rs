@@ -196,19 +196,12 @@ pub struct Machine {
     l2_free: u64,
     dram_free: u64,
     pm_read_free: u64,
-    /// Skip-ahead scan pacing: consecutive active (non-skippable)
-    /// cycles observed, and remaining cycles to step without paying an
-    /// event scan. Stepping is the reference semantics, so deferring
-    /// scans during long active phases is a pure heuristic — it cannot
-    /// change any observable.
-    active_streak: u32,
-    scan_holdoff: u32,
-    /// Machinery-horizon memo for the decoded event-driven loop: the
+    /// Machinery-horizon memo ([`Machine::machinery_horizon`]): the
     /// last [`Machine::machinery_next_event`] result (only cached when
     /// strictly beyond `now + 1`) and the [`Machine::machinery_stamp`]
     /// it was computed under. Pure memoization — reused only while the
     /// stamp proves the machinery untouched, so it cannot change any
-    /// observable (cross-checked by a debug assertion in `advance`).
+    /// observable (cross-checked by a debug assertion).
     mach_horizon: u64,
     mach_horizon_stamp: u64,
     /// Bumped by every operation that can change persist-machinery
@@ -336,8 +329,6 @@ impl Machine {
             l2_free: 0,
             dram_free: 0,
             pm_read_free: 0,
-            active_streak: 0,
-            scan_holdoff: 0,
             mach_horizon: 0,
             mach_horizon_stamp: u64::MAX,
             machinery_stamp: 0,
@@ -467,141 +458,80 @@ impl Machine {
                 self.finish_stats();
                 return Stop::MaxCycles;
             }
-            if self.cfg.step_mode == StepMode::SkipAhead {
-                if self.decoded.is_some() && self.cfg.scheme.uses_persist_path() {
-                    // Decoded engine under a persist-path scheme:
-                    // event-driven machinery. (Regular-path schemes
-                    // skip this: their per-cycle machinery is a single
-                    // store-buffer branch, cheaper than the horizon
-                    // scans, so the paced path below wins.) The two
-                    // horizons are computed separately so that on
-                    // retire-active cycles with no machinery event the
-                    // MC/tracker/queue ticks — provable no-ops — are
-                    // replaced by the closed-form occupancy sample.
-                    // Retire can arm the machinery (a store push, a
-                    // region boundary) — every such operation bumps
-                    // `machinery_stamp`, so the memoized horizon is
-                    // reused only across iterations where the machinery
-                    // provably did not move (retire-only cycles and
-                    // idle skips). Machinery-before-retire ordering
-                    // within a cycle is preserved because a machinery
-                    // event due at `now + 1` always routes through the
-                    // full `step_cycle` (which bumps the stamp).
-                    let soon = self.now + 1;
-                    let mach = if self.mach_horizon_stamp == self.machinery_stamp
-                        && self.mach_horizon > soon
-                    {
-                        if cfg!(debug_assertions) {
-                            let fresh = self.machinery_next_event();
-                            assert_eq!(self.mach_horizon, fresh, "stale machinery horizon memo");
-                        }
-                        self.mach_horizon
-                    } else {
-                        let m = self.machinery_next_event();
-                        // Cache only future horizons: an active
-                        // machinery (`m <= soon`) routes through
-                        // `step_cycle`, which re-arms the stamp anyway.
-                        if m > soon {
-                            self.mach_horizon = m;
-                            self.mach_horizon_stamp = self.machinery_stamp;
-                        }
-                        m
-                    };
-                    let ret = self.retire_next_event();
-                    if ret <= soon {
-                        if mach <= soon {
-                            self.step_cycle();
-                        } else {
-                            self.step_cycle_retire_only();
-                        }
-                        continue;
-                    }
-                    let limit = target.map_or(self.cfg.max_cycles, |t| t.min(self.cfg.max_cycles));
-                    let next = mach.min(ret);
-                    let dest = next.saturating_sub(1).min(limit);
-                    if dest > self.now {
-                        // Cycles strictly before `next` are idle on
-                        // both sides; skipped cycles change no state,
-                        // so the pre-skip horizons still classify the
-                        // landing cycle.
-                        self.skip_idle_cycles(dest - self.now);
-                        if dest < limit {
-                            if mach <= dest + 1 {
-                                self.step_cycle();
-                            } else {
-                                self.step_cycle_retire_only();
-                            }
-                        }
-                        continue;
-                    }
-                    self.step_cycle();
-                    continue;
-                }
-                // Scan pacing: during a long active phase the event
-                // scan returns "step now" every time, so its cost is
-                // pure overhead. Back off exponentially (scan every
-                // 8th cycle at the cap) — the deferred cycles are
-                // stepped for real, which is the reference semantics,
-                // so pacing can delay a skip but never corrupt one.
-                if self.scan_holdoff > 0 {
-                    self.scan_holdoff -= 1;
-                    self.step_cycle();
-                    continue;
-                }
-                let next = self.next_interesting_cycle();
-                let limit = target.map_or(self.cfg.max_cycles, |t| t.min(self.cfg.max_cycles));
-                // Cycles strictly before `next` are idle; land on
-                // `next - 1` so the pre-incrementing `step_cycle`
-                // executes `next` itself. The clamp is inclusive of
-                // `limit` because the reference loop also stops only
-                // once `now` reaches the target/cap.
-                let dest = next.saturating_sub(1).min(limit);
-                if dest > self.now {
-                    self.active_streak = 0;
-                    self.skip_idle_cycles(dest - self.now);
-                    if dest < limit {
-                        // The skip deliberately stopped one short of
-                        // `next`; execute that known-interesting cycle
-                        // without paying a second event scan. Skipped
-                        // cycles change no component state, so the
-                        // machine cannot have finished during the jump,
-                        // and `dest < limit` keeps the target/cap
-                        // checks for the loop top.
-                        self.step_cycle();
-                    }
-                    continue;
-                }
-                self.active_streak = self.active_streak.saturating_add(1);
-                self.scan_holdoff = (self.active_streak / 4).min(7);
+            if self.cfg.step_mode == StepMode::Reference {
+                self.step_cycle();
+                continue;
             }
-            self.step_cycle();
+            // Skip-ahead, event-driven for every scheme and engine.
+            // Cycles strictly before the earlier of the machinery and
+            // retire horizons are idle on both sides: jump in closed
+            // form to one short of it, so the pre-incrementing step
+            // below executes it, clamped to the target/cap (the
+            // reference loop also stops only once `now` reaches them).
+            // Skipped cycles change no state, so the machine cannot
+            // finish during the jump and the pre-skip horizons still
+            // classify the landing cycle.
+            let mach = self.machinery_horizon();
+            let ret = self.retire_next_event();
+            if ret > self.now + 1 {
+                let limit = target.map_or(self.cfg.max_cycles, |t| t.min(self.cfg.max_cycles));
+                let dest = mach.min(ret).saturating_sub(1).min(limit);
+                if dest > self.now {
+                    self.skip_idle_cycles(dest - self.now);
+                    if dest == limit {
+                        continue;
+                    }
+                }
+            }
+            // Step the next cycle. A machinery event due then routes
+            // through the full `step_cycle`, preserving the
+            // machinery-before-retire order; otherwise the
+            // MC/tracker/queue ticks are provable no-ops, replaced by
+            // the closed-form occupancy sample.
+            if mach <= self.now + 1 {
+                self.step_cycle();
+            } else {
+                self.step_cycle_retire_only();
+            }
         }
     }
 
-    /// The earliest future cycle at which anything observable can
-    /// happen: `now + 1` if some component is active right now
-    /// (`step_cycle` pre-increments, so with the loop at `now` the next
-    /// executed cycle is `now + 1` — active cycles must be stepped for
-    /// real, because WPQ insert retries and thread-rotation decisions
-    /// have side effects), otherwise the minimum over every component's
-    /// `next_event` horizon. Cycles strictly before the returned one are
-    /// provably idle: no queue moves, no instruction retires, no
-    /// protocol state changes — their only per-cycle effects are the
-    /// stall counters and occupancy samples that
-    /// [`Machine::skip_idle_cycles`] applies in closed form.
-    fn next_interesting_cycle(&mut self) -> u64 {
-        self.machinery_next_event().min(self.retire_next_event())
+    /// [`Machine::machinery_next_event`], memoized. Retire can arm the
+    /// machinery (a store push, a region boundary), and every such
+    /// operation bumps `machinery_stamp`, so the memo is reused only
+    /// across skip-ahead iterations where the machinery provably did
+    /// not move (retire-only cycles and idle skips). Debug builds
+    /// recompute every reused horizon and assert it unchanged.
+    fn machinery_horizon(&mut self) -> u64 {
+        let soon = self.now + 1;
+        if self.mach_horizon_stamp == self.machinery_stamp && self.mach_horizon > soon {
+            if cfg!(debug_assertions) {
+                let fresh = self.machinery_next_event();
+                assert_eq!(self.mach_horizon, fresh, "stale machinery horizon memo");
+            }
+            return self.mach_horizon;
+        }
+        let m = self.machinery_next_event();
+        // Cache only future horizons: an active machinery (`m <= soon`)
+        // routes through `step_cycle`, which re-arms the stamp anyway.
+        if m > soon {
+            self.mach_horizon = m;
+            self.mach_horizon_stamp = self.machinery_stamp;
+        }
+        m
     }
 
     /// The earliest future cycle at which the persist machinery (store
     /// buffers, front-end buffers, persist paths, region tracker, and
     /// memory controllers) can change state: `now + 1` if something
-    /// moves right now, otherwise the minimum of the component
-    /// `next_event` horizons. On every cycle strictly before the
-    /// returned one, `step_cycle`'s machinery phases are no-ops apart
-    /// from the WPQ occupancy sample — the exact property the
-    /// skip-ahead core already relies on in [`Machine::skip_idle_cycles`],
-    /// and what lets the decoded-mode loop retire instructions without
+    /// moves right now (active cycles must be stepped for real: WPQ
+    /// insert retries have side effects), otherwise the minimum of the
+    /// component `next_event` horizons. Under a regular-path scheme the
+    /// machinery is just the store-buffer drain. On every cycle
+    /// strictly before the returned one, `step_cycle`'s machinery
+    /// phases are no-ops apart from the WPQ occupancy sample — what
+    /// lets the skip-ahead loop jump idle cycles
+    /// ([`Machine::skip_idle_cycles`]) and retire instructions without
     /// ticking the machinery ([`Machine::step_cycle_retire_only`]).
     fn machinery_next_event(&mut self) -> u64 {
         let now = self.now;
@@ -889,8 +819,8 @@ impl Machine {
     /// machinery phases of [`Machine::step_cycle`] would be no-ops on
     /// this cycle; the WPQ occupancy sample — the one per-cycle effect
     /// an idle machinery tick does have — is applied directly, exactly
-    /// as [`Machine::skip_idle_cycles`] does. The decoded-mode run loop
-    /// uses this to retire instructions without paying the memory
+    /// as [`Machine::skip_idle_cycles`] does. The skip-ahead loop uses
+    /// this to retire instructions without paying the memory
     /// controller and queue scans on cycles where nothing can move.
     fn step_cycle_retire_only(&mut self) {
         self.now += 1;

@@ -34,7 +34,7 @@ use std::fs::File;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Pending-buffer size that triggers an automatic flush.
 pub const AUTOFLUSH_ENTRIES: usize = 4096;
@@ -82,6 +82,9 @@ struct Inner {
     compactions: AtomicU64,
     loaded_batches: u64,
     loaded_entries: u64,
+    /// The first error of an automatic flush in [`ResultStore::put`],
+    /// held for the next [`ResultStore::flush`] to return.
+    autoflush_error: Mutex<Option<io::Error>>,
 }
 
 /// A digest-keyed, spine-backed result store. Cheap to clone (shared
@@ -221,6 +224,7 @@ impl ResultStore {
                 compactions: AtomicU64::new(0),
                 loaded_batches,
                 loaded_entries,
+                autoflush_error: Mutex::new(None),
             }),
         }
     }
@@ -254,7 +258,8 @@ impl ResultStore {
     }
 
     /// Buffers one record; flushes automatically at
-    /// [`AUTOFLUSH_ENTRIES`].
+    /// [`AUTOFLUSH_ENTRIES`]. The automatic flush's first error is
+    /// returned by the next [`flush`](ResultStore::flush).
     pub fn put(&self, key: StoreKey, value: String) {
         let mut state = self.inner.state.lock().unwrap();
         let seq = state.next_seq;
@@ -263,7 +268,9 @@ impl ResultStore {
         self.inner.puts.fetch_add(1, Ordering::Relaxed);
         if state.pending.len() >= AUTOFLUSH_ENTRIES {
             drop(state);
-            let _ = self.flush();
+            if let Err(e) = self.flush() {
+                self.autoflush_error().get_or_insert(e);
+            }
         }
     }
 
@@ -273,13 +280,16 @@ impl ResultStore {
     ///
     /// # Errors
     ///
-    /// Propagates the first batch-file write error, the sealed batch's
-    /// own or a merge's (the sealed batch still lands in the in-memory
-    /// spine first, and a failed merge keeps its inputs on disk).
+    /// Returns the first error of an automatic flush since the last
+    /// call, if any; otherwise propagates the first batch-file write
+    /// error, the sealed batch's own or a merge's (the sealed batch
+    /// still lands in the in-memory spine first, and a failed merge
+    /// keeps its inputs on disk).
     pub fn flush(&self) -> io::Result<usize> {
+        let deferred = self.autoflush_error().take();
         let mut state = self.inner.state.lock().unwrap();
         if state.pending.is_empty() {
-            return Ok(0);
+            return deferred.map_or(Ok(0), Err);
         }
         let batch = Batch::seal(std::mem::take(&mut state.pending));
         let n = batch.len();
@@ -287,11 +297,21 @@ impl ResultStore {
         state.spine.insert(batch.clone());
         drop(state);
         self.inner.batches_appended.fetch_add(1, Ordering::Relaxed);
-        let mut result = self.persist(&batch);
+        let persisted = self.persist(&batch);
+        let mut result = deferred.map_or(persisted, Err);
         while let Some(merged) = self.merge_step(|spine| spine.merge_candidate().map(|(i, _)| i)) {
             result = result.and(merged);
         }
         result.map(|()| n)
+    }
+
+    /// The held autoflush error. Every update leaves it valid, so a
+    /// panic elsewhere while it was locked does not poison it.
+    fn autoflush_error(&self) -> MutexGuard<'_, Option<io::Error>> {
+        self.inner
+            .autoflush_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Writes `batch`'s file, when the store has a directory.
@@ -512,6 +532,26 @@ mod tests {
         for n in 0..10 {
             assert_eq!(s.get(&key(n)).as_deref(), Some(format!("v{n}").as_str()));
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_autoflush_is_reported_by_the_next_flush() {
+        let dir = tmp_dir("failed-autoflush");
+        let s = ResultStore::open_with(&dir, 7).unwrap();
+        // A directory where the autoflushed batch's temp file goes makes
+        // its write fail.
+        let blocker = dir.join(".tmp-batch-000000000000-000000004095.lwsb");
+        std::fs::create_dir(&blocker).unwrap();
+        for n in 0..AUTOFLUSH_ENTRIES as u64 {
+            s.put(key(n), format!("v{n}"));
+        }
+        assert_eq!(s.stats().batches_appended, 1, "the puts must autoflush");
+        assert!(s.flush().is_err(), "the autoflush error is lost");
+        // Reported once; the records still serve from memory.
+        assert_eq!(s.flush().unwrap(), 0);
+        assert_eq!(s.get(&key(7)).as_deref(), Some("v7"));
+        drop(s);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -211,9 +211,10 @@ fn small_cfg(scheme: Scheme) -> SimConfig {
 /// The run matrix: one MC (no boundary-broadcast skew), four MCs with
 /// a tiny WPQ (deadlock detection, overflow mode, HOL retries), Capri
 /// stop-and-wait, PPA drain waits, multithreaded locks with two
-/// threads per core (spin wake-ups, timeslice rotation) — the states
-/// where skip and batching decisions are most delicate — plus the
-/// audit matrix below, run whole.
+/// threads per core (spin wake-ups, timeslice rotation) under LightWSP
+/// and under both regular-path schemes — the states where skip and
+/// batching decisions are most delicate — plus the audit matrix below,
+/// run whole.
 pub fn run_cases() -> Vec<Case> {
     let mut one_mc = SimConfig::new(Scheme::LightWsp);
     one_mc.mem.num_mcs = 1;
@@ -229,6 +230,20 @@ pub fn run_cases() -> Vec<Case> {
             "lightwsp-2core",
             SimConfig::new(Scheme::LightWsp).with_cores(2),
             "vacation",
+            8_000,
+        )
+        .threads(4),
+        Case::new(
+            "baseline-2core",
+            SimConfig::new(Scheme::Baseline).with_cores(2),
+            "vacation",
+            8_000,
+        )
+        .threads(4),
+        Case::new(
+            "psp-ideal-2core",
+            SimConfig::new(Scheme::PspIdeal).with_cores(2),
+            "radix",
             8_000,
         )
         .threads(4),
