@@ -22,6 +22,12 @@
 //! no-regression floors, not the dispatch-level bar; `EXPERIMENTS.md`
 //! has the numbers.
 //!
+//! The `exec` dispatch rows hand each batch an unbounded retire budget,
+//! so a batch runs until the next timed event. Inside the machine the
+//! retire stage grants at most `SimConfig::width` slots per call, so
+//! these rows bound the engine's dispatch speed from above rather than
+//! reproduce the simulator's batch sizes.
+//!
 //! Writes `results/perf_gate.txt`. `--quick` uses the quick instruction
 //! budget for the machine cells and a smaller dense-sweep point budget.
 

@@ -49,7 +49,7 @@ use lightwsp_workloads::WorkloadSpec;
 use std::convert::Infallible;
 use std::fmt::{Debug, Display};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// One unit of work: simulate `spec` under `scheme` with `opts`.
@@ -135,13 +135,21 @@ struct SharedCompile {
 /// workers racing on the *same* key compute it once.
 type Slot<T> = Arc<Mutex<Option<T>>>;
 
+/// A compute that panics poisons the slot's lock but leaves the slot
+/// `None`, so both locks are taken through the poison and the next
+/// caller for the key recomputes instead of panicking in turn.
 fn get_or_compute<T: Clone>(
     map: &Mutex<FxHashMap<u64, Slot<T>>>,
     key: u64,
     f: impl FnOnce() -> T,
 ) -> T {
-    let slot = map.lock().unwrap().entry(key).or_default().clone();
-    let mut guard = slot.lock().unwrap();
+    let slot = map
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .entry(key)
+        .or_default()
+        .clone();
+    let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
     if guard.is_none() {
         *guard = Some(f());
     }
@@ -571,6 +579,17 @@ mod tests {
                 ]
             })
             .collect()
+    }
+
+    #[test]
+    fn a_panicking_compute_leaves_the_key_recomputable() {
+        let map = Mutex::new(FxHashMap::default());
+        let panicked = std::panic::catch_unwind(|| {
+            get_or_compute(&map, 7, || -> u64 { panic!("compute failed") })
+        });
+        assert!(panicked.is_err());
+        assert_eq!(get_or_compute(&map, 7, || 42u64), 42);
+        assert_eq!(get_or_compute(&map, 7, || 0u64), 42, "computed once");
     }
 
     #[test]

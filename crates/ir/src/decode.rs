@@ -1,63 +1,28 @@
 //! Load-time lowering of a [`Program`] into the flat micro-op format.
 //!
-//! [`DecodedProgram::decode`] walks every basic block once, resolves
-//! operands, pre-links branch/call targets as flat block indices, fuses
-//! adjacent instruction pairs into the superinstructions of
-//! [`crate::uop`] (load-op, op-store, addr-gen+access, cmp-branch), and
-//! records for each block an *entry table* mapping every instruction
-//! index to an exact micro-op cursor. The result is immutable and
+//! [`DecodedProgram::decode`] walks every basic block once, lowers each
+//! instruction and terminator to exactly one [`MicroOp`], resolves
+//! operands and pre-links branch/call targets as flat block indices.
+//! Instruction `i` of a block is micro-op `start + i`, so a
+//! [`ProgramPoint`] maps to its micro-op — and back — by index
+//! arithmetic alone, which keeps cycle accounting, crash points and
+//! checkpoint re-entry bit-identical to the tree-walking reference
+//! interpreter (see `crate::exec`). The result is immutable and
 //! thread-independent: the simulator wraps it in an `Arc` shared by all
 //! hardware threads and every crash-sweep fork.
-//!
-//! ## Fusion rules
-//!
-//! Pairs are fused greedily left-to-right, never overlapping, and only
-//! when the second instruction depends on the first's destination:
-//!
-//! * **load-op** — `Load dst` + `Alu`/`AluImm` reading `dst` →
-//!   [`MicroOp::LoadAlu`];
-//! * **op-store** — `Alu`/`AluImm dst` + `Store` with `src == dst` →
-//!   [`MicroOp::AluStore`];
-//! * **addr-gen + access** — `Alu`/`AluImm dst` + `Load`/`Store` with
-//!   `base == dst` → [`MicroOp::AluLoad`] / [`MicroOp::AluStore`];
-//! * **cmp-branch** — a final `Alu`/`AluImm dst` + a `Branch`
-//!   terminator reading `dst` → [`MicroOp::CmpBr`].
-//!
-//! Each fused micro-op still retires one component per slot, so cycle
-//! accounting, crash points, and checkpoint re-entry stay bit-identical
-//! to the tree-walking reference interpreter (see `crate::exec`).
 
-use crate::inst::{BranchRhs, Inst, Terminator};
+use crate::inst::{Inst, Terminator};
 use crate::program::{BlockId, FuncId, Program, ProgramPoint};
-use crate::uop::{FusedAlu, MicroOp, Operand};
+use crate::uop::MicroOp;
 
-/// An exact execution cursor: micro-op index plus the number of
-/// components of that micro-op already retired.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EntryRef {
-    /// Index into [`DecodedProgram::uops`].
-    pub uop: u32,
-    /// Components of that micro-op already retired (0, or 1 when the
-    /// cursor points inside a fused pair).
-    pub comp: u8,
-}
-
-/// One decoded basic block.
+/// One decoded basic block: instruction `i` of the source block is
+/// micro-op `start + i`, and the terminator is micro-op `end - 1`.
 #[derive(Clone, Debug)]
 pub struct DecodedBlock {
     /// First micro-op of the block in [`DecodedProgram::uops`].
     pub start: u32,
     /// One past the block's last micro-op (always the terminator).
     pub end: u32,
-    /// Entry table: for every instruction index `0..=insts.len()` of
-    /// the source block, the exact cursor to resume at (index
-    /// `insts.len()` is the terminator).
-    pub entry: Box<[EntryRef]>,
-    /// True if every component of every micro-op retires as a plain
-    /// ALU event — the precondition for the hot-trace compiled tier.
-    pub pure_alu: bool,
-    /// Total retire components (source instructions incl. terminator).
-    pub insts: u32,
 }
 
 /// A whole program lowered to micro-ops (see the module docs).
@@ -72,27 +37,13 @@ pub struct DecodedProgram {
     pub block_base: Vec<u32>,
     /// Flat id of the program entry function's entry block.
     pub entry_block: u32,
-    /// Per-micro-op encoded [`ProgramPoint`] of its first component;
-    /// `base_enc[u] + comp` encodes the cursor `(u, comp)` exactly
-    /// (components of a fused pair are consecutive instruction
-    /// indices).
-    pub base_enc: Vec<u64>,
+    /// Per-micro-op encoded [`ProgramPoint`] of its source instruction.
+    pub point_encs: Vec<u64>,
 }
 
 impl DecodedProgram {
     /// Lowers `program`; cost is one linear pass over the static code.
     pub fn decode(program: &Program) -> DecodedProgram {
-        Self::decode_with(program, true)
-    }
-
-    /// Lowering with superinstruction fusion switched on or off.
-    ///
-    /// `fuse = false` produces one micro-op per source instruction —
-    /// semantically identical, just never pairing. The simulator always
-    /// fuses; the unfused form exists for the `dispatch_loop`
-    /// microbench, which separates the win of flat pre-decoded dispatch
-    /// from the win of fusion on top of it.
-    pub fn decode_with(program: &Program, fuse: bool) -> DecodedProgram {
         let mut block_base = Vec::with_capacity(program.funcs.len());
         let mut total = 0u32;
         for f in &program.funcs {
@@ -103,9 +54,8 @@ impl DecodedProgram {
         let mut d = Decoder {
             program,
             block_base,
-            fuse,
             uops: Vec::new(),
-            base_enc: Vec::new(),
+            point_encs: Vec::new(),
             blocks: Vec::with_capacity(total as usize),
         };
         for (fi, f) in program.funcs.iter().enumerate() {
@@ -121,7 +71,7 @@ impl DecodedProgram {
             blocks: d.blocks,
             block_base: d.block_base,
             entry_block,
-            base_enc: d.base_enc,
+            point_encs: d.point_encs,
         }
     }
 
@@ -131,96 +81,56 @@ impl DecodedProgram {
         self.block_base[func.index()] + block.index() as u32
     }
 
-    /// Exact cursor for an arbitrary [`ProgramPoint`] (including points
-    /// landing inside a fused pair, e.g. a checkpointed recovery PC).
+    /// Micro-op index of an arbitrary [`ProgramPoint`] (e.g. a
+    /// checkpointed recovery PC).
     ///
     /// # Panics
     ///
     /// Panics if the point is malformed (out-of-range block or
-    /// instruction index), which indicates a compiler bug — mirroring
-    /// the reference interpreter.
+    /// instruction index), which indicates a compiler bug or a corrupt
+    /// checkpoint — never runs another block's code instead.
     #[inline]
-    pub fn locate(&self, point: ProgramPoint) -> EntryRef {
+    pub fn locate(&self, point: ProgramPoint) -> u32 {
         let blk = &self.blocks[self.flat_block(point.func, point.block) as usize];
-        blk.entry[point.inst as usize]
+        assert!(
+            point.inst < blk.end - blk.start,
+            "{point:?} lies past the end of its block"
+        );
+        blk.start + point.inst
     }
 
-    /// Encoded [`ProgramPoint`] of cursor `(uop, comp)`.
+    /// Encoded [`ProgramPoint`] of micro-op `uop`.
     #[inline]
-    pub fn point_enc(&self, uop: u32, comp: u8) -> u64 {
-        self.base_enc[uop as usize] + comp as u64
+    pub fn point_enc(&self, uop: u32) -> u64 {
+        self.point_encs[uop as usize]
     }
 }
 
 struct Decoder<'p> {
     program: &'p Program,
     block_base: Vec<u32>,
-    fuse: bool,
     uops: Vec<MicroOp>,
-    base_enc: Vec<u64>,
+    point_encs: Vec<u64>,
     blocks: Vec<DecodedBlock>,
 }
 
 impl Decoder<'_> {
-    fn push(&mut self, uop: MicroOp, func: FuncId, block: BlockId, inst: u32) -> u32 {
-        let at = self.uops.len() as u32;
+    fn push(&mut self, uop: MicroOp, func: FuncId, block: BlockId, inst: u32) {
         self.uops.push(uop);
-        self.base_enc
+        self.point_encs
             .push(ProgramPoint { func, block, inst }.encode());
-        at
     }
 
     fn decode_block(&mut self, func: FuncId, block: BlockId, b: &crate::program::Block) {
         let start = self.uops.len() as u32;
-        let n = b.insts.len();
-        let mut entry = vec![EntryRef { uop: 0, comp: 0 }; n + 1].into_boxed_slice();
-
-        let mut i = 0usize;
-        let mut term_fused = false;
-        while i < n {
-            // Pair fusion with the next instruction.
-            if self.fuse && i + 1 < n {
-                if let Some(fused) = fuse_pair(&b.insts[i], &b.insts[i + 1]) {
-                    let at = self.push(fused, func, block, i as u32);
-                    entry[i] = EntryRef { uop: at, comp: 0 };
-                    entry[i + 1] = EntryRef { uop: at, comp: 1 };
-                    i += 2;
-                    continue;
-                }
-            }
-            // Terminator fusion: a final ALU feeding the branch.
-            if self.fuse && i + 1 == n {
-                if let Some(fused) = self.fuse_cmp_br(func, &b.insts[i], &b.term) {
-                    let at = self.push(fused, func, block, i as u32);
-                    entry[i] = EntryRef { uop: at, comp: 0 };
-                    entry[n] = EntryRef { uop: at, comp: 1 };
-                    term_fused = true;
-                    i += 1;
-                    continue;
-                }
-            }
-            let uop = self.single(&b.insts[i], func, block, i as u32);
-            let at = self.push(uop, func, block, i as u32);
-            entry[i] = EntryRef { uop: at, comp: 0 };
-            i += 1;
+        for (i, inst) in b.insts.iter().enumerate() {
+            let uop = self.single(inst, func, block, i as u32);
+            self.push(uop, func, block, i as u32);
         }
-        if !term_fused {
-            let uop = self.terminator(func, &b.term);
-            let at = self.push(uop, func, block, n as u32);
-            entry[n] = EntryRef { uop: at, comp: 0 };
-        }
-
+        let uop = self.terminator(func, &b.term);
+        self.push(uop, func, block, b.insts.len() as u32);
         let end = self.uops.len() as u32;
-        let pure_alu = self.uops[start as usize..end as usize]
-            .iter()
-            .all(|u| u.is_alu_class());
-        self.blocks.push(DecodedBlock {
-            start,
-            end,
-            entry,
-            pure_alu,
-            insts: (n + 1) as u32,
-        });
+        self.blocks.push(DecodedBlock { start, end });
     }
 
     /// Lowers a single non-terminator instruction.
@@ -300,94 +210,6 @@ impl Decoder<'_> {
             Terminator::Halt => MicroOp::Halt,
         }
     }
-
-    /// Cmp-branch fusion: the block's last instruction is an ALU whose
-    /// destination feeds the branch comparison.
-    fn fuse_cmp_br(&self, func: FuncId, last: &Inst, term: &Terminator) -> Option<MicroOp> {
-        let Terminator::Branch {
-            cond,
-            src,
-            rhs,
-            then_bb,
-            else_bb,
-        } = *term
-        else {
-            return None;
-        };
-        let alu = alu_head(last)?;
-        let depends = src == alu.dst || rhs == BranchRhs::Reg(alu.dst);
-        if !depends {
-            return None;
-        }
-        let base = self.block_base[func.index()];
-        Some(MicroOp::CmpBr {
-            alu,
-            cond,
-            src,
-            rhs: rhs.into(),
-            then_blk: base + then_bb.index() as u32,
-            else_blk: base + else_bb.index() as u32,
-        })
-    }
-}
-
-/// The ALU component of `Inst::Alu`/`Inst::AluImm`, if `inst` is one.
-fn alu_head(inst: &Inst) -> Option<FusedAlu> {
-    match *inst {
-        Inst::Alu { op, dst, lhs, rhs } => Some(FusedAlu {
-            op,
-            dst,
-            lhs,
-            rhs: Operand::Reg(rhs),
-        }),
-        Inst::AluImm { op, dst, src, imm } => Some(FusedAlu {
-            op,
-            dst,
-            lhs: src,
-            rhs: Operand::Imm(imm as u64),
-        }),
-        _ => None,
-    }
-}
-
-/// Pair fusion (see the module docs); returns the fused micro-op when
-/// `(a, b)` match a pattern.
-fn fuse_pair(a: &Inst, b: &Inst) -> Option<MicroOp> {
-    // load-op: Load dst + ALU reading dst.
-    if let Inst::Load { dst, base, offset } = *a {
-        let alu = alu_head(b)?;
-        let reads_dst = alu.lhs == dst || alu.rhs == Operand::Reg(dst);
-        if reads_dst {
-            return Some(MicroOp::LoadAlu {
-                dst,
-                base,
-                offset: offset as u64,
-                alu,
-            });
-        }
-        return None;
-    }
-    // ALU head + dependent memory access.
-    let alu = alu_head(a)?;
-    match *b {
-        // op-store (src == dst) or addr-gen + store (base == dst).
-        Inst::Store { src, base, offset } if src == alu.dst || base == alu.dst => {
-            Some(MicroOp::AluStore {
-                alu,
-                src,
-                base,
-                offset: offset as u64,
-            })
-        }
-        // addr-gen + load.
-        Inst::Load { dst, base, offset } if base == alu.dst => Some(MicroOp::AluLoad {
-            alu,
-            dst,
-            base,
-            offset: offset as u64,
-        }),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -424,69 +246,6 @@ mod tests {
                 MicroOp::Halt,
             ]
         );
-        assert_eq!(blk.insts, 3);
-        assert!(!blk.pure_alu, "halt is an event, not ALU class");
-    }
-
-    #[test]
-    fn load_op_fuses_and_entry_table_splits_it() {
-        let mut b = FuncBuilder::new("loadop");
-        b.mov_imm(Reg::R2, layout::HEAP_BASE as i64);
-        b.load(Reg::R1, Reg::R2, 0);
-        b.alu_imm(AluOp::Add, Reg::R3, Reg::R1, 5);
-        b.halt();
-        let (_, d) = decode_single(b);
-        let blk = &d.blocks[0];
-        assert!(matches!(
-            d.uops[blk.start as usize + 1],
-            MicroOp::LoadAlu { dst: Reg::R1, .. }
-        ));
-        // Entry table: inst 1 (the load) is comp 0, inst 2 (the add) is
-        // comp 1 of the same micro-op.
-        assert_eq!(blk.entry[1].uop, blk.entry[2].uop);
-        assert_eq!(blk.entry[1].comp, 0);
-        assert_eq!(blk.entry[2].comp, 1);
-        // The terminator has its own entry.
-        assert_eq!(blk.entry[3].comp, 0);
-    }
-
-    #[test]
-    fn op_store_and_addr_gen_fuse() {
-        let mut b = FuncBuilder::new("opstore");
-        b.mov_imm(Reg::R2, layout::HEAP_BASE as i64);
-        b.alu_imm(AluOp::Add, Reg::R1, Reg::R0, 3); // op-store head
-        b.store(Reg::R1, Reg::R2, 0);
-        b.alu_imm(AluOp::Add, Reg::R4, Reg::R2, 8); // addr-gen head
-        b.load(Reg::R5, Reg::R4, 0);
-        b.halt();
-        let (_, d) = decode_single(b);
-        let uops = &d.uops[d.blocks[0].start as usize..d.blocks[0].end as usize];
-        assert!(uops.iter().any(|u| matches!(u, MicroOp::AluStore { .. })));
-        assert!(uops.iter().any(|u| matches!(u, MicroOp::AluLoad { .. })));
-        // 6 source insts (incl. halt) in 4 micro-ops.
-        assert_eq!(uops.len(), 4);
-        assert_eq!(d.blocks[0].insts, 6);
-    }
-
-    #[test]
-    fn cmp_branch_fuses_with_terminator() {
-        let mut b = FuncBuilder::new("cmpbr");
-        let exit = b.new_block();
-        let header = b.new_block();
-        b.jump(header);
-        b.switch_to(header);
-        b.alu_imm(AluOp::Add, Reg::R1, Reg::R1, 1);
-        b.branch_imm(Cond::Ne, Reg::R1, 4, header, exit);
-        b.switch_to(exit);
-        b.halt();
-        let (_, d) = decode_single(b);
-        let hdr = &d.blocks[2]; // blocks: entry, exit, header
-        assert_eq!(hdr.end - hdr.start, 1, "single fused CmpBr micro-op");
-        assert!(matches!(d.uops[hdr.start as usize], MicroOp::CmpBr { .. }));
-        assert!(hdr.pure_alu);
-        assert_eq!(hdr.insts, 2);
-        // The terminator entry resumes at component 1.
-        assert_eq!(hdr.entry[1].comp, 1);
     }
 
     #[test]
@@ -494,26 +253,18 @@ mod tests {
         let mut b = FuncBuilder::new("nofusemode");
         b.mov_imm(Reg::R2, layout::HEAP_BASE as i64);
         b.alu_imm(AluOp::Add, Reg::R1, Reg::R0, 3);
-        b.store(Reg::R1, Reg::R2, 0); // would fuse into AluStore
+        b.store(Reg::R1, Reg::R2, 0); // a dependent ALU-store pair
         b.load(Reg::R3, Reg::R2, 0);
-        b.alu_imm(AluOp::Add, Reg::R4, Reg::R3, 1); // would fuse into LoadAlu
+        b.alu_imm(AluOp::Add, Reg::R4, Reg::R3, 1); // a dependent load-ALU pair
         b.halt();
-        let p = Program::from_single(b.finish());
-        let d = DecodedProgram::decode_with(&p, false);
+        let (p, d) = decode_single(b);
         let blk = &d.blocks[0];
-        assert_eq!(blk.end - blk.start, blk.insts, "no pairing when fuse=off");
-        assert!(d.uops.iter().all(|u| u.components() == 1));
-    }
-
-    #[test]
-    fn independent_neighbours_do_not_fuse() {
-        let mut b = FuncBuilder::new("nofuse");
-        b.load(Reg::R1, Reg::R2, 0);
-        b.alu_imm(AluOp::Add, Reg::R3, Reg::R4, 1); // independent of R1
-        b.halt();
-        let (_, d) = decode_single(b);
-        let blk = &d.blocks[0];
-        assert_eq!(blk.end - blk.start, 3, "no fusion without a dependence");
+        let uops = &d.uops[blk.start as usize..blk.end as usize];
+        assert_eq!(uops.len(), p.funcs[0].blocks[0].insts.len() + 1);
+        assert!(matches!(uops[1], MicroOp::AluImm { dst: Reg::R1, .. }));
+        assert!(matches!(uops[2], MicroOp::Store { src: Reg::R1, .. }));
+        assert!(matches!(uops[3], MicroOp::Load { dst: Reg::R3, .. }));
+        assert!(matches!(uops[4], MicroOp::AluImm { src: Reg::R3, .. }));
     }
 
     #[test]
@@ -543,8 +294,7 @@ mod tests {
         assert_eq!(ret.inst, 1);
     }
 
-    #[test]
-    fn locate_roundtrips_every_program_point() {
+    fn roundtrip_program() -> (Program, DecodedProgram) {
         let mut b = FuncBuilder::new("roundtrip");
         b.mov_imm(Reg::R2, layout::HEAP_BASE as i64);
         b.load(Reg::R1, Reg::R2, 0);
@@ -554,7 +304,12 @@ mod tests {
         b.branch_imm(Cond::Eq, Reg::R1, 1, exit, exit);
         b.switch_to(exit);
         b.halt();
-        let (p, d) = decode_single(b);
+        decode_single(b)
+    }
+
+    #[test]
+    fn locate_roundtrips_every_program_point() {
+        let (p, d) = roundtrip_program();
         for (bi, blk) in p.funcs[0].blocks.iter().enumerate() {
             for inst in 0..=blk.insts.len() as u32 {
                 let pt = ProgramPoint {
@@ -562,16 +317,25 @@ mod tests {
                     block: BlockId::from_index(bi),
                     inst,
                 };
-                let e = d.locate(pt);
+                let uop = d.locate(pt);
                 assert_eq!(
-                    d.point_enc(e.uop, e.comp),
+                    d.point_enc(uop),
                     pt.encode(),
-                    "cursor ({}, {}) must encode back to {:?}",
-                    e.uop,
-                    e.comp,
-                    pt
+                    "micro-op {uop} must encode back to {pt:?}"
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end of its block")]
+    fn locate_rejects_a_point_past_its_block() {
+        // One past the terminator: must not run the next block's code.
+        let (p, d) = roundtrip_program();
+        d.locate(ProgramPoint {
+            func: p.entry,
+            block: p.funcs[0].entry,
+            inst: p.funcs[0].blocks[0].insts.len() as u32 + 1,
+        });
     }
 }

@@ -14,7 +14,6 @@
 //! deterministically because every input (PM contents + checkpointed
 //! registers) is identical to the original run.
 
-use crate::exec::DecodedState;
 use crate::inst::{BranchRhs, Inst, Terminator};
 use crate::layout;
 use crate::program::{Program, ProgramPoint};
@@ -109,16 +108,10 @@ pub struct Interp {
     pub(crate) insts_executed: u64,
     /// Executed instrumentation count (boundaries + checkpoint stores).
     pub(crate) instrumentation_executed: u64,
-    /// Decoded-engine hot-tier state ([`crate::exec`]); `None` until
-    /// the first `step_batch` call, so reference-mode threads pay
-    /// nothing for it.
-    pub(crate) dec: Option<Box<DecodedState>>,
     /// Decoded-engine cursor: flat micro-op index (valid only when
     /// `cursor_valid`).
     pub(crate) cursor: u32,
-    /// Component progress inside a fused micro-op at `cursor`.
-    pub(crate) comp: u8,
-    /// True while `cursor`/`comp` track the thread (false after a
+    /// True while `cursor` tracks the thread (false after a
     /// reference-mode `step` moved `point` behind the engine's back).
     pub(crate) cursor_valid: bool,
     /// True while `point` lags the decoded cursor. `step_batch` leaves
@@ -143,9 +136,7 @@ impl Interp {
             finished: false,
             insts_executed: 0,
             instrumentation_executed: 0,
-            dec: None,
             cursor: 0,
-            comp: 0,
             cursor_valid: false,
             point_stale: false,
         }
@@ -167,9 +158,7 @@ impl Interp {
             finished: false,
             insts_executed: 0,
             instrumentation_executed: 0,
-            dec: None,
             cursor: 0,
-            comp: 0,
             cursor_valid: false,
             point_stale: false,
         }

@@ -53,8 +53,8 @@
 //! The interpreter has two execution engines with bit-identical
 //! observable behaviour: the tree-walking reference (`Interp::step`)
 //! and the pre-decoded micro-op engine ([`decode`], [`uop`], [`exec`])
-//! that fuses adjacent instructions and batches ALU work between timed
-//! events.
+//! that runs one flat micro-op per instruction and batches ALU work
+//! between timed events.
 
 #![warn(missing_docs)]
 
@@ -75,8 +75,7 @@ pub mod program;
 pub mod reg;
 pub mod uop;
 
-pub use decode::{DecodedBlock, DecodedProgram, EntryRef};
-pub use exec::HOT_THRESHOLD;
+pub use decode::{DecodedBlock, DecodedProgram};
 pub use fxhash::{fx_hash, FxHashMap, FxHashSet};
 pub use inst::{AluOp, Cond, Inst, Terminator};
 pub use interp::{DynEvent, Interp, Memory, StoreKind, ThreadId};

@@ -2,22 +2,13 @@
 //! execution engine.
 //!
 //! [`crate::decode`] lowers every basic block of a [`crate::Program`]
-//! into a flat run of [`MicroOp`]s at load time: operands are resolved,
-//! branch targets pre-linked as *flat block indices* (no per-step
-//! `FuncId`/`BlockId` map lookups), instrumentation addresses partially
-//! precomputed, and adjacent instruction pairs fused into
-//! superinstructions. [`crate::exec`] then executes micro-ops in a tight
-//! loop that yields to the timing simulator only at instructions that
-//! emit timed [`crate::DynEvent`]s.
-//!
-//! ## Components
-//!
-//! A fused micro-op retires as its original instructions, one
-//! *component* at a time, so per-cycle retire accounting and crash
-//! points are bit-identical to the reference tree-walker: the execution
-//! cursor is `(micro-op index, components already retired)`, and the
-//! decoder's entry tables map **every** [`crate::ProgramPoint`] — even
-//! one landing inside a fused pair — to an exact cursor.
+//! into a flat run of [`MicroOp`]s at load time, one per source
+//! instruction: operands are resolved, branch targets pre-linked as
+//! *flat block indices* (no per-step `FuncId`/`BlockId` map lookups),
+//! and instrumentation addresses partially precomputed.
+//! [`crate::exec`] then executes micro-ops in a tight loop that yields
+//! to the timing simulator only at instructions that emit timed
+//! [`crate::DynEvent`]s.
 
 use crate::inst::{AluOp, BranchRhs, Cond};
 use crate::reg::Reg;
@@ -41,25 +32,10 @@ impl From<BranchRhs> for Operand {
     }
 }
 
-/// The ALU half of a fused micro-op: `dst = op(lhs, rhs)`. Covers both
-/// `Inst::Alu` (register rhs) and `Inst::AluImm` (immediate rhs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FusedAlu {
-    /// The operation.
-    pub op: AluOp,
-    /// Destination register.
-    pub dst: Reg,
-    /// Left operand register.
-    pub lhs: Reg,
-    /// Right operand (register or pre-cast immediate).
-    pub rhs: Operand,
-}
-
 /// One pre-decoded micro-op.
 ///
-/// Single-component variants map 1:1 to an [`crate::Inst`] or
-/// [`crate::Terminator`]; the fused variants at the bottom carry two
-/// components each (see the module docs). Thread-dependent addresses
+/// Every variant maps 1:1 to an [`crate::Inst`] or
+/// [`crate::Terminator`]. Thread-dependent addresses
 /// (PC slot, checkpoint slots, stack windows) are *not* baked in — the
 /// decoded program is shared by every thread and every crash-sweep fork
 /// — but everything thread-invariant is.
@@ -185,87 +161,4 @@ pub enum MicroOp {
     Ret,
     /// Thread exit.
     Halt,
-    /// Fused load-op: `dst = mem[base + offset]` then the dependent
-    /// ALU component.
-    LoadAlu {
-        /// Load destination register.
-        dst: Reg,
-        /// Base address register.
-        base: Reg,
-        /// Pre-cast byte offset.
-        offset: u64,
-        /// The dependent ALU component (executed second).
-        alu: FusedAlu,
-    },
-    /// Fused ALU-store: the ALU component then `mem[base + offset] =
-    /// src`. Produced by both the *op-store* pattern (`src == alu.dst`)
-    /// and the *addr-gen + store* pattern (`base == alu.dst`).
-    AluStore {
-        /// The ALU component (executed first).
-        alu: FusedAlu,
-        /// Store source register.
-        src: Reg,
-        /// Base address register.
-        base: Reg,
-        /// Pre-cast byte offset.
-        offset: u64,
-    },
-    /// Fused addr-gen + load: the address-producing ALU component then
-    /// `dst = mem[base + offset]` with `base == alu.dst`.
-    AluLoad {
-        /// The ALU component (executed first).
-        alu: FusedAlu,
-        /// Load destination register.
-        dst: Reg,
-        /// Base address register.
-        base: Reg,
-        /// Pre-cast byte offset.
-        offset: u64,
-    },
-    /// Fused compare-and-branch: the ALU component then a dependent
-    /// [`MicroOp::Branch`]-shaped terminator.
-    CmpBr {
-        /// The ALU component (executed first).
-        alu: FusedAlu,
-        /// The comparison.
-        cond: Cond,
-        /// Left comparison register.
-        src: Reg,
-        /// Right comparison operand.
-        rhs: Operand,
-        /// Flat index of the taken-path block.
-        then_blk: u32,
-        /// Flat index of the fall-through block.
-        else_blk: u32,
-    },
-}
-
-impl MicroOp {
-    /// Number of retire components (original instructions) this
-    /// micro-op carries: 2 for fused variants, 1 otherwise.
-    pub fn components(&self) -> u8 {
-        match self {
-            MicroOp::LoadAlu { .. }
-            | MicroOp::AluStore { .. }
-            | MicroOp::AluLoad { .. }
-            | MicroOp::CmpBr { .. } => 2,
-            _ => 1,
-        }
-    }
-
-    /// True for micro-ops whose every component retires as a plain
-    /// [`crate::DynEvent::Alu`] — the class the inner loop batches
-    /// without yielding to the timing simulator.
-    pub fn is_alu_class(&self) -> bool {
-        matches!(
-            self,
-            MicroOp::Alu { .. }
-                | MicroOp::AluImm { .. }
-                | MicroOp::MovImm { .. }
-                | MicroOp::Nop
-                | MicroOp::Jump { .. }
-                | MicroOp::Branch { .. }
-                | MicroOp::CmpBr { .. }
-        )
-    }
 }

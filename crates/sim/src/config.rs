@@ -162,11 +162,10 @@ pub enum SweepMode {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum ExecMode {
     /// The pre-decoded micro-op engine (the default): each basic block
-    /// is flattened at machine construction into a `Vec<MicroOp>` with
-    /// operands resolved, branch targets pre-linked as flat block
-    /// indices, and adjacent instructions fused; a tight inner loop
-    /// batches ALU-class work between timed events, and the hottest
-    /// pure-ALU blocks are compiled into native closure chains.
+    /// is flattened at machine construction into a `Vec<MicroOp>`, one
+    /// per instruction, with operands resolved and branch targets
+    /// pre-linked as flat block indices; a tight inner loop batches
+    /// ALU-class work between timed events.
     #[default]
     Decoded,
     /// Tree-walk one `Inst` at a time through the original interpreter.

@@ -146,10 +146,9 @@ fn crash_point_at_the_cycle_cap_resumes_with_a_fresh_budget() {
 
 /// Regression (decoded-engine satellite): `Interp::resume_from_checkpoint`
 /// must behave identically under both execution engines. Recovery PCs
-/// point at the instruction *after* a region boundary — mid-block, and
-/// potentially adjacent to a fused micro-op pair — so every audited
-/// point forces the decoded engine to re-enter a block at an arbitrary
-/// checkpointed `ProgramPoint`. Both modes must audit clean and agree
+/// point at the instruction *after* a region boundary — mid-block — so
+/// every audited point forces the decoded engine to re-enter a block at
+/// an arbitrary checkpointed `ProgramPoint`. Both modes must audit clean and agree
 /// on every aggregate resolution count.
 #[test]
 fn resume_from_checkpoint_is_exec_mode_invariant() {
