@@ -411,13 +411,25 @@ impl SetAssocCache {
 }
 
 /// A sparse direct-mapped cache (the 4 GB DRAM LLC): only touched sets
-/// occupy host memory. [`DirectMappedCache::invalidate_all`] retains
-/// the table's capacity, so a machine that survives a power failure
-/// (and a crash-sweep fork, whose clone sizes the table from its
-/// occupancy) re-faults lines without re-growing the table.
+/// occupy host memory.
+///
+/// Prefilled ("warm") lines stay implicit: [`DirectMappedCache::prefill_range`]
+/// records a line range instead of inserting one table entry per line.
+/// A range at most as long as the cache holds at most one line per set,
+/// so a set that no access has touched since holds the clean warm line
+/// of the newest range that covers it, or nothing. The first access to
+/// such a set resolves it against the ranges and materialises the line
+/// it leaves behind, so every access returns what an eager prefill
+/// would have (`crates/mem/tests/cache_properties.rs` checks this
+/// against one). [`DirectMappedCache::invalidate_all`] retains the
+/// table's capacity, so a machine that survives a power failure
+/// re-faults lines without re-growing the table.
 #[derive(Clone, Debug)]
 pub struct DirectMappedCache {
     lines: FxHashMap<u64, (u64, bool)>, // set → (tag, dirty)
+    /// Prefilled line ranges `[lo, hi)`, oldest first, none longer than
+    /// `num_sets` lines.
+    warm: Vec<(u64, u64)>,
     num_sets: u64,
     line_bytes: u64,
     /// Shift/mask split (capacity and line size are powers of two in
@@ -441,6 +453,7 @@ impl DirectMappedCache {
         let pow2 = line_bytes.is_power_of_two() && num_sets.is_power_of_two();
         DirectMappedCache {
             lines: FxHashMap::default(),
+            warm: Vec::new(),
             num_sets,
             line_bytes,
             line_shift: if pow2 { line_bytes.trailing_zeros() } else { 0 },
@@ -453,21 +466,45 @@ impl DirectMappedCache {
 
     #[inline]
     fn split(&self, addr: u64) -> (u64, u64) {
+        let line = if self.pow2 {
+            addr >> self.line_shift
+        } else {
+            addr / self.line_bytes
+        };
+        self.split_line(line)
+    }
+
+    /// `(set, tag)` of line number `line`.
+    #[inline]
+    fn split_line(&self, line: u64) -> (u64, u64) {
         if self.pow2 {
-            let line = addr >> self.line_shift;
             (line & self.set_mask, line >> self.set_mask.count_ones())
         } else {
-            let line = addr / self.line_bytes;
             (line % self.num_sets, line / self.num_sets)
         }
     }
 
-    /// Pre-sizes the sparse tag table for `lines` resident lines, so
-    /// fork-sweep forks and warm-started runs stop paying incremental
-    /// rehash-and-grow on first touch.
-    pub fn reserve_lines(&mut self, lines: u64) {
-        let cap = lines.min(self.num_sets) as usize;
-        self.lines.reserve(cap.saturating_sub(self.lines.len()));
+    /// The one line of the range `[lo, hi)` that maps to `set`, if any
+    /// (the range is at most `num_sets` lines long).
+    #[inline]
+    fn range_line(&self, (lo, hi): (u64, u64), set: u64) -> Option<u64> {
+        let offset = if self.pow2 {
+            set.wrapping_sub(lo) & self.set_mask
+        } else {
+            (set + self.num_sets - lo % self.num_sets) % self.num_sets
+        };
+        let line = lo + offset;
+        (line < hi).then_some(line)
+    }
+
+    /// The tag of the warm line an untouched `set` holds: the newest
+    /// range's line in it.
+    fn warm_tag(&self, set: u64) -> Option<u64> {
+        self.warm
+            .iter()
+            .rev()
+            .find_map(|&range| self.range_line(range, set))
+            .map(|line| self.split_line(line).1)
     }
 
     /// Accesses `addr`; returns `(hit, evicted_dirty_line_addr)`.
@@ -488,33 +525,46 @@ impl DirectMappedCache {
                 (false, evicted_dirty)
             }
             None => {
-                self.misses += 1;
+                // A warm line is clean: hitting it dirties it only by
+                // this write, and evicting it writes nothing back.
+                let hit = self.warm_tag(set) == Some(tag);
+                if hit {
+                    self.hits += 1;
+                } else {
+                    self.misses += 1;
+                }
                 self.lines.insert(set, (tag, is_write));
-                (false, None)
+                (hit, None)
             }
         }
     }
 
     /// Pre-fills every line of `[start, end)` as present and clean —
     /// the state a long fast-forward would leave behind (the paper warms
-    /// caches over 10⁹ instructions before measuring, §V-A). Reserves
-    /// table capacity for the whole range up front.
+    /// caches over 10⁹ instructions before measuring, §V-A). Records the
+    /// range in O(1) when nothing has been accessed; lines already in
+    /// the sets it covers are overwritten. A range longer than the
+    /// cache leaves only its last `num_sets` lines behind, one per set.
     pub fn prefill_range(&mut self, start: u64, end: u64) {
-        let mut line = start / self.line_bytes;
-        let last = end.div_ceil(self.line_bytes);
-        self.reserve_lines(last.saturating_sub(line));
-        while line < last {
-            let set = line % self.num_sets;
-            let tag = line / self.num_sets;
-            self.lines.insert(set, (tag, false));
-            line += 1;
+        let hi = end.div_ceil(self.line_bytes);
+        let lo = (start / self.line_bytes).max(hi.saturating_sub(self.num_sets));
+        if lo >= hi {
+            return;
         }
+        if !self.lines.is_empty() {
+            let mut lines = std::mem::take(&mut self.lines);
+            lines.retain(|&set, _| self.range_line((lo, hi), set).is_none());
+            self.lines = lines;
+        }
+        self.warm.push((lo, hi));
     }
 
-    /// Invalidates everything (power failure). Retains capacity: the
-    /// post-failure refill re-faults into an already-sized table.
+    /// Invalidates everything, warm lines included (power failure).
+    /// Retains capacity: the post-failure refill re-faults into an
+    /// already-sized table.
     pub fn invalidate_all(&mut self) {
         self.lines.clear();
+        self.warm.clear();
     }
 
     /// `(hits, misses)` counters.
@@ -703,11 +753,25 @@ mod tests {
     }
 
     #[test]
-    fn direct_mapped_reserve_caps_at_num_sets() {
+    fn direct_mapped_prefill_longer_than_cache_keeps_last_lines() {
         let mut d = DirectMappedCache::new(256, 64); // 4 sets
-        d.reserve_lines(1 << 40); // absurd request clamps to 4
-        assert_eq!(d.access(0, true), (false, None));
-        assert_eq!(d.access(0, false), (true, None));
+        d.prefill_range(0, 10 * 64); // lines 6..10 overwrite lines 0..6
+        assert_eq!(d.access(9 * 64, false), (true, None));
+        assert_eq!(d.access(6 * 64, false), (true, None));
+        assert_eq!(d.access(2 * 64, false), (false, None), "line 6 took set 2");
+        assert_eq!(d.hit_miss(), (2, 1));
+    }
+
+    #[test]
+    fn direct_mapped_warm_lines_are_clean_until_written() {
+        let mut d = DirectMappedCache::new(256, 64); // 4 sets
+        d.prefill_range(0x40, 0x100); // lines 1..4
+        assert_eq!(d.access(0x40, true), (true, None), "warm hit");
+        assert_eq!(d.access(0x140, false), (false, Some(0x40)), "dirty");
+        assert_eq!(d.access(0x180, false), (false, None), "clean");
+        assert_eq!(d.access(0x000, false), (false, None), "not warm");
+        d.invalidate_all();
+        assert_eq!(d.access(0xc0, false), (false, None), "volatile");
     }
 
     #[test]

@@ -55,15 +55,6 @@ impl FrontBuffer {
         self.entries.len() < self.capacity
     }
 
-    /// Event horizon: like the store buffer, the front-end buffer is
-    /// purely reactive — it can hand an entry to the persist path next
-    /// cycle whenever it is non-empty (the path's bandwidth gate decides
-    /// when that actually happens). `None` when empty.
-    #[inline]
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        (!self.entries.is_empty()).then_some(now + 1)
-    }
-
     /// Accepts an entry from the store buffer; `false` (counted as a
     /// stall) if full.
     pub fn push(&mut self, entry: PersistEntry) -> bool {

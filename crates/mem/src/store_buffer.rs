@@ -41,14 +41,6 @@ impl StoreBuffer {
         self.entries.len() < self.capacity
     }
 
-    /// Event horizon: the buffer is purely reactive (it drains one entry
-    /// per cycle whenever downstream admits), so its only event is "can
-    /// move next cycle" while non-empty. `None` when empty.
-    #[inline]
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        (!self.entries.is_empty()).then_some(now + 1)
-    }
-
     /// Accepts a retired store. Returns `false` (and counts a stall) if
     /// the buffer is full.
     pub fn push(&mut self, entry: PersistEntry) -> bool {

@@ -1,6 +1,7 @@
 //! Property-based cache tests: the set-associative model must agree
 //! with a straightforward reference LRU implementation on hit/miss
-//! behaviour, and the direct-mapped model with a reference map.
+//! behaviour, and the direct-mapped model with a reference map and,
+//! warm lines included, with an eagerly prefilled reference.
 
 use lightwsp_mem::cache::{DirectMappedCache, SetAssocCache, VictimPolicy};
 use proptest::prelude::*;
@@ -38,6 +39,52 @@ impl RefLru {
             }
             q.push_back(tag);
             false
+        }
+    }
+}
+
+/// Eager reference for the direct-mapped cache: one slot per set, and
+/// a prefill writes every line of its range into its slot in order.
+struct RefDirect {
+    slots: Vec<Option<(u64, bool)>>, // (line, dirty)
+    hits: u64,
+    misses: u64,
+}
+
+impl RefDirect {
+    fn new(sets: u64) -> RefDirect {
+        RefDirect {
+            slots: vec![None; sets as usize],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn slot(&mut self, line: u64) -> &mut Option<(u64, bool)> {
+        let sets = self.slots.len() as u64;
+        &mut self.slots[(line % sets) as usize]
+    }
+
+    fn access(&mut self, addr: u64, write: bool) -> (bool, Option<u64>) {
+        let line = addr / 64;
+        match self.slot(line) {
+            Some((l, dirty)) if *l == line => {
+                *dirty |= write;
+                self.hits += 1;
+                (true, None)
+            }
+            slot => {
+                let evicted = slot.and_then(|(l, dirty)| dirty.then_some(l * 64));
+                *slot = Some((line, write));
+                self.misses += 1;
+                (false, evicted)
+            }
+        }
+    }
+
+    fn prefill(&mut self, start: u64, end: u64) {
+        for line in start / 64..end.div_ceil(64) {
+            *self.slot(line) = Some((line, false));
         }
     }
 }
@@ -104,5 +151,44 @@ proptest! {
             prop_assert_eq!(hit, reference[set] == Some(line), "addr {:#x}", a);
             reference[set] = Some(line);
         }
+    }
+
+    /// Warm lines kept as ranges behave exactly like lines inserted one
+    /// by one: every access returns the same `(hit, evicted)` and the
+    /// counters agree, across overlapping ranges, ranges longer than
+    /// the cache or wrapping its set index, prefills after accesses,
+    /// and power-failure invalidations mid-stream, on power-of-two and
+    /// other set counts.
+    #[test]
+    fn direct_mapped_warm_ranges_match_eager_prefill(
+        ops in prop::collection::vec(
+            (0u8..12, 0u64..(1 << 14), 0u64..6_000, any::<bool>()),
+            1..300,
+        ),
+        sets in 1u64..64,
+    ) {
+        let mut model = DirectMappedCache::new(sets * 64, 64);
+        let mut reference = RefDirect::new(sets);
+        for &(kind, addr, len, write) in &ops {
+            match kind {
+                0..=8 => {
+                    prop_assert_eq!(
+                        model.access(addr, write),
+                        reference.access(addr, write),
+                        "addr {:#x}",
+                        addr
+                    );
+                }
+                9 | 10 => {
+                    model.prefill_range(addr, addr + len);
+                    reference.prefill(addr, addr + len);
+                }
+                _ => {
+                    model.invalidate_all();
+                    reference.slots.fill(None);
+                }
+            }
+        }
+        prop_assert_eq!(model.hit_miss(), (reference.hits, reference.misses));
     }
 }

@@ -115,7 +115,7 @@ pub enum StepMode {
     /// closed form. Several times faster on stall-dominated workloads.
     #[default]
     SkipAhead,
-    /// Tick every cycle through `step_cycle`. Kept forever as the
+    /// Tick every cycle, every phase on every core. Kept forever as the
     /// executable specification the skip-ahead mode is checked against
     /// (the `step` row of [`AXES`]).
     Reference,

@@ -39,7 +39,7 @@ pub use crash::{
     InvariantViolation,
 };
 pub use machine::{Completion, CrashCapture, Machine};
-pub use stats::{SimStats, StallCause};
+pub use stats::{SimStats, StallCause, StepCounters};
 
 #[cfg(test)]
 mod tests;

@@ -3,17 +3,18 @@
 //! One [`Machine`] owns the functional state (per-thread interpreters +
 //! the volatile memory view) and the timing state (cores, caches, store
 //! buffers, front-end buffers, persist paths, memory controllers, the
-//! region-ordering tracker, and persistent memory). Each call to
-//! [`Machine::step_cycle`] advances one 2 GHz cycle:
+//! region-ordering tracker, and persistent memory). One 2 GHz cycle
+//! runs three phases:
 //!
 //! 1. memory controllers flush WPQ entries onto PM channels and the
 //!    tracker commits regions whose flush-ACKs completed;
-//! 2. each core moves its persist machinery: path head → WPQ (boundary
-//!    tokens must enter *every* WPQ), front-end buffer → path (bandwidth
-//!    gate), store buffer → L1 + front-end buffer;
-//! 3. each core retires up to `width` instructions from its active
-//!    thread, stalling on load misses, full store buffers (the persist
-//!    back-pressure chain), Capri/PPA boundary waits, or lock spins.
+//! 2. each core's persist stage moves its machinery: path head → WPQ
+//!    (boundary tokens must enter *every* WPQ), front-end buffer → path
+//!    (bandwidth gate), store buffer → L1 + front-end buffer;
+//! 3. each core's retire stage retires up to `width` instructions from
+//!    its active thread, stalling on load misses, full store buffers
+//!    (the persist back-pressure chain), Capri/PPA boundary waits, or
+//!    lock spins.
 //!
 //! Two liveness mechanisms keep the global flush frontier moving in
 //! multi-threaded runs, both hardware analogues of §IV-C's region-ID
@@ -24,15 +25,17 @@
 //! frontier can drain past it.
 //!
 //! Time advances in one of two modes (`StepMode`): the per-cycle
-//! reference stepper above, or the default event-driven skip-ahead,
-//! which asks every timed component for its `next_event` horizon and
-//! jumps straight to the earliest one, accounting the skipped interval's
-//! stall cycles and occupancy samples in closed form. The two are
-//! bit-identical in every reported statistic and in machine state at
-//! every observed cycle (enforced by `tests/step_mode_parity.rs`).
+//! reference stepper, which runs every phase on every core every
+//! cycle, or the default event-driven skip-ahead. Skip-ahead keeps two
+//! memoized horizons per core (when its persist stage and its retire
+//! stage can next act), visits only the cores due in each phase, jumps
+//! straight over cycles in which nothing is due, and charges the stall
+//! cycles of unvisited cores in closed form. The two are bit-identical
+//! in every reported statistic and in machine state at every observed
+//! cycle (enforced by `tests/step_mode_parity.rs`).
 
 use crate::config::{ExecMode, GatingMutant, Scheme, SimConfig, StepMode};
-use crate::stats::SimStats;
+use crate::stats::{SimStats, StepCounters};
 use crate::trace::RegionTraceLog;
 use lightwsp_compiler::prune::RecoveryRecipes;
 use lightwsp_ir::fxhash::FxHashMap;
@@ -151,7 +154,47 @@ struct CoreCtx {
     last_switch: u64,
     /// Boundary-token fan-out progress (which MCs accepted the head).
     bdry_progress: Vec<bool>,
+    // Skip-ahead bookkeeping ([`Machine::advance`]); the per-cycle
+    // stepper visits every core every cycle and never reads it.
+    /// First cycle at which the persist stage can move something
+    /// ([`Machine::persist_horizon`]).
+    persist_due: u64,
+    /// First cycle at which the retire stage must run
+    /// ([`Machine::retire_horizon`]).
+    retire_due: u64,
+    /// What the retire stage is charged per cycle before `retire_due`.
+    idle: Idle,
+    /// Last cycle whose retire stage was run or charged.
+    charged_through: u64,
 }
+
+impl CoreCtx {
+    /// No store of this core waits in its store buffer, front-end
+    /// buffer or persist path.
+    fn queues_empty(&self) -> bool {
+        self.sb.is_empty() && self.feb.is_empty() && self.path.is_empty()
+    }
+}
+
+/// What the reference stepper charges a core's retire stage on each
+/// cycle before it can next act, in `retire_core`'s branch order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Idle {
+    /// Nothing: every thread is spinning or halted, or the core has no
+    /// threads.
+    Free,
+    /// `stall_load_miss`: a load miss is outstanding.
+    LoadMiss,
+    /// `stall_boundary_wait`: a Capri or no-LRPO commit wait, or a PPA
+    /// drain wait.
+    BoundaryWait,
+    /// `stall_sb_full`: the core's single runnable thread is blocked
+    /// by a full store buffer.
+    SbFull,
+}
+
+/// A horizon that no event reaches.
+const NEVER: u64 = u64::MAX;
 
 /// The simulated machine.
 ///
@@ -196,18 +239,7 @@ pub struct Machine {
     l2_free: u64,
     dram_free: u64,
     pm_read_free: u64,
-    /// Machinery-horizon memo ([`Machine::machinery_horizon`]): the
-    /// last [`Machine::machinery_next_event`] result (only cached when
-    /// strictly beyond `now + 1`) and the [`Machine::machinery_stamp`]
-    /// it was computed under. Pure memoization — reused only while the
-    /// stamp proves the machinery untouched, so it cannot change any
-    /// observable (cross-checked by a debug assertion).
-    mach_horizon: u64,
-    mach_horizon_stamp: u64,
-    /// Bumped by every operation that can change persist-machinery
-    /// state: a store-buffer push, a region close, a machinery cycle
-    /// ([`Machine::step_cycle`]), and power-failure recovery.
-    machinery_stamp: u64,
+    counters: StepCounters,
 }
 
 impl Machine {
@@ -282,6 +314,10 @@ impl Machine {
                 active: 0,
                 last_switch: 0,
                 bdry_progress: vec![false; mem.num_mcs],
+                persist_due: 0,
+                retire_due: 0,
+                idle: Idle::Free,
+                charged_through: 0,
             })
             .collect();
         for tid in 0..num_threads {
@@ -301,19 +337,10 @@ impl Machine {
         }
 
         let mut dram = DirectMappedCache::new(mem.dram_cache_bytes, mem.line_bytes);
-        // Pre-size the sparse tag table for the warm working set so
-        // neither this machine nor its crash-sweep forks pay incremental
-        // rehash-and-grow on first touch.
-        let warm_lines: u64 = cfg
-            .warm_dram
-            .iter()
-            .map(|&(start, end)| end.saturating_sub(start).div_ceil(mem.line_bytes))
-            .sum();
-        dram.reserve_lines(warm_lines);
         for &(start, end) in &cfg.warm_dram {
             dram.prefill_range(start, end);
         }
-        Machine {
+        let mut m = Machine {
             l2: SetAssocCache::new(mem.l2_sets(), mem.l2_ways, mem.line_bytes),
             dram,
             mcs,
@@ -329,16 +356,16 @@ impl Machine {
             l2_free: 0,
             dram_free: 0,
             pm_read_free: 0,
-            mach_horizon: 0,
-            mach_horizon_stamp: u64::MAX,
-            machinery_stamp: 0,
+            counters: StepCounters::default(),
             threads,
             cores,
             program,
             decoded,
             recipes,
             cfg,
-        }
+        };
+        m.arm_all();
+        m
     }
 
     /// Forks an independent machine at the current state. The fork and
@@ -358,6 +385,11 @@ impl Machine {
     /// run completes).
     pub fn stats(&self) -> &SimStats {
         &self.stats
+    }
+
+    /// The time advance's work counters so far (see [`StepCounters`]).
+    pub fn step_counters(&self) -> StepCounters {
+        self.counters
     }
 
     /// The durable PM contents.
@@ -439,30 +471,34 @@ impl Machine {
     /// The single run loop behind [`Machine::run`] and
     /// [`Machine::run_until`]: checks the caller's target, then
     /// completion, then the `max_cycles` cap, and otherwise advances —
-    /// cycle by cycle under [`StepMode::Reference`], or by jumping over
-    /// provably-idle intervals under [`StepMode::SkipAhead`]. The skip
+    /// cycle by cycle under [`StepMode::Reference`], or under
+    /// [`StepMode::SkipAhead`] by stepping only the cores due in each
+    /// phase and jumping over provably-idle intervals. The skip
     /// destination is clamped to both the target and the cap so the
-    /// machine lands on those cycles exactly, never beyond.
+    /// machine lands on those cycles exactly, never beyond. Skip-ahead
+    /// charges every core's pending stall cycles before returning, so
+    /// [`Machine::stats`] is exact at every cycle a caller can observe.
     fn advance(&mut self, target: Option<u64>) -> Stop {
-        loop {
+        let skip_ahead = self.cfg.step_mode == StepMode::SkipAhead;
+        let stop = loop {
             if let Some(t) = target {
                 if self.now >= t {
-                    return Stop::Target;
+                    break Stop::Target;
                 }
             }
             if self.all_halted() && self.drained() {
-                self.finish_stats();
-                return Stop::Finished;
+                break Stop::Finished;
             }
             if self.now >= self.cfg.max_cycles {
-                self.finish_stats();
-                return Stop::MaxCycles;
+                break Stop::MaxCycles;
             }
-            if self.cfg.step_mode == StepMode::Reference {
+            if !skip_ahead {
                 self.step_cycle();
                 continue;
             }
-            // Skip-ahead, event-driven for every scheme and engine.
+            if cfg!(debug_assertions) {
+                self.check_horizons();
+            }
             // Cycles strictly before the earlier of the machinery and
             // retire horizons are idle on both sides: jump in closed
             // form to one short of it, so the pre-incrementing step
@@ -472,7 +508,12 @@ impl Machine {
             // finish during the jump and the pre-skip horizons still
             // classify the landing cycle.
             let mach = self.machinery_horizon();
-            let ret = self.retire_next_event();
+            let ret = self
+                .cores
+                .iter()
+                .map(|c| c.retire_due)
+                .min()
+                .unwrap_or(NEVER);
             if ret > self.now + 1 {
                 let limit = target.map_or(self.cfg.max_cycles, |t| t.min(self.cfg.max_cycles));
                 let dest = mach.min(ret).saturating_sub(1).min(limit);
@@ -483,107 +524,49 @@ impl Machine {
                     }
                 }
             }
-            // Step the next cycle. A machinery event due then routes
-            // through the full `step_cycle`, preserving the
-            // machinery-before-retire order; otherwise the
-            // MC/tracker/queue ticks are provable no-ops, replaced by
-            // the closed-form occupancy sample.
-            if mach <= self.now + 1 {
-                self.step_cycle();
-            } else {
-                self.step_cycle_retire_only();
+            // Step the next cycle. A machinery event due then takes the
+            // full step, preserving the machinery-before-retire order;
+            // otherwise the MC/tracker/persist phases are provable
+            // no-ops.
+            self.step_due(mach <= self.now + 1);
+        };
+        if skip_ahead {
+            for ci in 0..self.cores.len() {
+                self.charge_idle(ci, self.now);
             }
         }
+        if !matches!(stop, Stop::Target) {
+            self.finish_stats();
+        }
+        stop
     }
 
-    /// [`Machine::machinery_next_event`], memoized. Retire can arm the
-    /// machinery (a store push, a region boundary), and every such
-    /// operation bumps `machinery_stamp`, so the memo is reused only
-    /// across skip-ahead iterations where the machinery provably did
-    /// not move (retire-only cycles and idle skips). Debug builds
-    /// recompute every reused horizon and assert it unchanged.
-    fn machinery_horizon(&mut self) -> u64 {
-        let soon = self.now + 1;
-        if self.mach_horizon_stamp == self.machinery_stamp && self.mach_horizon > soon {
-            if cfg!(debug_assertions) {
-                let fresh = self.machinery_next_event();
-                assert_eq!(self.mach_horizon, fresh, "stale machinery horizon memo");
-            }
-            return self.mach_horizon;
-        }
-        let m = self.machinery_next_event();
-        // Cache only future horizons: an active machinery (`m <= soon`)
-        // routes through `step_cycle`, which re-arms the stamp anyway.
-        if m > soon {
-            self.mach_horizon = m;
-            self.mach_horizon_stamp = self.machinery_stamp;
-        }
-        m
-    }
-
-    /// The earliest future cycle at which the persist machinery (store
+    /// The earliest cycle at which the persist machinery (store
     /// buffers, front-end buffers, persist paths, region tracker, and
-    /// memory controllers) can change state: `now + 1` if something
-    /// moves right now (active cycles must be stepped for real: WPQ
-    /// insert retries have side effects), otherwise the minimum of the
-    /// component `next_event` horizons. Under a regular-path scheme the
-    /// machinery is just the store-buffer drain. On every cycle
-    /// strictly before the returned one, `step_cycle`'s machinery
-    /// phases are no-ops apart from the WPQ occupancy sample — what
-    /// lets the skip-ahead loop jump idle cycles
+    /// memory controllers) can change state; a cycle `<= now + 1`
+    /// means it moves next cycle (active cycles must be stepped for
+    /// real: WPQ insert retries have side effects). The per-core part
+    /// is the minimum of the memoized [`Machine::persist_horizon`]s,
+    /// which is all there is under a regular-path scheme. On every
+    /// cycle strictly before the returned one, the MC, tracker and
+    /// persist phases are no-ops apart from the WPQ occupancy sample —
+    /// what lets the skip-ahead loop jump idle cycles
     /// ([`Machine::skip_idle_cycles`]) and retire instructions without
-    /// ticking the machinery ([`Machine::step_cycle_retire_only`]).
-    fn machinery_next_event(&mut self) -> u64 {
-        let now = self.now;
-        let soon = now + 1;
-        let mut next = u64::MAX;
-        let persist = self.cfg.scheme.uses_persist_path();
-
-        for c in &self.cores {
-            if persist {
-                // Path head delivery — or a head-of-line retry, which
-                // must run every cycle (try_insert arms the §IV-D
-                // deadlock detector on each rejection).
-                if let Some(t) = c.path.next_event(now) {
-                    if t <= soon {
-                        return soon;
-                    }
-                    next = next.min(t);
-                }
-                // FEB → path, gated by path bandwidth and capacity (a
-                // full transit window frees only when the head pops —
-                // covered by the head-arrival event above).
-                if c.feb.next_event(now).is_some() {
-                    if let Some(t) = c.path.issue_ready_at() {
-                        if t <= soon {
-                            return soon;
-                        }
-                        next = next.min(t);
-                    }
-                }
-                // SB → L1 + FEB, whenever the FEB admits.
-                if c.sb.next_event(now).is_some() && c.feb.has_room() {
-                    return soon;
-                }
-            } else if c.sb.next_event(now).is_some() {
-                // Regular-path-only drain: one store per cycle.
-                return soon;
-            }
-        }
-
-        if persist {
+    /// ticking the machinery ([`Machine::step_due`]).
+    fn machinery_horizon(&mut self) -> u64 {
+        let mut next = self
+            .cores
+            .iter()
+            .map(|c| c.persist_due)
+            .min()
+            .unwrap_or(NEVER);
+        if self.cfg.scheme.uses_persist_path() && next > self.now + 1 {
             if let Some(t) = self.tracker.next_event() {
-                if t <= soon {
-                    return soon;
-                }
                 next = next.min(t);
             }
             let tracker = &self.tracker;
             for mc in &mut self.mcs {
                 if let Some(t) = mc.next_event(tracker) {
-                    if t <= soon {
-                        return soon;
-                    }
                     next = next.min(t);
                 }
             }
@@ -591,114 +574,150 @@ impl Machine {
         next
     }
 
-    /// The earliest future cycle at which any core's retire stage does
-    /// something: `now + 1` if a thread can retire next cycle, else the
-    /// earliest stall expiry / spin wake. Waits cleared only by flush
-    /// progress are covered by [`Machine::machinery_next_event`].
-    fn retire_next_event(&self) -> u64 {
-        let now = self.now;
-        let soon = now + 1;
-        let mut next = u64::MAX;
-
-        for c in &self.cores {
-            // Mirrors `retire_core`'s branch order.
-            if c.threads.is_empty() {
-                continue;
-            }
-            if c.stall_until > now {
-                next = next.min(c.stall_until);
-                continue;
-            }
-            if let Some(region) = c.wait_for_commit {
-                if self.tracker.flush_frontier() > region {
-                    return soon; // the wait clears and retire resumes
-                }
-                continue; // cleared only by MC flush progress
-            }
-            if c.wait_outstanding {
-                if c.outstanding == 0 && c.sb.is_empty() && c.feb.is_empty() && c.path.is_empty() {
-                    return soon;
-                }
-                continue; // cleared only by MC flush completions
-            }
-            // A runnable thread retires next cycle; spinners wake later.
-            // Exception: a single-thread core whose store buffer is full
-            // is drain-limited — retire charges exactly one sb-full
-            // stall and breaks, with no thread-rotation decision to
-            // take (`pick_thread` is side-effect-free for one thread).
-            // Those cycles are skippable: the stall accrues in closed
-            // form and the unblocking drain is already covered by the
-            // FEB/path events above.
-            let drain_limited = c.threads.len() == 1 && !c.sb.has_room();
-            for &tid in &c.threads {
-                let th = &self.threads[tid];
-                if th.halted {
-                    continue;
-                }
-                if th.spin_until > soon {
-                    next = next.min(th.spin_until);
-                    continue;
-                }
-                if !drain_limited {
-                    return soon;
-                }
-                if th.spin_until > now {
-                    // Wakes exactly next cycle; the sb-full stall
-                    // series starts there, so don't skip past it.
-                    next = next.min(soon);
-                }
+    /// The first cycle at or after `from` at which core `ci`'s persist
+    /// stage ([`Machine::persist_core`]) can move something: the path
+    /// head's arrival (an arrived head that a WPQ refused is retried
+    /// every cycle — `try_insert` arms the §IV-D deadlock timer on each
+    /// rejection), FEB → path once the bandwidth gate admits (a full
+    /// transit window frees only when the head pops, which the arrival
+    /// covers), and SB → L1 + FEB whenever the FEB has room; under a
+    /// regular-path scheme, the one-store-per-cycle store-buffer drain.
+    /// Only the core's own queues feed it, so it changes only in its
+    /// persist stage, in its retire stage (a store-buffer push), and at
+    /// a power failure.
+    fn persist_horizon(&self, ci: usize, from: u64) -> u64 {
+        let c = &self.cores[ci];
+        if !self.cfg.scheme.uses_persist_path() {
+            return if c.sb.is_empty() { NEVER } else { from };
+        }
+        if !c.sb.is_empty() && c.feb.has_room() {
+            return from;
+        }
+        let mut next = c.path.next_event(from).unwrap_or(NEVER);
+        if !c.feb.is_empty() {
+            if let Some(t) = c.path.issue_ready_at() {
+                next = next.min(t);
             }
         }
-        next
+        next.max(from)
     }
 
-    /// Jumps `cycles` provably-idle cycles forward, applying their
-    /// per-cycle accounting in closed form. Two things accrue during an
-    /// idle cycle in the reference stepper: every MC samples its WPQ
-    /// occupancy (persist-path schemes tick MCs unconditionally), and
-    /// each core's retire stage counts exactly one stall cycle according
-    /// to its blocking state. Queue contents, protocol state, and
-    /// contention clocks cannot change on an idle cycle, so applying
-    /// `cycles` worth of both linearly is bit-identical to stepping.
+    /// When core `ci`'s retire stage next acts at or after cycle
+    /// `from`, and what it is charged on each cycle before then:
+    /// `retire_core`'s branch order, evaluated once. A load miss lasts
+    /// until `stall_until`; a boundary wait until an MC phase moves the
+    /// flush frontier past the region or drains the core's stores; a
+    /// single-thread core's full store buffer until its persist stage
+    /// pops it (there is no thread-rotation decision to take:
+    /// `pick_thread` is side-effect-free for one thread); parked
+    /// threads until the earliest spin wake. A core with a runnable
+    /// thread and store-buffer room, or with several threads, acts
+    /// every cycle.
+    fn retire_horizon(&self, ci: usize, from: u64) -> (u64, Idle) {
+        let c = &self.cores[ci];
+        if c.threads.is_empty() {
+            return (NEVER, Idle::Free);
+        }
+        if c.stall_until > from {
+            return (c.stall_until, Idle::LoadMiss);
+        }
+        let commit_wait = c
+            .wait_for_commit
+            .is_some_and(|r| self.tracker.flush_frontier() <= r);
+        let drain_wait = c.wait_outstanding && !(c.outstanding == 0 && c.queues_empty());
+        if commit_wait || drain_wait {
+            return (NEVER, Idle::BoundaryWait);
+        }
+        let drain_limited = c.threads.len() == 1 && !c.sb.has_room();
+        let mut due = NEVER;
+        for &tid in &c.threads {
+            let th = &self.threads[tid];
+            if th.halted {
+                continue;
+            }
+            if th.spin_until > from {
+                due = due.min(th.spin_until);
+                continue;
+            }
+            return if drain_limited {
+                (NEVER, Idle::SbFull)
+            } else {
+                (from, Idle::Free)
+            };
+        }
+        (due, Idle::Free)
+    }
+
+    /// Debug builds, at the top of each skip-ahead iteration: every
+    /// memoized horizon still holds — the persist horizon exactly, the
+    /// retire horizon no later than a fresh one, and the idle class
+    /// equal to a fresh one wherever the core is not due next cycle.
+    fn check_horizons(&self) {
+        let (now, from) = (self.now, self.now + 1);
+        for (ci, c) in self.cores.iter().enumerate() {
+            assert_eq!(
+                c.persist_due,
+                self.persist_horizon(ci, from),
+                "stale persist horizon: core {ci} @{now}"
+            );
+            let (due, idle) = self.retire_horizon(ci, from);
+            assert!(c.retire_due <= due, "late retire horizon: core {ci} @{now}");
+            assert!(
+                c.retire_due <= from || c.idle == idle,
+                "stale idle class: core {ci} @{now}"
+            );
+        }
+    }
+
+    /// Jumps `cycles` provably-idle cycles forward. Outside the retire
+    /// stage, an idle cycle's one effect in the reference stepper is
+    /// every MC's WPQ occupancy sample (persist-path schemes tick MCs
+    /// unconditionally), applied here in closed form; each core's stall
+    /// cycles accrue lazily ([`Machine::charge_idle`]). Queue contents,
+    /// protocol state, and contention clocks cannot change on an idle
+    /// cycle, so this is bit-identical to stepping.
     fn skip_idle_cycles(&mut self, cycles: u64) {
         debug_assert!(cycles > 0);
-        let now = self.now;
         if self.cfg.scheme.uses_persist_path() {
             for mc in &mut self.mcs {
                 mc.wpq_mut().sample_occupancy_n(cycles);
             }
         }
-        // Branch order mirrors `retire_core`: load-miss stall first,
-        // then the boundary waits (Capri commit wait / PPA drain wait).
-        for c in &self.cores {
-            if c.threads.is_empty() {
-                continue;
-            }
-            if c.stall_until > now {
-                debug_assert!(now + cycles < c.stall_until, "skip crossed a stall expiry");
-                self.stats.stall_load_miss += cycles;
-            } else if let Some(region) = c.wait_for_commit {
-                debug_assert!(self.tracker.flush_frontier() <= region);
-                self.stats.stall_boundary_wait += cycles;
-            } else if c.wait_outstanding {
-                self.stats.stall_boundary_wait += cycles;
-            } else if c.threads.len() == 1 {
-                let th = &self.threads[c.threads[0]];
-                if !th.halted && th.spin_until <= now {
-                    // A runnable single thread blocked by a full store
-                    // buffer (the only way its cycles were skippable):
-                    // one sb-full stall per cycle, as in the reference
-                    // retire loop.
-                    debug_assert!(!c.sb.has_room());
-                    self.stats.stall_sb_full += cycles;
-                }
-            }
-            // Otherwise the core is parked (spinning or halted threads):
-            // the reference stepper counts nothing for it either.
-        }
         self.now += cycles;
+        self.counters.skips += 1;
+        self.counters.skipped_cycles += cycles;
     }
 
+    /// Charges core `ci`'s idle class for every cycle after the last
+    /// one run or charged, through `through`: the reference stepper's
+    /// one stall cycle per cycle for a core that cannot act, in closed
+    /// form. Runs before each retire visit, and for every core before
+    /// [`Machine::advance`] returns.
+    fn charge_idle(&mut self, ci: usize, through: u64) {
+        let c = &mut self.cores[ci];
+        let n = through - c.charged_through;
+        c.charged_through = through;
+        match c.idle {
+            Idle::Free => {}
+            Idle::LoadMiss => self.stats.stall_load_miss += n,
+            Idle::BoundaryWait => self.stats.stall_boundary_wait += n,
+            Idle::SbFull => self.stats.stall_sb_full += n,
+        }
+    }
+
+    /// Arms every core's horizons from the next cycle, its stall cycles
+    /// charged through now: at construction, and after a power failure,
+    /// which resets every core at once.
+    fn arm_all(&mut self) {
+        let (now, from) = (self.now, self.now + 1);
+        for ci in 0..self.cores.len() {
+            let persist_due = self.persist_horizon(ci, from);
+            let (retire_due, idle) = self.retire_horizon(ci, from);
+            let c = &mut self.cores[ci];
+            c.persist_due = persist_due;
+            (c.retire_due, c.idle, c.charged_through) = (retire_due, idle, now);
+        }
+    }
     fn finish_stats(&mut self) {
         self.stats.cycles = self.now;
         let (l2h, l2m) = self.l2.hit_miss();
@@ -735,11 +754,7 @@ impl Machine {
 
     /// True when no store is anywhere in the persist machinery.
     pub fn drained(&self) -> bool {
-        let queues_empty = self
-            .cores
-            .iter()
-            .all(|c| c.sb.is_empty() && c.feb.is_empty() && c.path.is_empty());
-        if !queues_empty {
+        if !self.cores.iter().all(CoreCtx::queues_empty) {
             return false;
         }
         if !self.cfg.scheme.uses_persist_path() {
@@ -753,100 +768,180 @@ impl Machine {
         }
     }
 
-    /// Advances one cycle.
-    pub fn step_cycle(&mut self) {
+    /// Advances one cycle under [`StepMode::Reference`]: every phase on
+    /// every core.
+    fn step_cycle(&mut self) {
         self.now += 1;
         let now = self.now;
-        // The machinery phases below move queues and protocol state.
-        self.machinery_stamp += 1;
-
-        // --- 1. memory controllers + region commits -------------------
+        self.counters.full_steps += 1;
         if self.cfg.scheme.uses_persist_path() {
-            let mut flushed = std::mem::take(&mut self.flushed_scratch);
-            flushed.clear();
-            for i in 0..self.mcs.len() {
-                // An idle controller's tick is a no-op apart from the
-                // occupancy sample (the `next_event` contract), so pay
-                // only the sample. Earlier controllers' ticks may move
-                // the tracker, which the memoized horizon re-keys on.
-                let idle = self.mcs[i]
-                    .next_event(&self.tracker)
-                    .is_none_or(|t| t > now);
-                if idle {
-                    self.mcs[i].wpq_mut().sample_occupancy();
-                } else {
-                    self.mcs[i].tick(now, &mut self.tracker, &mut self.pm, &mut flushed);
-                }
-            }
-            for e in flushed.drain(..) {
-                if let Some(c) = self.cores.get_mut(e.core) {
-                    c.outstanding = c.outstanding.saturating_sub(1);
-                }
-            }
-            self.flushed_scratch = flushed;
+            self.mc_phase(now);
+        }
+        for ci in 0..self.cores.len() {
+            self.persist_core(ci, now);
+        }
+        for ci in 0..self.cores.len() {
+            self.retire_core(ci, now);
+        }
+    }
 
-            if let Some(k) = self.tracker.tick(now) {
+    /// Advances one cycle under [`StepMode::SkipAhead`], visiting only
+    /// the cores due in each phase, in core-index order (WPQ
+    /// arbitration between cores depends on it); a core that is not
+    /// due would do nothing there but accrue its idle class. `full`
+    /// runs the MC and persist phases before retire; otherwise
+    /// [`Machine::machinery_horizon`] has proved them no-ops and only
+    /// their one per-cycle effect, the WPQ occupancy sample, is applied.
+    ///
+    /// Horizons are re-armed exactly where their inputs change: a
+    /// boundary wait after an MC phase that moved the flush frontier or
+    /// flushed an entry; a persist horizon after the core's persist
+    /// stage or a store-buffer push; a retire horizon after the core's
+    /// retire stage, or after its persist stage freed the full store
+    /// buffer or drained the stores it waits on.
+    fn step_due(&mut self, full: bool) {
+        self.now += 1;
+        let now = self.now;
+        let persist = self.cfg.scheme.uses_persist_path();
+        if full {
+            self.counters.full_steps += 1;
+            if persist && self.mc_phase(now) {
+                for ci in 0..self.cores.len() {
+                    if self.cores[ci].idle == Idle::BoundaryWait {
+                        self.wake_retire(ci, now);
+                    }
+                }
+            }
+            for ci in 0..self.cores.len() {
+                if self.cores[ci].persist_due > now {
+                    continue;
+                }
+                let popped = self.persist_core(ci, now);
+                self.cores[ci].persist_due = self.persist_horizon(ci, now + 1);
+                match self.cores[ci].idle {
+                    Idle::SbFull if popped => self.cores[ci].retire_due = now,
+                    Idle::BoundaryWait if self.cores[ci].wait_outstanding => {
+                        self.wake_retire(ci, now)
+                    }
+                    _ => {}
+                }
+            }
+        } else {
+            self.counters.retire_only_steps += 1;
+            if persist {
                 for mc in &mut self.mcs {
-                    mc.on_region_committed(k);
-                }
-                self.trace.note_committed(k, now);
-                self.stats.regions_committed += 1;
-                if let Some(t0) = self.region_broadcast_at.remove(&k) {
-                    self.stats.persist_latency_sum += now.saturating_sub(t0);
+                    mc.wpq_mut().sample_occupancy_n(1);
                 }
             }
         }
-
-        // --- 2. persist machinery movement per core -------------------
         for ci in 0..self.cores.len() {
-            if self.cfg.scheme.uses_persist_path() {
-                self.move_persist_queues(ci, now);
-            } else if let Some(e) = self.cores[ci].sb.pop() {
-                // Regular-path-only schemes still drain the store buffer
-                // into L1 one store per cycle.
-                self.regular_path_store(ci, e.addr);
+            if self.cores[ci].retire_due <= now {
+                self.visit_retire(ci, now);
             }
-        }
-
-        // --- 3. retire ------------------------------------------------
-        for ci in 0..self.cores.len() {
-            self.retire_core(ci, now);
         }
     }
 
-    /// Advances one cycle executing only the retire stage. Sound only
-    /// when [`Machine::machinery_next_event`] has proved that the
-    /// machinery phases of [`Machine::step_cycle`] would be no-ops on
-    /// this cycle; the WPQ occupancy sample — the one per-cycle effect
-    /// an idle machinery tick does have — is applied directly, exactly
-    /// as [`Machine::skip_idle_cycles`] does. The skip-ahead loop uses
-    /// this to retire instructions without paying the memory
-    /// controller and queue scans on cycles where nothing can move.
-    fn step_cycle_retire_only(&mut self) {
-        self.now += 1;
-        let now = self.now;
-        if self.cfg.scheme.uses_persist_path() {
+    /// Makes core `ci` due at `now`, before this cycle's retire phase,
+    /// if a changed input moved its retire horizon; the visit charges
+    /// its old idle class through `now - 1` and re-arms it.
+    fn wake_retire(&mut self, ci: usize, now: u64) {
+        let c = &self.cores[ci];
+        if c.retire_due > now && self.retire_horizon(ci, now) != (c.retire_due, c.idle) {
+            self.cores[ci].retire_due = now;
+        }
+    }
+
+    /// Runs core `ci`'s retire stage at `now` after charging its idle
+    /// cycles, then re-arms its retire horizon — without recomputing it
+    /// when the core used its whole width and stays runnable, since it
+    /// is then due next cycle — and, after a store-buffer push, its
+    /// persist horizon.
+    fn visit_retire(&mut self, ci: usize, now: u64) {
+        self.charge_idle(ci, now - 1);
+        let sb_len = self.cores[ci].sb.len();
+        let live = self.retire_core(ci, now);
+        let (due, idle) = if live {
+            (now + 1, Idle::Free)
+        } else {
+            self.retire_horizon(ci, now + 1)
+        };
+        let c = &mut self.cores[ci];
+        (c.retire_due, c.idle, c.charged_through) = (due, idle, now);
+        if c.sb.len() != sb_len {
+            self.cores[ci].persist_due = self.persist_horizon(ci, now + 1);
+        }
+    }
+
+    /// The memory-controller phase of cycle `now`: WPQ flushes onto PM
+    /// channels, per-core outstanding counts, and region commits.
+    /// Returns whether it moved the flush frontier or flushed an entry,
+    /// the inputs of a core's boundary wait.
+    fn mc_phase(&mut self, now: u64) -> bool {
+        let frontier = self.tracker.flush_frontier();
+        let mut flushed = std::mem::take(&mut self.flushed_scratch);
+        flushed.clear();
+        for i in 0..self.mcs.len() {
+            // An idle controller's tick is a no-op apart from the
+            // occupancy sample (the `next_event` contract), so pay
+            // only the sample. Earlier controllers' ticks may move
+            // the tracker, which the controller memo re-keys on.
+            let idle = self.mcs[i]
+                .next_event(&self.tracker)
+                .is_none_or(|t| t > now);
+            if idle {
+                self.mcs[i].wpq_mut().sample_occupancy();
+            } else {
+                self.mcs[i].tick(now, &mut self.tracker, &mut self.pm, &mut flushed);
+            }
+        }
+        let moved = !flushed.is_empty() || self.tracker.flush_frontier() != frontier;
+        for e in flushed.drain(..) {
+            if let Some(c) = self.cores.get_mut(e.core) {
+                c.outstanding = c.outstanding.saturating_sub(1);
+            }
+        }
+        self.flushed_scratch = flushed;
+
+        if let Some(k) = self.tracker.tick(now) {
             for mc in &mut self.mcs {
-                mc.wpq_mut().sample_occupancy_n(1);
+                mc.on_region_committed(k);
+            }
+            self.trace.note_committed(k, now);
+            self.stats.regions_committed += 1;
+            if let Some(t0) = self.region_broadcast_at.remove(&k) {
+                self.stats.persist_latency_sum += now.saturating_sub(t0);
             }
         }
-        for ci in 0..self.cores.len() {
-            self.retire_core(ci, now);
+        moved
+    }
+
+    /// Core `ci`'s persist stage at `now`: path head → WPQ(s), FEB →
+    /// path, SB → L1 + FEB under a persist-path scheme; otherwise the
+    /// store buffer drains into L1 one store per cycle. Returns whether
+    /// the store buffer popped.
+    fn persist_core(&mut self, ci: usize, now: u64) -> bool {
+        self.counters.persist_visits += 1;
+        if self.cfg.scheme.uses_persist_path() {
+            return self.move_persist_queues(ci, now);
+        }
+        match self.cores[ci].sb.pop() {
+            Some(e) => {
+                self.regular_path_store(ci, e.addr);
+                true
+            }
+            None => false,
         }
     }
 
-    /// Path head → WPQ(s); FEB → path; SB → L1 + FEB.
-    fn move_persist_queues(&mut self, ci: usize, now: u64) {
+    /// Path head → WPQ(s); FEB → path; SB → L1 + FEB. Returns whether
+    /// the store buffer popped.
+    fn move_persist_queues(&mut self, ci: usize, now: u64) -> bool {
         // Deliver at most one path head per cycle.
         if let Some(head) = self.cores[ci].path.head_arrived(now).copied() {
-            match head.kind {
+            let delivered = match head.kind {
                 PersistKind::Data => {
                     let mc = self.cfg.mem.mc_of(head.addr);
-                    if self.mcs[mc].try_insert(&head, true, now, &mut self.tracker) {
-                        self.cores[ci].path.pop_head();
-                    } else {
-                        self.cores[ci].path.note_hol_block();
-                    }
+                    self.mcs[mc].try_insert(&head, true, now, &mut self.tracker)
                 }
                 PersistKind::Boundary => {
                     // The token must enter every WPQ (the broadcast).
@@ -867,11 +962,15 @@ impl Machine {
                             *f = false;
                         }
                         self.trace.note_delivered(head.region, now);
-                        self.cores[ci].path.pop_head();
-                    } else {
-                        self.cores[ci].path.note_hol_block();
                     }
+                    all_in
                 }
+            };
+            if delivered {
+                self.cores[ci].path.pop_head();
+            } else {
+                self.cores[ci].path.note_hol_block();
+                self.counters.hol_retries += 1;
             }
         }
 
@@ -888,9 +987,10 @@ impl Machine {
             self.regular_path_store(ci, e.addr);
             self.cores[ci].feb.push(e);
             self.cores[ci].outstanding += 1;
+            return true;
         }
+        false
     }
-
     /// Write `addr` through the cache hierarchy (regular path). Returns
     /// true if the L1 eviction was conflict-delayed.
     fn regular_path_store(&mut self, ci: usize, addr: u64) -> bool {
@@ -1076,7 +1176,6 @@ impl Machine {
             core: ci,
         };
         self.cores[ci].sb.push(entry);
-        self.machinery_stamp += 1;
         self.cores[ci].outstanding += 1;
         self.trace.note_boundary(ending, tid, now);
         let (insts, stores) = {
@@ -1148,7 +1247,6 @@ impl Machine {
                 kind: PersistKind::Data,
                 core: ci,
             });
-            self.machinery_stamp += 1;
             self.stats.persist_stores += 1;
             self.stats.forced_ckpt_stores += 1;
             self.threads[tid].region_stores += 1;
@@ -1157,30 +1255,34 @@ impl Machine {
         self.end_region(ci, tid, pc, now)
     }
 
-    /// Retire up to `width` events on core `ci`.
-    fn retire_core(&mut self, ci: usize, now: u64) {
+    /// Retire up to `width` events on core `ci`. Returns true when the
+    /// core used its whole width on retirement and no event stopped it
+    /// (a stall, a wait, a spin, a halt or a full store buffer), so it
+    /// can act again next cycle.
+    fn retire_core(&mut self, ci: usize, now: u64) -> bool {
+        self.counters.retire_visits += 1;
         if self.cores[ci].threads.is_empty() {
-            return;
+            return false;
         }
         if self.cores[ci].stall_until > now {
             self.stats.stall_load_miss += 1;
-            return;
+            return false;
         }
         if let Some(region) = self.cores[ci].wait_for_commit {
             if self.tracker.flush_frontier() > region {
                 self.cores[ci].wait_for_commit = None;
             } else {
                 self.stats.stall_boundary_wait += 1;
-                return;
+                return false;
             }
         }
         if self.cores[ci].wait_outstanding {
             let c = &self.cores[ci];
-            if c.outstanding == 0 && c.sb.is_empty() && c.feb.is_empty() && c.path.is_empty() {
+            if c.outstanding == 0 && c.queues_empty() {
                 self.cores[ci].wait_outstanding = false;
             } else {
                 self.stats.stall_boundary_wait += 1;
-                return;
+                return false;
             }
         }
 
@@ -1201,9 +1303,12 @@ impl Machine {
         let mut acc_insts: u64 = 0;
         let mut acc_region: u64 = 0;
         let mut acc_tid = usize::MAX;
-        while slots > 0 {
+        let live = loop {
+            if slots == 0 {
+                break true;
+            }
             let Some(tid) = self.pick_thread(ci, now) else {
-                break;
+                break false;
             };
             if acc_region != 0 && tid != acc_tid {
                 self.threads[acc_tid].region_insts += acc_region;
@@ -1214,7 +1319,7 @@ impl Machine {
             // Persist back-pressure: a full store buffer blocks retire.
             if !self.cores[ci].sb.has_room() {
                 self.stats.stall_sb_full += 1;
-                break;
+                break false;
             }
 
             // Liveness: force-end regions that have been open too long.
@@ -1275,7 +1380,7 @@ impl Machine {
                         let extra =
                             (lat - self.cfg.mem.l1_latency) / self.cfg.miss_overlap_div.max(1);
                         self.cores[ci].stall_until = now + extra;
-                        slots = 0;
+                        break false;
                     } else {
                         slots -= 1;
                     }
@@ -1316,7 +1421,6 @@ impl Machine {
                         core: ci,
                     };
                     self.cores[ci].sb.push(entry);
-                    self.machinery_stamp += 1;
                     slots -= 1;
 
                     // PPA: hardware-delineated region boundary when the
@@ -1338,7 +1442,7 @@ impl Machine {
                         th.region_stores = 0;
                         th.region_open_since = now;
                         self.cores[ci].wait_outstanding = true;
-                        slots = 0;
+                        break false;
                     }
                 }
                 DynEvent::Boundary { addr: _, pc_val } => {
@@ -1352,7 +1456,7 @@ impl Machine {
                     }
                     slots -= 1;
                     if self.cfg.scheme.waits_at_boundary() {
-                        slots = 0;
+                        break false;
                     }
                 }
                 DynEvent::Io { val } => {
@@ -1372,7 +1476,7 @@ impl Machine {
                         acc_region = 0;
                         self.synthetic_close(ci, tid, now);
                     }
-                    slots = 0;
+                    break false;
                 }
                 DynEvent::Halt => {
                     self.threads[tid].region_insts += acc_region;
@@ -1387,10 +1491,10 @@ impl Machine {
                     } else {
                         self.threads[tid].halted = true;
                     }
-                    slots = 0;
+                    break false;
                 }
             }
-        }
+        };
         // Exit fold: everything observable after this call (stats
         // queries, crash captures, the next cycle's region checks) sees
         // fully folded counters.
@@ -1400,6 +1504,7 @@ impl Machine {
         if acc_region != 0 {
             self.threads[acc_tid].region_insts += acc_region;
         }
+        live
     }
 
     /// Picks the runnable thread for core `ci`: sticks with the active
@@ -1451,8 +1556,6 @@ impl Machine {
     /// always records the tracker's honest survivable set alongside.
     pub fn inject_power_failure_audited(&mut self) -> CrashCapture {
         self.stats.failures += 1;
-        // Recovery clears the volatile machinery wholesale.
-        self.machinery_stamp += 1;
         let mut report = RecoveryReport::default();
 
         // §IV-F steps 1–2: in-flight ACKs are delivered on battery; the
@@ -1541,6 +1644,7 @@ impl Machine {
             th.cur_region = None;
             report.resume_points.push(th.interp.point());
         }
+        self.arm_all();
         CrashCapture {
             at_cycle,
             commit_frontier,

@@ -95,6 +95,34 @@ pub struct SimStats {
     pub io_ops: u64,
 }
 
+/// Deterministic work counters of the time advance: which loop path
+/// each cycle took and how many core visits each phase made. They
+/// repeat exactly across runs of one machine, but they differ between
+/// step modes by design (the per-cycle stepper takes every cycle as a
+/// full step and visits every core in every phase), so they live
+/// beside [`SimStats`], which the parity harness compares for
+/// equality, not in it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StepCounters {
+    /// Cycles stepped through every phase: memory controllers, then
+    /// the persist stage, then retire.
+    pub full_steps: u64,
+    /// Cycles stepped through the retire phase alone (the machinery
+    /// horizon proved the other phases idle).
+    pub retire_only_steps: u64,
+    /// Cycles jumped over in closed form.
+    pub skipped_cycles: u64,
+    /// Jumps taken.
+    pub skips: u64,
+    /// Persist-stage core visits.
+    pub persist_visits: u64,
+    /// Retire-stage core visits.
+    pub retire_visits: u64,
+    /// Persist-stage visits whose arrived path head a WPQ refused
+    /// (head-of-line retries).
+    pub hol_retries: u64,
+}
+
 /// A stat-field value that can round-trip through the store's text
 /// record format.
 trait StatFieldCodec: Sized {

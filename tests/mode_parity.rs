@@ -40,11 +40,13 @@ mod ds_suite;
 use lightwsp_compiler::{instrument, Compiled, CompilerConfig};
 use lightwsp_core::{audit_recoverable_ds_with, Campaign, DsAuditBudget};
 use lightwsp_core::{DsAuditReport, ExperimentOptions, Job};
-use lightwsp_ir::Memory;
+use lightwsp_ir::{Memory, Program};
 use lightwsp_sim::{
     CrashAuditReport, CrashCapture, CrashInjector, CrashPoint, CrashPointKind, ExecMode,
     GatingMutant, GoldenPoints, Machine, Scheme, SimConfig, StepMode, SweepMode, AXES,
 };
+use lightwsp_workloads::ds::service::KvServiceSpec;
+use lightwsp_workloads::ds::RecoverableDs;
 use lightwsp_workloads::{workload, Suite, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -144,31 +146,60 @@ fn sized<T>(axis: &str, full: T, small: T) -> T {
     }
 }
 
-/// One (config, workload) cell of the matrix.
+/// One (config, program) cell of the matrix.
 pub struct Case {
     pub name: &'static str,
     pub cfg: SimConfig,
-    pub spec: WorkloadSpec,
-    pub insts: u64,
+    pub threads: usize,
+    source: Source,
+}
+
+/// Where a case's program comes from.
+#[derive(Clone)]
+enum Source {
+    /// A generated workload at `insts` instructions per thread.
+    Generated { spec: WorkloadSpec, insts: u64 },
+    /// A hand-written program.
+    Written(Program),
 }
 
 impl Case {
     fn new(name: &'static str, cfg: SimConfig, workload_name: &str, insts: u64) -> Case {
+        Case::generated(name, cfg, workload(workload_name).unwrap(), insts)
+    }
+
+    fn generated(name: &'static str, cfg: SimConfig, spec: WorkloadSpec, insts: u64) -> Case {
         Case {
             name,
             cfg,
-            spec: workload(workload_name).unwrap(),
-            insts,
+            threads: spec.threads,
+            source: Source::Generated { spec, insts },
+        }
+    }
+
+    /// A recoverable data structure's program, one core per thread.
+    fn ds(name: &'static str, scheme: Scheme, ds: &dyn RecoverableDs) -> Case {
+        Case {
+            name,
+            cfg: SimConfig::new(scheme).with_cores(ds.threads()),
+            threads: ds.threads(),
+            source: Source::Written(ds.program()),
         }
     }
 
     fn threads(mut self, threads: usize) -> Case {
-        self.spec.threads = threads;
+        self.threads = threads;
+        if let Source::Generated { spec, .. } = &mut self.source {
+            spec.threads = threads;
+        }
         self
     }
 
     fn compiled(&self) -> Compiled {
-        let program = self.spec.clone().scaled_to(self.insts).generate();
+        let program = match &self.source {
+            Source::Generated { spec, insts } => spec.clone().scaled_to(*insts).generate(),
+            Source::Written(program) => program.clone(),
+        };
         if self.cfg.scheme.is_instrumented() {
             instrument(&program, &CompilerConfig::default())
         } else {
@@ -191,13 +222,12 @@ impl Case {
             compiled.program.clone(),
             compiled.recipes.clone(),
             self.cfg(setting),
-            self.spec.threads,
+            self.threads,
         )
     }
 
     fn injector<'a>(&self, compiled: &'a Compiled, setting: Setting) -> CrashInjector<'a> {
-        CrashInjector::new(compiled, self.cfg(setting), self.spec.threads)
-            .with_sweep_mode(setting.sweep)
+        CrashInjector::new(compiled, self.cfg(setting), self.threads).with_sweep_mode(setting.sweep)
     }
 }
 
@@ -208,13 +238,34 @@ fn small_cfg(scheme: Scheme) -> SimConfig {
     cfg
 }
 
+/// Eight threads on eight cores, the paper's multi-threaded shape, at
+/// `insts` instructions per thread.
+fn eight_core(name: &'static str, scheme: Scheme, workload_name: &str, insts: u64) -> Case {
+    Case::new(
+        name,
+        SimConfig::new(scheme).with_cores(8),
+        workload_name,
+        insts,
+    )
+    .threads(8)
+}
+
+/// A WPQ-saturated eight-core LightWSP cell: head-of-line retries every
+/// cycle, the overflow fallback, full store buffers.
+fn saturated_eight_core() -> Case {
+    eight_core("lightwsp-8core", Scheme::LightWsp, "labyrinth", 4_000)
+}
+
 /// The run matrix: one MC (no boundary-broadcast skew), four MCs with
 /// a tiny WPQ (deadlock detection, overflow mode, HOL retries), Capri
 /// stop-and-wait, PPA drain waits, multithreaded locks with two
 /// threads per core (spin wake-ups, timeslice rotation) under LightWSP
 /// and under both regular-path schemes — the states where skip and
-/// batching decisions are most delicate — plus the audit matrix below,
-/// run whole.
+/// batching decisions are most delicate; eight cores, where skip-ahead
+/// visits only the cores due in each phase, WPQ-saturated under
+/// LightWSP and with commit waits under Capri; the small KV service on
+/// one core per thread, retire-bound behind full store buffers and
+/// head-of-line retries; plus the audit matrix below, run whole.
 pub fn run_cases() -> Vec<Case> {
     let mut one_mc = SimConfig::new(Scheme::LightWsp);
     one_mc.mem.num_mcs = 1;
@@ -247,6 +298,13 @@ pub fn run_cases() -> Vec<Case> {
             8_000,
         )
         .threads(4),
+        saturated_eight_core(),
+        eight_core("capri-8core", Scheme::Capri, "vacation", 2_000),
+        Case::ds(
+            "kv-service",
+            Scheme::LightWsp,
+            &KvServiceSpec::new(2, 256, 8, 64, 8, 16),
+        ),
     ];
     cases.extend(audit_cases(2_000));
     cases
@@ -485,12 +543,18 @@ pub fn run_until(axis: &str) {
 }
 
 /// The batched per-retire counters must fold into their owners before
-/// every observable point; cycle boundaries are the finest. Stepping
-/// both sides in lockstep one cycle at a time, the full stats must be
-/// equal after every cycle.
+/// every observable point, and skip-ahead must have charged every
+/// unvisited core's stall cycles; cycle boundaries are the finest.
+/// Stepping both sides in lockstep one cycle at a time, the full stats
+/// must be equal after every cycle.
 pub fn lockstep(axis: &str) {
-    for scheme in [Scheme::LightWsp, Scheme::Baseline, Scheme::Ppa] {
-        let case = Case::new("hmmer", SimConfig::new(scheme), "hmmer", 2_000);
+    let mut cases: Vec<Case> = [Scheme::LightWsp, Scheme::Baseline, Scheme::Ppa]
+        .into_iter()
+        .map(|scheme| Case::new("hmmer", SimConfig::new(scheme), "hmmer", 2_000))
+        .collect();
+    cases.push(eight_core("capri-8core", Scheme::Capri, "vacation", 500));
+    for case in cases {
+        let scheme = case.cfg.scheme;
         let compiled = case.compiled();
         for pair in pairs(axis, &[]) {
             let mut a = case.machine(&compiled, pair.fast);
@@ -499,7 +563,7 @@ pub fn lockstep(axis: &str) {
             loop {
                 cycle += 1;
                 let (ad, bd) = (a.run_until(cycle), b.run_until(cycle));
-                let label = format!("{scheme:?} @{cycle} / {}", pair.label);
+                let label = format!("{} {scheme:?} @{cycle} / {}", case.name, pair.label);
                 assert_eq!(
                     a.stats(),
                     b.stats(),
@@ -512,6 +576,46 @@ pub fn lockstep(axis: &str) {
             }
         }
     }
+}
+
+/// The step counters repeat exactly when a run is repeated, and on a
+/// saturated eight-core cell skip-ahead makes fewer retire and persist
+/// visits than the per-cycle stepper, which visits every core in both
+/// phases of every cycle; each cycle is stepped, retire-only or
+/// skipped, and the head-of-line retries are the same on both sides.
+pub fn step_counters() {
+    let case = saturated_eight_core();
+    let compiled = case.compiled();
+    let run = |setting: Setting| {
+        let mut m = case.machine(&compiled, setting);
+        m.run();
+        (m.step_counters(), m.now())
+    };
+    let fast = Setting::default();
+    let (counters, cycles) = run(fast);
+    assert_eq!(counters, run(fast).0, "counters differ between two runs");
+    let (reference, _) = run(fast.with_reference("step").unwrap());
+    let visits = 8 * cycles;
+    assert_eq!(
+        (
+            reference.full_steps,
+            reference.retire_visits,
+            reference.persist_visits
+        ),
+        (cycles, visits, visits),
+        "the per-cycle stepper visits every core every cycle"
+    );
+    assert_eq!(
+        counters.full_steps + counters.retire_only_steps + counters.skipped_cycles,
+        cycles
+    );
+    assert_eq!(counters.hol_retries, reference.hol_retries);
+    assert!(counters.hol_retries > 0, "the cell is not WPQ-saturated");
+    assert!(
+        counters.retire_visits < reference.retire_visits
+            && counters.persist_visits < reference.persist_visits,
+        "skip-ahead visited as many cores as the stepper: {counters:?}"
+    );
 }
 
 /// Power cuts at identical cycles on one machine, each followed by
@@ -689,7 +793,7 @@ pub fn mutant_audits(axis: &str) {
         for &mutant in mutants {
             let mut case = Case {
                 cfg: base.cfg.clone(),
-                spec: base.spec.clone(),
+                source: base.source.clone(),
                 ..base
             };
             case.cfg.gating_mutant = mutant;
@@ -705,7 +809,7 @@ pub fn mutant_audits(axis: &str) {
                         "{label}: {:?}",
                         report.violations
                     ),
-                    Some(m) if m == FlushUnacked || base.spec.threads > 1 => {
+                    Some(m) if m == FlushUnacked || base.threads > 1 => {
                         assert!(!report.violations.is_empty(), "{label}: mutant not caught")
                     }
                     Some(_) => {}
@@ -780,13 +884,10 @@ pub fn random_points(axis: &str, raw: &[(u64, usize)], seed: u64) {
 pub fn random_workload(axis: &str, spec: WorkloadSpec, scheme_idx: usize, num_mcs: usize) {
     let mut cfg = SimConfig::new(Scheme::ALL[scheme_idx]);
     cfg.mem.num_mcs = num_mcs;
-    let case = Case {
-        name: "prop",
-        cfg,
-        spec,
-        insts: 8_000,
-    };
-    run_both(&case, &pairs(axis, &[]));
+    run_both(
+        &Case::generated("prop", cfg, spec, 8_000),
+        &pairs(axis, &[]),
+    );
 }
 
 /// Random single-thread program shapes.

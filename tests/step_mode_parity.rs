@@ -24,6 +24,11 @@ axis_tests! { "step":
     ds_audits_identical => ds_audits,
 }
 
+#[test]
+fn step_counters_repeat_and_skip_ahead_visits_fewer_cores() {
+    mode_parity::step_counters();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 8,
