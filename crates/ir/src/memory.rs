@@ -49,6 +49,14 @@ impl Page {
     }
 }
 
+/// A page two memories may disagree on: its page number and its words
+/// on each side (`None` where that side has no such page).
+type CandidatePage<'a> = (
+    u64,
+    Option<&'a [u64; PAGE_WORDS]>,
+    Option<&'a [u64; PAGE_WORDS]>,
+);
+
 /// Open-addressed page-number → page map with linear probing, power-of-
 /// two capacity and no deletion (memory pages are never freed within a
 /// run). Compared to the previous `FxHashMap`, entries have *stable slot
@@ -286,26 +294,31 @@ impl Memory {
         self.touched == 0
     }
 
-    /// Page numbers where the two memories might disagree: pages present
-    /// on either side that are not physically shared. A page shared via
-    /// [`Arc`] is bit-identical by construction and needs no inspection
-    /// — on COW snapshots this prunes the comparison to the pages dirtied
-    /// since the fork.
-    fn candidate_pages(&self, other: &Memory) -> Vec<u64> {
-        let mut pages: Vec<u64> = self
+    /// Pages where the two memories might disagree, in ascending page
+    /// order, each with its words on both sides (`None` where a side
+    /// lacks the page): pages present on either side that are not
+    /// physically shared. A page shared via [`Arc`] is bit-identical by
+    /// construction and needs no inspection — on COW snapshots this
+    /// prunes the comparison to the pages dirtied since the fork. Each
+    /// side's table is probed at most once per page.
+    fn candidate_pages<'a>(&'a self, other: &'a Memory) -> Vec<CandidatePage<'a>> {
+        let mut pages: Vec<CandidatePage<'a>> = self
             .table
             .iter()
-            .filter(|(pg, p)| !other.table.get(*pg).is_some_and(|q| Arc::ptr_eq(p, q)))
-            .map(|(pg, _)| pg)
+            .filter_map(|(pg, p)| {
+                let q = other.table.get(pg);
+                (!q.is_some_and(|q| Arc::ptr_eq(p, q)))
+                    .then(|| (pg, Some(&p.words), q.map(|q| &q.words)))
+            })
             .collect();
         pages.extend(
             other
                 .table
                 .iter()
                 .filter(|(pg, _)| self.table.get(*pg).is_none())
-                .map(|(pg, _)| pg),
+                .map(|(pg, q)| (pg, None, Some(&q.words))),
         );
-        pages.sort_unstable();
+        pages.sort_unstable_by_key(|&(pg, _, _)| pg);
         pages
     }
 
@@ -328,21 +341,26 @@ impl Memory {
     /// to exclude recovery metadata (checkpoint/PC slots), whose final
     /// contents are timing-dependent: forced region closes dump the live
     /// register file at whatever point the timeout or spin fired.
+    ///
+    /// Compares page against page: a page missing on one side reads as
+    /// zeros, equal pages are skipped after one whole-page test, and
+    /// `include` is asked only about words that differ.
     pub fn first_difference_where(
         &self,
         other: &Memory,
         include: impl Fn(u64) -> bool,
     ) -> Option<(u64, u64, u64)> {
-        for pg in self.candidate_pages(other) {
+        const ZEROS: [u64; PAGE_WORDS] = [0; PAGE_WORDS];
+        for (pg, x, y) in self.candidate_pages(other) {
+            let (x, y) = (x.unwrap_or(&ZEROS), y.unwrap_or(&ZEROS));
+            if x == y {
+                continue;
+            }
             let base = pg << PAGE_SHIFT;
-            for i in 0..PAGE_WORDS {
+            for (i, (&u, &v)) in x.iter().zip(y).enumerate() {
                 let a = base + (i as u64) * 8;
-                if !include(a) {
-                    continue;
-                }
-                let (x, y) = (self.read_word(a), other.read_word(a));
-                if x != y {
-                    return Some((a, x, y));
+                if u != v && include(a) {
+                    return Some((a, u, v));
                 }
             }
         }
@@ -376,6 +394,104 @@ mod tests {
         a.write_word(16, 0);
         assert!(a.same_contents(&b));
         assert_eq!(a.first_difference(&b), None);
+    }
+
+    /// A page present on one side only compares against zeros: a page
+    /// holding only written zeros equals its absence, a nonzero word
+    /// differs, and the report keeps each side's value in place.
+    #[test]
+    fn one_sided_page_compares_against_zeros() {
+        let mut a = Memory::new();
+        let b = Memory::new();
+        a.write_word(0x2000, 0);
+        a.write_word(0x2008, 0);
+        assert_eq!(a.first_difference(&b), None);
+        assert_eq!(b.first_difference(&a), None);
+        a.write_word(0x2010, 5);
+        assert_eq!(a.first_difference(&b), Some((0x2010, 5, 0)));
+        assert_eq!(b.first_difference(&a), Some((0x2010, 0, 5)));
+    }
+
+    /// On a page both sides hold, a written zero equals an untouched
+    /// word.
+    #[test]
+    fn written_zero_equals_untouched_word_on_a_common_page() {
+        let mut a = Memory::new();
+        let mut b = Memory::new();
+        a.write_word(0x4000, 7);
+        b.write_word(0x4000, 7);
+        a.write_word(0x4008, 0);
+        assert_eq!(a.first_difference(&b), None);
+        b.write_word(0x4010, 1);
+        assert_eq!(a.first_difference(&b), Some((0x4010, 0, 1)));
+    }
+
+    /// An `include` filter that rejects the first differing word makes
+    /// the next differing word the answer, on the same page or a later
+    /// one.
+    #[test]
+    fn include_filter_skips_to_the_next_difference() {
+        let mut a = Memory::new();
+        let b = Memory::new();
+        a.write_word(0x1000, 1);
+        a.write_word(0x1010, 2);
+        a.write_word(0x3000, 3);
+        assert_eq!(a.first_difference(&b), Some((0x1000, 1, 0)));
+        assert_eq!(
+            a.first_difference_where(&b, |x| x != 0x1000),
+            Some((0x1010, 2, 0))
+        );
+        assert_eq!(
+            a.first_difference_where(&b, |x| x >= 0x2000),
+            Some((0x3000, 3, 0))
+        );
+        assert_eq!(a.first_difference_where(&b, |x| x < 0x800), None);
+    }
+
+    /// The lowest differing address wins across several candidate
+    /// pages, whatever order the page tables hold them in.
+    #[test]
+    fn lowest_difference_across_candidate_pages() {
+        let mut a = Memory::new();
+        let mut b = Memory::new();
+        for pg in (0..40u64).rev() {
+            a.write_word(pg * 512 + 8, pg);
+            b.write_word(pg * 512 + 8, pg);
+        }
+        for pg in [31u64, 7, 22] {
+            a.write_word(pg * 512 + 16, 100 + pg);
+        }
+        b.write_word(12 * 512 + 24, 9);
+        assert_eq!(a.first_difference(&b), Some((7 * 512 + 16, 107, 0)));
+        assert_eq!(b.first_difference(&a), Some((7 * 512 + 16, 0, 107)));
+        assert_eq!(
+            a.first_difference_where(&b, |x| x >> PAGE_SHIFT != 7),
+            Some((12 * 512 + 24, 0, 9))
+        );
+    }
+
+    /// Pointer-shared pages are never candidates; an unshared page with
+    /// equal words is one but compares equal.
+    #[test]
+    fn shared_pages_are_skipped() {
+        let mut a = Memory::new();
+        for pg in 0..8u64 {
+            a.write_word(pg * 512, pg + 1);
+        }
+        let mut b = a.clone();
+        assert!(a.candidate_pages(&b).is_empty());
+        b.write_word(3 * 512 + 8, 42);
+        b.write_word(100 * 512, 1);
+        let pages: Vec<u64> = a.candidate_pages(&b).iter().map(|c| c.0).collect();
+        assert_eq!(pages, vec![3, 100]);
+        assert_eq!(a.first_difference(&b), Some((3 * 512 + 8, 0, 42)));
+
+        let mut c = Memory::new();
+        for pg in 0..8u64 {
+            c.write_word(pg * 512, pg + 1);
+        }
+        assert_eq!(a.candidate_pages(&c).len(), 8);
+        assert!(a.same_contents(&c));
     }
 
     /// Counts pages physically shared (same `Arc`) between two memories.

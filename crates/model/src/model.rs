@@ -4,12 +4,12 @@
 //!
 //! **Over-approximate mode** ([`LrpoModel::new`]): the admitted set is
 //! `install ⊕ overlay₁(k₁) ⊕ … ⊕ overlayₙ(kₙ)` over all per-thread
-//! prefix lengths `kₜ`, where `overlayₜ(k)` is the cumulative
-//! address→value map of thread `t`'s first `k` regions (data stores in
-//! program order, then the boundary's PC-slot store). Cross-thread
-//! prefix combinations are unconstrained, so this mode can admit images
-//! the boundary-ACK/flush-ID protocol never produces. It is sound and
-//! cheap, and is retained as the fallback when no trace is available.
+//! prefix lengths `kₜ`, where `overlayₜ(k)` is the cumulative effect of
+//! thread `t`'s first `k` regions (data stores in program order, then
+//! the boundary's PC-slot store). Cross-thread prefix combinations are
+//! unconstrained, so this mode can admit images the boundary-ACK/flush-ID
+//! protocol never produces. It is sound and cheap, and is retained as
+//! the fallback when no trace is available.
 //!
 //! **Exact mode** ([`LrpoModel::with_protocol`]): the same per-thread
 //! overlays, but cross-thread combinations are constrained by the
@@ -20,52 +20,162 @@
 //! (the machine is deterministic, so one mainline trace covers every
 //! crash point of the run).
 //!
-//! Because extraction verified cross-thread write disjointness,
-//! membership decomposes per thread: project the observed image onto
-//! thread `t`'s write footprint and scan its `n+1` candidate prefixes.
-//! A final whole-image replay (install + chosen overlays vs observed,
-//! via [`Memory::first_difference`]) closes the loop against stray
-//! writes outside every thread's footprint. Exact mode adds a set
-//! lookup: the canonical witness vector must be a cut of the trace.
+//! **Per-thread rows.** Extraction verified cross-thread write
+//! disjointness, so an image decomposes per thread. Each thread's write
+//! footprint, in ascending address order, gives the columns of a dense
+//! *row*; `rows[k]` holds the footprint's words after the thread's first
+//! `k` regions over the install image. Membership projects the observed
+//! image onto each footprint once and scans the thread's candidate
+//! prefixes, dropping each at its first mismatching word. The rest of
+//! the image is then checked for stray writes: outside every footprint,
+//! the observed image must equal the install image (via
+//! [`Memory::first_difference_where`]). That is exactly a whole-image
+//! replay of the chosen prefixes, because every footprint word already
+//! matched its prefix and the replay equals the install image
+//! everywhere else. Exact mode adds a set lookup: the canonical witness
+//! vector must be a cut of the trace.
 //!
 //! **Canonical prefixes.** Different prefix lengths can induce the same
 //! *image* (a loop iteration that re-stores identical values across the
 //! same boundary, or a store that rewrites the install value). Each
-//! prefix maps to the smallest prefix with an identical **normalized
-//! image** — the cumulative map with entries equal to the install value
-//! dropped — so admitted-set counting, exact-cut counting, and witness
-//! bookkeeping are all in canonical (image) space and never
-//! double-count indistinguishable images.
+//! prefix maps to the smallest prefix with an identical row — a
+//! per-thread intern table built once with the model — so admitted-set
+//! counting, exact-cut counting, and witness bookkeeping are all in
+//! canonical (image) space and never double-count indistinguishable
+//! images.
 //!
 //! **Mutant models** ([`ModelMutant`]): deliberately-loose enumeration
 //! rules that pin the exact rule from the other side. Each mutant
 //! admits a superset of the exact set; on a case whose point sweep
 //! witnessed *every* exact image (`witnessed == exact_count`), any
 //! mutant with a larger admitted set provably admits an image the
-//! hardware cannot produce — the observed images falsify it. See
+//! hardware cannot produce — the observed images falsify it. The
+//! mutants count images per thread too: a whole image is one row per
+//! thread, so distinct images are distinct vectors of row ids. See
 //! [`LrpoModel::mutant_count`].
 
-use crate::extract::{ProtocolOrder, RegionStructure};
+use crate::extract::{ProtocolOrder, RegionEffect, RegionStructure, ThreadEffects};
 use lightwsp_ir::fxhash::{FxHashMap, FxHashSet};
 use lightwsp_ir::Memory;
 
-/// One thread's prefix-image table.
+/// One thread's prefix-image table, over dense footprint rows.
 #[derive(Clone, Debug)]
 struct ThreadModel {
-    /// `cum[k]` = normalized cumulative overlay of the first `k`
-    /// regions (entries whose value equals the install value at that
-    /// address are dropped, so map equality is image equality).
-    cum: Vec<FxHashMap<u64, u64>>,
-    /// `canon[k]` = smallest `j` with `cum[j] == cum[k]`.
+    /// The thread's write footprint, ascending: column `c` of every row
+    /// is the word at `addrs[c]`.
+    addrs: Vec<u64>,
+    /// `rows[k]` = the footprint's words after the first `k` regions
+    /// over the install image. Row equality is image equality.
+    rows: Vec<Vec<u64>>,
+    /// `canon[k]` = smallest `j` with `rows[j] == rows[k]`, the id of
+    /// prefix `k`'s image.
     canon: Vec<usize>,
-    /// Number of distinct cumulative images (= canonical prefixes).
-    distinct: usize,
-    /// The thread's write footprint (all keys any overlay can hold).
-    writes: FxHashSet<u64>,
-    /// `deltas[i]` = region `i`'s raw store sequence (data stores in
-    /// program order, then the boundary store) — the mutant models
-    /// re-enumerate from these.
-    deltas: Vec<Vec<(u64, u64)>>,
+    /// The thread's intern table: prefix row → its canonical prefix.
+    ids: FxHashMap<Vec<u64>, usize>,
+    /// `deltas[i]` = region `i`'s stores as `(column, value)`: data
+    /// stores in program order, then the boundary store — the mutant
+    /// models re-enumerate from these.
+    deltas: Vec<Vec<(usize, u64)>>,
+}
+
+impl ThreadModel {
+    fn new(t: &ThreadEffects, base: &Memory) -> ThreadModel {
+        let mut addrs: Vec<u64> = t.regions.iter().flat_map(stores).map(|(a, _)| a).collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+        let deltas: Vec<Vec<(usize, u64)>> = t
+            .regions
+            .iter()
+            .map(|r| {
+                stores(r)
+                    .map(|(a, v)| (addrs.partition_point(|&x| x < a), v))
+                    .collect()
+            })
+            .collect();
+        let install: Vec<u64> = addrs.iter().map(|&a| base.read_word(a)).collect();
+        let mut rows = vec![install];
+        for d in &deltas {
+            let mut next = rows[rows.len() - 1].clone();
+            apply(&mut next, d);
+            rows.push(next);
+        }
+        let mut ids = FxHashMap::default();
+        let canon = rows
+            .iter()
+            .enumerate()
+            .map(|(k, row)| *ids.entry(row.clone()).or_insert(k))
+            .collect();
+        ThreadModel {
+            addrs,
+            rows,
+            canon,
+            ids,
+            deltas,
+        }
+    }
+
+    /// The id of `row`: its canonical prefix when some prefix has this
+    /// image, else an id past every prefix, assigned in `extra` on first
+    /// sight.
+    fn intern(&self, row: &[u64], extra: &mut FxHashMap<Vec<u64>, usize>) -> usize {
+        if let Some(&id) = self.ids.get(row).or_else(|| extra.get(row)) {
+            return id;
+        }
+        let id = self.rows.len() + extra.len();
+        extra.insert(row.to_vec(), id);
+        id
+    }
+
+    /// Diagnostics for observed footprint words `seen` that no prefix
+    /// matches: the prefix with the fewest mismatching words (the
+    /// smallest on ties) and its lowest-addressed mismatch.
+    fn closest_prefix(&self, seen: &[u64]) -> String {
+        let n = self.rows.len() - 1;
+        let mismatches = |k: usize| {
+            self.rows[k]
+                .iter()
+                .zip(seen)
+                .filter(|(w, o)| w != o)
+                .count()
+        };
+        let k = (0..=n).min_by_key(|&k| mismatches(k)).unwrap_or(0);
+        let c = (0..seen.len())
+            .find(|&c| self.rows[k][c] != seen[c])
+            .expect("every row is some candidate's, and no candidate matched");
+        format!(
+            "no region prefix matches the observed image; closest is prefix {k}/{n} with {} \
+             mismatching words, first at {:#x}: observed {:#x}, predicted {:#x}",
+            mismatches(k),
+            self.addrs[c],
+            seen[c],
+            self.rows[k][c]
+        )
+    }
+}
+
+/// A region's stores: data stores in program order, then the boundary.
+fn stores(r: &RegionEffect) -> impl Iterator<Item = (u64, u64)> + '_ {
+    r.stores.iter().copied().chain([r.boundary])
+}
+
+/// Writes a region's `(column, value)` stores into `row`, in order.
+fn apply(row: &mut [u64], delta: &[(usize, u64)]) {
+    for &(c, v) in delta {
+        row[c] = v;
+    }
+}
+
+/// Inserts into `images` the row of every subset of `deltas` applied in
+/// order onto `row`, depth first: each region is applied, then skipped.
+fn subset_rows(deltas: &[Vec<(usize, u64)>], row: Vec<u64>, images: &mut FxHashSet<Vec<u64>>) {
+    let Some((delta, rest)) = deltas.split_first() else {
+        images.insert(row);
+        return;
+    };
+    let mut taken = row.clone();
+    apply(&mut taken, delta);
+    subset_rows(rest, taken, images);
+    subset_rows(rest, row, images);
 }
 
 /// The exact-mode constraint derived from one traced run.
@@ -85,8 +195,8 @@ struct ExactSet {
 #[derive(Clone, Debug)]
 pub struct ModelViolation {
     /// The thread whose projection matched no prefix, when the failure
-    /// localises to one thread (`None` for whole-image mismatches and
-    /// exact-mode cut violations).
+    /// localises to one thread (`None` for stray writes outside every
+    /// footprint and exact-mode cut violations).
     pub thread: Option<usize>,
     /// Human-readable specifics: nearest prefix and first differing
     /// address/value, or the non-cut prefix vector.
@@ -150,6 +260,9 @@ const SUBSET_CAP: usize = 14;
 pub struct LrpoModel {
     base: Memory,
     threads: Vec<ThreadModel>,
+    /// Union of the threads' write footprints: outside it, an admitted
+    /// image equals the install image.
+    footprint: FxHashSet<u64>,
     exact: Option<ExactSet>,
 }
 
@@ -159,48 +272,19 @@ impl LrpoModel {
     /// unconstrained).
     pub fn new(rs: &RegionStructure) -> LrpoModel {
         let base = rs.install.clone();
-        let threads = rs
+        let threads: Vec<ThreadModel> = rs
             .threads
             .iter()
-            .map(|t| {
-                let n = t.regions.len();
-                let mut deltas: Vec<Vec<(u64, u64)>> = Vec::with_capacity(n);
-                let mut cum: Vec<FxHashMap<u64, u64>> = Vec::with_capacity(n + 1);
-                cum.push(FxHashMap::default());
-                for r in &t.regions {
-                    let mut delta = r.stores.clone();
-                    delta.push(r.boundary);
-                    let mut next = cum.last().expect("non-empty").clone();
-                    for &(a, v) in &delta {
-                        // Normalize as we go: an entry equal to the
-                        // install value is image-invisible.
-                        if v == base.read_word(a) {
-                            next.remove(&a);
-                        } else {
-                            next.insert(a, v);
-                        }
-                    }
-                    deltas.push(delta);
-                    cum.push(next);
-                }
-                let mut canon = Vec::with_capacity(n + 1);
-                for k in 0..=n {
-                    let j = (0..k).find(|&j| cum[j] == cum[k]).unwrap_or(k);
-                    canon.push(j);
-                }
-                let distinct = canon.iter().enumerate().filter(|&(k, &j)| j == k).count();
-                ThreadModel {
-                    cum,
-                    canon,
-                    distinct,
-                    writes: t.writes.clone(),
-                    deltas,
-                }
-            })
+            .map(|t| ThreadModel::new(t, &base))
+            .collect();
+        let footprint = threads
+            .iter()
+            .flat_map(|t| t.addrs.iter().copied())
             .collect();
         LrpoModel {
             base,
             threads,
+            footprint,
             exact: None,
         }
     }
@@ -224,11 +308,7 @@ impl LrpoModel {
         let mut set: FxHashSet<Vec<usize>> = FxHashSet::default();
         let mut canonical = Vec::new();
         for cut in &raw_cuts {
-            let c: Vec<usize> = cut
-                .iter()
-                .enumerate()
-                .map(|(t, &k)| m.threads[t].canon[k])
-                .collect();
+            let c = m.canonical(cut);
             if set.insert(c.clone()) {
                 canonical.push(c);
             }
@@ -240,6 +320,15 @@ impl LrpoModel {
             set,
         });
         Ok(m)
+    }
+
+    /// The canonical form of the per-thread prefix vector `ks`.
+    fn canonical(&self, ks: &[usize]) -> Vec<usize> {
+        self.threads
+            .iter()
+            .zip(ks)
+            .map(|(t, &k)| t.canon[k])
+            .collect()
     }
 
     /// True when the model carries a protocol order (exact mode).
@@ -254,7 +343,7 @@ impl LrpoModel {
     pub fn admitted_count(&self) -> u128 {
         self.threads
             .iter()
-            .fold(1u128, |acc, t| acc.saturating_mul(t.distinct as u128))
+            .fold(1u128, |acc, t| acc.saturating_mul(t.ids.len() as u128))
     }
 
     /// Size of the exact admitted set: the number of distinct canonical
@@ -272,7 +361,7 @@ impl LrpoModel {
 
     /// Per-thread region counts (diagnostics/reporting).
     pub fn region_counts(&self) -> Vec<usize> {
-        self.threads.iter().map(|t| t.cum.len() - 1).collect()
+        self.threads.iter().map(|t| t.deltas.len()).collect()
     }
 
     /// Enumerates every canonical prefix vector of the over-approximate
@@ -304,17 +393,17 @@ impl LrpoModel {
     }
 
     /// Checks whether `observed` is an admitted post-crash image under
-    /// the model's mode: per-thread prefix membership (both modes),
-    /// whole-image replay (both modes), and — in exact mode — cut
-    /// membership of the canonical witness vector in the traced order.
-    /// On success returns the canonical per-thread prefix vector that
-    /// witnesses membership (the harness's tightness bookkeeping).
+    /// the model's mode: per-thread prefix membership and the stray-write
+    /// check (both modes), and — in exact mode — cut membership of the
+    /// canonical witness vector in the traced order. On success returns
+    /// the canonical per-thread prefix vector that witnesses membership
+    /// (the harness's tightness bookkeeping).
     ///
     /// # Errors
     ///
     /// Returns a [`ModelViolation`] naming the offending thread, the
-    /// first whole-image difference, or the non-cut prefix vector when
-    /// `observed` is outside the admitted set.
+    /// first stray write, or the non-cut prefix vector when `observed`
+    /// is outside the admitted set.
     pub fn check_image(&self, observed: &Memory) -> Result<Vec<usize>, ModelViolation> {
         let witness = self.check_image_overapprox(observed)?;
         if let Some(ex) = &self.exact {
@@ -340,64 +429,29 @@ impl LrpoModel {
     pub fn check_image_overapprox(&self, observed: &Memory) -> Result<Vec<usize>, ModelViolation> {
         let mut witness = Vec::with_capacity(self.threads.len());
         for (tid, t) in self.threads.iter().enumerate() {
-            let n = t.cum.len() - 1;
-            let mut found = None;
-            // Scan candidate prefixes; any match determines the
-            // canonical image (all matching prefixes share it).
-            let mut best: Option<(usize, usize, u64, u64, u64)> = None; // (mismatches, k, addr, got, want)
-            for k in 0..=n {
-                let mut mismatches = 0;
-                let mut first: Option<(u64, u64, u64)> = None;
-                for &a in &t.writes {
-                    let want = t.cum[k].get(&a).copied().unwrap_or(self.base.read_word(a));
-                    let got = observed.read_word(a);
-                    if got != want {
-                        mismatches += 1;
-                        if first.is_none() {
-                            first = Some((a, got, want));
-                        }
-                    }
-                }
-                if mismatches == 0 {
-                    found = Some(t.canon[k]);
-                    break;
-                }
-                let (a, got, want) = first.expect("mismatch recorded");
-                if best.is_none_or(|b| mismatches < b.0) {
-                    best = Some((mismatches, k, a, got, want));
-                }
-            }
-            match found {
-                Some(c) => witness.push(c),
+            let seen: Vec<u64> = t.addrs.iter().map(|&a| observed.read_word(a)).collect();
+            // Only canonical prefixes are candidates: any other prefix
+            // repeats the row of an earlier one.
+            match (0..t.rows.len()).find(|&k| t.canon[k] == k && t.rows[k] == seen) {
+                Some(k) => witness.push(k),
                 None => {
-                    let detail = match best {
-                        Some((m, k, a, got, want)) => format!(
-                            "no region prefix matches the observed image; closest is \
-                             prefix {k}/{n} with {m} mismatching words, first at \
-                             {a:#x}: observed {got:#x}, predicted {want:#x}"
-                        ),
-                        None => "thread has no writes yet no prefix matched".to_string(),
-                    };
                     return Err(ModelViolation {
                         thread: Some(tid),
-                        detail,
-                    });
+                        detail: t.closest_prefix(&seen),
+                    })
                 }
             }
         }
 
-        // Belt and braces: replay the chosen overlays over the install
-        // image and demand whole-image equality. Catches writes at
-        // addresses outside every thread's footprint (e.g. a resolution
-        // that leaked an address the program never stored).
-        let mut predicted = self.base.clone();
-        for (t, &k) in self.threads.iter().zip(&witness) {
-            for (&a, &v) in &t.cum[k] {
-                predicted.write_word(a, v);
-            }
-        }
-        if let Some((addr, want, got)) = predicted.first_difference(observed) {
-            // `first_difference(other)` reports (addr, self, other).
+        // Stray writes: the whole-image replay of `witness` equals
+        // `observed` on every footprint (each footprint word matched its
+        // prefix) and is the install image everywhere else, so only
+        // words outside every footprint can still differ.
+        if let Some((addr, want, got)) = self
+            .base
+            .first_difference_where(observed, |a| !self.footprint.contains(&a))
+        {
+            // `first_difference_where(other)` reports (addr, self, other).
             return Err(ModelViolation {
                 thread: None,
                 detail: format!(
@@ -450,23 +504,11 @@ impl LrpoModel {
     fn unordered_count(&self) -> Option<u128> {
         let mut total = 1u128;
         for t in &self.threads {
-            let n = t.deltas.len();
-            if n > SUBSET_CAP {
+            if t.deltas.len() > SUBSET_CAP {
                 return None;
             }
-            let mut images: FxHashSet<Vec<(u64, u64)>> = FxHashSet::default();
-            for mask in 0u32..(1u32 << n) {
-                let mut img: FxHashMap<u64, u64> = FxHashMap::default();
-                for (i, delta) in t.deltas.iter().enumerate() {
-                    if mask & (1 << i) == 0 {
-                        continue;
-                    }
-                    for &(a, v) in delta {
-                        img.insert(a, v);
-                    }
-                }
-                images.insert(self.freeze(img));
-            }
+            let mut images = FxHashSet::default();
+            subset_rows(&t.deltas, t.rows[0].clone(), &mut images);
             total = total.saturating_mul(images.len() as u128);
         }
         Some(total)
@@ -474,48 +516,25 @@ impl LrpoModel {
 
     /// Distinct images over exact cuts plus store-granular partial
     /// prefixes of the region committing next at each frontier,
-    /// without its boundary store.
+    /// without its boundary store: the distinct vectors of per-thread
+    /// row ids, where a partial row that no prefix has gets a fresh id.
     fn flush_fence_count(&self, ex: &ExactSet) -> u128 {
-        let mut images: FxHashSet<Vec<(u64, u64)>> = FxHashSet::default();
-        for cut in &ex.canonical {
-            images.insert(self.freeze(self.cut_image(cut)));
-        }
+        let mut images: FxHashSet<Vec<usize>> = ex.set.clone();
+        let mut extra = vec![FxHashMap::default(); self.threads.len()];
         for (f, &t) in ex.order.threads().iter().enumerate() {
-            let ridx = ex.raw_cuts[f][t];
-            let delta = &self.threads[t].deltas[ridx];
-            let data = &delta[..delta.len() - 1]; // drop the boundary store
-            for j in 1..=data.len() {
-                let mut img = self.cut_image(&ex.raw_cuts[f]);
-                for &(a, v) in &data[..j] {
-                    img.insert(a, v);
-                }
-                images.insert(self.freeze(img));
+            let th = &self.threads[t];
+            let k = ex.raw_cuts[f][t];
+            let delta = &th.deltas[k];
+            let mut ids = self.canonical(&ex.raw_cuts[f]);
+            let mut row = th.rows[k].clone();
+            // Drop the boundary store: the region never commits here.
+            for &(c, v) in &delta[..delta.len() - 1] {
+                row[c] = v;
+                ids[t] = th.intern(&row, &mut extra[t]);
+                images.insert(ids.clone());
             }
         }
         images.len() as u128
-    }
-
-    /// Union of the per-thread overlays at prefix vector `ks` (write
-    /// footprints are disjoint, so plain insertion is exact).
-    fn cut_image(&self, ks: &[usize]) -> FxHashMap<u64, u64> {
-        let mut img = FxHashMap::default();
-        for (t, &k) in self.threads.iter().zip(ks) {
-            for (&a, &v) in &t.cum[k] {
-                img.insert(a, v);
-            }
-        }
-        img
-    }
-
-    /// Normalizes a raw overlay into a sorted, install-value-free pair
-    /// list — the hashable identity of an image.
-    fn freeze(&self, img: FxHashMap<u64, u64>) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = img
-            .into_iter()
-            .filter(|&(a, val)| val != self.base.read_word(a))
-            .collect();
-        v.sort_unstable();
-        v
     }
 }
 
@@ -572,6 +591,69 @@ mod tests {
         img.write_word(layout::HEAP_BASE + 0x9000, 0xdead);
         let err = m.check_image(&img).unwrap_err();
         assert!(err.thread.is_none(), "whole-image check must catch it");
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "whole-image replay of prefix vector [0] diverges at {:#x}: \
+                 observed 0xdead, predicted 0x0",
+                layout::HEAP_BASE + 0x9000
+            )
+        );
+
+        // A stray word beside the thread's own data word, on a page the
+        // thread writes, after a matching prefix 1.
+        let mut img = rs.install.clone();
+        img.write_word(layout::HEAP_BASE, 1);
+        let (a, v) = rs.threads[0].regions[0].boundary;
+        img.write_word(a, v);
+        img.write_word(layout::HEAP_BASE + 8, 5);
+        let err = m.check_image(&img).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "whole-image replay of prefix vector [1] diverges at {:#x}: \
+                 observed 0x5, predicted 0x0",
+                layout::HEAP_BASE + 8
+            )
+        );
+    }
+
+    #[test]
+    fn per_thread_mismatch_names_the_closest_prefix() {
+        let p = two_region_program();
+        let rs = extract(&p, 1, 10_000).unwrap();
+        let m = LrpoModel::new(&rs);
+        let (a, v) = rs.threads[0].regions[0].boundary;
+        // Region 1's boundary with a data word no region stores: prefix
+        // 1 differs in the data word only, prefixes 0 and 2 in both.
+        let mut img = rs.install.clone();
+        img.write_word(layout::HEAP_BASE, 7);
+        img.write_word(a, v);
+        let err = m.check_image(&img).unwrap_err();
+        assert_eq!(err.thread, Some(0));
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "thread 0: no region prefix matches the observed image; closest is \
+                 prefix 1/2 with 1 mismatching words, first at {:#x}: observed 0x7, \
+                 predicted 0x1",
+                layout::HEAP_BASE
+            )
+        );
+
+        // Region 2's data word without any boundary: prefixes 0 and 2
+        // both differ in one word, and the tie goes to the smaller.
+        let mut img = rs.install.clone();
+        img.write_word(layout::HEAP_BASE, 2);
+        let err = m.check_image(&img).unwrap_err();
+        assert_eq!(
+            err.detail,
+            format!(
+                "no region prefix matches the observed image; closest is prefix 0/2 \
+                 with 1 mismatching words, first at {:#x}: observed 0x2, predicted 0x0",
+                layout::HEAP_BASE
+            )
+        );
     }
 
     #[test]
