@@ -226,15 +226,8 @@ pub fn cache_line(c: &Campaign) -> String {
         let _ = write!(
             line,
             ", \"store_hits\": {}, \"store_misses\": {}, \"store_puts\": {}, \
-             \"batches_appended\": {}, \"compactions\": {}, \"resident_batches\": {}, \
-             \"resident_entries\": {}",
-            s.hits,
-            s.misses,
-            s.puts,
-            s.batches_appended,
-            s.compactions,
-            s.resident_batches,
-            s.resident_entries,
+             \"resident_batches\": {}, \"resident_entries\": {}",
+            s.hits, s.misses, s.puts, s.resident_batches, s.resident_entries,
         );
     }
     line.push('}');

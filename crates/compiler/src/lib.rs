@@ -53,7 +53,6 @@
 
 pub mod boundaries;
 pub mod checkpoint;
-pub mod dce;
 pub mod formation;
 pub mod prune;
 pub mod regions;

@@ -2,20 +2,17 @@
 //!
 //! A [`Batch`] is the store's unit of persistence: a sorted,
 //! deduplicated run of `(key, seq, value)` entries, never modified
-//! after sealing (the feldera/DBSP "batch" discipline). Appends build
-//! new batches; compaction merges existing ones; queries binary-search
-//! or cursor over them. Each batch covers a contiguous range of global
-//! sequence numbers, and on key collisions the entry with the higher
-//! sequence number wins — so merging batches in any order yields the
-//! same queryable contents (the determinism property the proptests
-//! pin).
+//! after sealing (the feldera/DBSP "batch" discipline). Each flush
+//! writes one new batch, and a compaction writes the store's whole map
+//! as one. Each batch covers a contiguous range of global sequence
+//! numbers, and on key collisions inside a batch the entry with the
+//! higher sequence number wins.
 //!
 //! The on-disk form is line-oriented text: a header line followed by
 //! one tab-separated entry per line, with `\t`/`\n`/`\\` escaped in
 //! string fields. Text keeps the artifacts greppable and
-//! diff-reviewable; at the ~10⁶-entry scale the mega-sweeps produce,
-//! parsing is far from the bottleneck (the simulations behind a batch
-//! cost seconds to hours).
+//! diff-reviewable; parsing is far from the bottleneck (the
+//! simulations behind a batch cost seconds to hours).
 
 use crate::key::StoreKey;
 
@@ -75,8 +72,8 @@ fn unescape(s: &str) -> String {
 impl Batch {
     /// Seals `entries` into a batch: sorts by key, and on duplicate
     /// keys keeps only the entry with the highest sequence number.
-    /// The sequence range is taken over *all* input entries so merged
-    /// batches keep covering their inputs' ranges.
+    /// The sequence range is taken over *all* input entries, superseded
+    /// ones included.
     pub fn seal(mut entries: Vec<Entry>) -> Batch {
         if entries.is_empty() {
             return Batch::default();
@@ -98,6 +95,17 @@ impl Batch {
             entries,
             seq_lo,
             seq_hi,
+        }
+    }
+
+    /// [`Batch::seal`]s `entries` into a batch that covers
+    /// `seq_lo..=seq_hi`, a range that can include sequence numbers
+    /// whose entries were superseded and dropped.
+    pub(crate) fn covering(entries: Vec<Entry>, seq_lo: u64, seq_hi: u64) -> Batch {
+        Batch {
+            seq_lo,
+            seq_hi,
+            ..Batch::seal(entries)
         }
     }
 
@@ -124,56 +132,6 @@ impl Batch {
     /// The sorted entries.
     pub fn entries(&self) -> &[Entry] {
         &self.entries
-    }
-
-    /// Binary-searches for `key`.
-    pub fn get(&self, key: &StoreKey) -> Option<&Entry> {
-        self.entries
-            .binary_search_by(|e| e.key.cmp(key))
-            .ok()
-            .map(|i| &self.entries[i])
-    }
-
-    /// Index of the first entry with `entry.key >= key`.
-    pub fn lower_bound(&self, key: &StoreKey) -> usize {
-        self.entries.partition_point(|e| e.key < *key)
-    }
-
-    /// Merges two batches into one (two-way sorted merge; on key
-    /// collisions the higher sequence number wins). The result covers
-    /// the union of both sequence ranges.
-    pub fn merge(a: &Batch, b: &Batch) -> Batch {
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.entries.len() && j < b.entries.len() {
-            let (ea, eb) = (&a.entries[i], &b.entries[j]);
-            match ea.key.cmp(&eb.key) {
-                std::cmp::Ordering::Less => {
-                    out.push(ea.clone());
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(eb.clone());
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(if ea.seq >= eb.seq {
-                        ea.clone()
-                    } else {
-                        eb.clone()
-                    });
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a.entries[i..]);
-        out.extend_from_slice(&b.entries[j..]);
-        Batch {
-            entries: out,
-            seq_lo: a.seq_lo.min(b.seq_lo),
-            seq_hi: a.seq_hi.max(b.seq_hi),
-        }
     }
 
     /// Serialises the batch to the line format.
@@ -261,12 +219,7 @@ impl Batch {
                 entries.len()
             ));
         }
-        let mut b = Batch::seal(entries);
-        // Preserve the recorded coverage: a merged batch can cover seqs
-        // whose entries were superseded and dropped.
-        b.seq_lo = seq_lo;
-        b.seq_hi = seq_hi;
-        Ok(b)
+        Ok(Batch::covering(entries, seq_lo, seq_hi))
     }
 }
 
@@ -294,18 +247,9 @@ mod tests {
             entry("b", 0, 5, "new"),
         ]);
         assert_eq!(b.len(), 2);
-        assert_eq!(b.get(&key("b", 0)).unwrap().value, "new");
+        assert_eq!(b.entries()[1].key, key("b", 0));
+        assert_eq!(b.entries()[1].value, "new");
         assert_eq!((b.seq_lo(), b.seq_hi()), (2, 5));
-    }
-
-    #[test]
-    fn merge_prefers_higher_seq() {
-        let a = Batch::seal(vec![entry("a", 0, 1, "v1"), entry("c", 0, 2, "c1")]);
-        let b = Batch::seal(vec![entry("a", 0, 9, "v2"), entry("b", 0, 3, "b1")]);
-        let m = Batch::merge(&a, &b);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.get(&key("a", 0)).unwrap().value, "v2");
-        assert_eq!((m.seq_lo(), m.seq_hi()), (1, 9));
     }
 
     #[test]

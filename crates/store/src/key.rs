@@ -6,7 +6,7 @@
 //! heterogeneous record families (whole-run results, crash-audit
 //! cells, step/exec timing records, sweep-engine comparisons, …)
 //! without colliding. Keys order lexicographically by field, which
-//! groups a cursor's walk by record family, then workload, then
+//! groups the store's records by record family, then workload, then
 //! series — the natural aggregation order for figure emission.
 
 use std::fmt;
@@ -50,8 +50,8 @@ impl StoreKey {
         }
     }
 
-    /// The smallest key of a record family — the seek target for a
-    /// cursor walking one `kind`.
+    /// The smallest key of a record family — where the store's walk
+    /// over one `kind` starts.
     pub fn kind_floor(kind: &str) -> StoreKey {
         StoreKey::new(kind, "", "", 0, 0, 0)
     }

@@ -1,5 +1,5 @@
-//! `lightwsp-store`: a spine-style persistent result store for
-//! million-point simulation campaigns.
+//! `lightwsp-store`: a persistent, digest-keyed result store for
+//! simulation campaigns.
 //!
 //! The evaluation harness produces results at four scales — whole-run
 //! figure cells, crash-audit sweeps with thousands of fork points,
@@ -8,14 +8,14 @@
 //! them from scratch. The store makes results *durable and addressable*
 //! instead: each record is keyed by
 //! `(kind, workload, scheme, config-digest, point, code-digest)`
-//! ([`StoreKey`]), appended to immutable sorted [`Batch`]es, organised
-//! into a [`Spine`] that merges them as it grows, and queried through
-//! merged [`Cursor`]s. Because the **code digest** (a
-//! build-time fingerprint of every simulation-relevant source file,
-//! see [`digest`]) is part of the key, a warm re-run on unchanged code
-//! re-simulates nothing, a config tweak invalidates exactly the
-//! affected cells, and historical records from older builds remain
-//! queryable for perf-trajectory analysis.
+//! ([`StoreKey`]), served from one in-memory map, and written to disk as
+//! immutable sorted [`Batch`] files, one per flush, which a compaction
+//! folds into one once there are more than [`MERGE_FANOUT`]. Because
+//! the **code digest** (a build-time fingerprint of every
+//! simulation-relevant source file, see [`digest`]) is part of the key,
+//! a warm re-run on unchanged code re-simulates nothing, a config tweak
+//! invalidates exactly the affected cells, and historical records from
+//! older builds remain queryable for perf-trajectory analysis.
 //!
 //! The crate is dependency-free (it sits *below* `lightwsp-core` in
 //! the workspace graph) and stores opaque string payloads. Each record
@@ -40,7 +40,6 @@
 pub mod batch;
 pub mod digest;
 pub mod key;
-pub mod spine;
 pub mod store;
 
 pub use batch::{Batch, Entry};
@@ -49,5 +48,4 @@ pub use digest::{
     digest_str, BUILD_CODE_DIGEST_HEX,
 };
 pub use key::StoreKey;
-pub use spine::{Cursor, Spine, MERGE_FANOUT};
-pub use store::{CacheStats, ResultStore, AUTOFLUSH_ENTRIES};
+pub use store::{CacheStats, ResultStore, AUTOFLUSH_ENTRIES, MERGE_FANOUT};

@@ -1,43 +1,50 @@
-//! The durable result store: a [`Spine`] of immutable batch files plus
-//! a pending write buffer and cache statistics.
+//! The durable result store: one in-memory map over a directory of
+//! immutable batch files, plus cache statistics.
 //!
 //! ## Layout
 //!
 //! A store is a directory of `batch-<lo>-<hi>.lwsb` files, one sealed
 //! [`Batch`] each, named by the contiguous global-sequence range they
 //! cover. There is no manifest: opening a store globs the directory,
-//! drops any file whose range is covered by a wider file (the only
-//! leftover an interrupted or failed compaction can produce — merged
-//! output is renamed into place *before* its inputs are retired), and
-//! rebuilds the spine. Every batch file is written to a temp file,
-//! fsynced, renamed into place, and made durable with an fsync of the
-//! directory, in keeping with the repository's crash-consistency
-//! sensibilities.
+//! deletes `.tmp-` leftovers and any file whose range is covered by a
+//! wider file, and reads the rest into one map in sequence order, so a
+//! later file's record wins.
 //!
 //! ## Write path
 //!
-//! [`ResultStore::put`] appends to an in-memory pending buffer;
+//! [`ResultStore::put`] writes the map and queues the record;
 //! [`ResultStore::flush`] (or the automatic flush every
-//! [`AUTOFLUSH_ENTRIES`] puts, or `Drop`) seals the buffer into a new
-//! immutable batch, persists it, and hands it to the spine — campaigns
-//! therefore append batches instead of accumulating results in memory.
-//! Once the spine exceeds [`MERGE_FANOUT`](crate::MERGE_FANOUT)
-//! batches, the flusher merges adjacent pairs. Merging never changes
-//! query results (last-writer-wins by sequence number at every level),
-//! which is the determinism property the proptests pin.
+//! [`AUTOFLUSH_ENTRIES`] puts, or dropping the last handle) writes the
+//! queue as one new batch file. Once the directory holds more than
+//! [`MERGE_FANOUT`] batch files, and in [`ResultStore::compact_all`],
+//! the flusher writes the whole map as one file covering every
+//! sequence number. One lock guards the map, the queue and the
+//! counters, and a flush holds it across its file writes.
+//!
+//! ## Crash safety
+//!
+//! Every batch file is written to a temp file, fsynced, renamed into
+//! place, and made durable by an fsync of the directory, so a crash
+//! leaves either no file or the whole one. A compaction deletes the
+//! files its output covers only after its rename: a crash in between
+//! leaves covered files, which the next open prunes, and a failed write
+//! leaves the old files holding every record they held.
 
 use crate::batch::{Batch, Entry};
 use crate::digest::code_digest_from_env;
 use crate::key::StoreKey;
-use crate::spine::{Cursor, Spine};
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Pending-buffer size that triggers an automatic flush.
+/// Queue length that triggers an automatic flush.
 pub const AUTOFLUSH_ENTRIES: usize = 4096;
+
+/// Batch-file count above which a flush compacts the store into one
+/// file.
+pub const MERGE_FANOUT: usize = 4;
 
 /// Point-in-time counters of one store's activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -48,54 +55,55 @@ pub struct CacheStats {
     pub misses: u64,
     /// Records written this session.
     pub puts: u64,
-    /// Batches sealed and appended this session.
+    /// Batches sealed from the queue since the store opened, whether
+    /// or not their file write succeeded.
     pub batches_appended: u64,
-    /// Merge/compaction steps performed this session.
+    /// Whole-store compactions attempted since the store opened.
     pub compactions: u64,
     /// Batches loaded from disk at open.
     pub loaded_batches: u64,
     /// Entries loaded from disk at open.
     pub loaded_entries: u64,
-    /// Batches currently resident in the spine.
+    /// Batch files the store holds (an in-memory store counts the
+    /// files it would hold).
     pub resident_batches: u64,
-    /// Entries currently resident (pre-dedup across batches).
+    /// Distinct records the store serves.
     pub resident_entries: u64,
 }
 
+#[derive(Default)]
 struct State {
-    spine: Spine,
-    pending: Vec<Entry>,
+    /// Every record the store serves, with its sequence number.
+    map: BTreeMap<StoreKey, (u64, String)>,
+    /// Records put since the last flush, in put order.
+    queue: Vec<Entry>,
+    /// The sequence number the next put takes.
     next_seq: u64,
+    /// The sequence ranges of the batch files the store holds, oldest
+    /// first.
+    files: Vec<(u64, u64)>,
+    /// The first error of an automatic flush in [`ResultStore::put`],
+    /// held for the next [`ResultStore::flush`] to return.
+    autoflush_error: Option<io::Error>,
+    /// The counters [`ResultStore::stats`] does not derive.
+    stats: CacheStats,
 }
 
 struct Inner {
     dir: Option<PathBuf>,
     code: u64,
     state: Mutex<State>,
-    /// Serialises mergers (concurrent flushers); held across the
-    /// off-`state`-lock merge work.
-    merge_lock: Mutex<()>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    puts: AtomicU64,
-    batches_appended: AtomicU64,
-    compactions: AtomicU64,
-    loaded_batches: u64,
-    loaded_entries: u64,
-    /// The first error of an automatic flush in [`ResultStore::put`],
-    /// held for the next [`ResultStore::flush`] to return.
-    autoflush_error: Mutex<Option<io::Error>>,
 }
 
-/// A digest-keyed, spine-backed result store. Cheap to clone (shared
-/// handle); safe to use from campaign worker threads.
+/// A digest-keyed result store. Cheap to clone (shared handle); safe
+/// to use from campaign worker threads.
 #[derive(Clone)]
 pub struct ResultStore {
     inner: Arc<Inner>,
 }
 
-fn batch_file_name(b: &Batch) -> String {
-    format!("batch-{:012}-{:012}.lwsb", b.seq_lo(), b.seq_hi())
+fn batch_file_name(lo: u64, hi: u64) -> String {
+    format!("batch-{lo:012}-{hi:012}.lwsb")
 }
 
 fn parse_file_name(name: &str) -> Option<(u64, u64)> {
@@ -115,6 +123,79 @@ fn write_atomically(dir: &Path, name: &str, contents: &str) -> io::Result<()> {
     drop(file);
     std::fs::rename(&tmp, dir.join(name))?;
     File::open(dir)?.sync_all()
+}
+
+/// One map record as an [`Entry`].
+fn entry((key, (seq, value)): (&StoreKey, &(u64, String))) -> Entry {
+    Entry {
+        key: key.clone(),
+        seq: *seq,
+        value: value.clone(),
+    }
+}
+
+/// Writes `batch`'s file, when the store has a directory.
+fn persist(dir: Option<&Path>, batch: &Batch) -> io::Result<()> {
+    match dir {
+        Some(dir) => write_atomically(
+            dir,
+            &batch_file_name(batch.seq_lo(), batch.seq_hi()),
+            &batch.encode(),
+        ),
+        None => Ok(()),
+    }
+}
+
+impl State {
+    /// Writes the queue as one new batch file, then compacts once the
+    /// store holds more than [`MERGE_FANOUT`] files. Returns the number
+    /// of records written. A failed write keeps its records in the map,
+    /// so the next compaction writes them.
+    fn flush(&mut self, dir: Option<&Path>) -> io::Result<usize> {
+        if self.queue.is_empty() {
+            return Ok(0);
+        }
+        let batch = Batch::seal(std::mem::take(&mut self.queue));
+        self.stats.batches_appended += 1;
+        persist(dir, &batch)?;
+        self.files.push((batch.seq_lo(), batch.seq_hi()));
+        if self.files.len() > MERGE_FANOUT {
+            self.compact(dir)?;
+        }
+        Ok(batch.len())
+    }
+
+    /// Writes the whole map as one batch file covering every sequence
+    /// number, then deletes every other batch file, since it covers
+    /// them all.
+    fn compact(&mut self, dir: Option<&Path>) -> io::Result<()> {
+        self.stats.compactions += 1;
+        let whole = Batch::covering(self.map.iter().map(entry).collect(), 0, self.next_seq - 1);
+        persist(dir, &whole)?;
+        let range = (whole.seq_lo(), whole.seq_hi());
+        let covered = std::mem::replace(&mut self.files, vec![range]);
+        if let Some(dir) = dir {
+            for (lo, hi) in covered.into_iter().filter(|&old| old != range) {
+                let _ = std::fs::remove_file(dir.join(batch_file_name(lo, hi)));
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Inner {
+    /// The one lock. Every update leaves the state valid, so a panic
+    /// elsewhere while it was held does not poison it.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Drop for Inner {
+    /// The last handle out writes the queue.
+    fn drop(&mut self) {
+        let _ = self.state().flush(self.dir.as_deref());
+    }
 }
 
 impl ResultStore {
@@ -166,65 +247,38 @@ impl ResultStore {
             .cloned()
             .collect();
 
-        let mut spine = Spine::new();
-        let mut next_seq = 0u64;
-        let mut loaded_batches = 0u64;
-        let mut loaded_entries = 0u64;
-        for (_, hi, path) in &keep {
-            let text = std::fs::read_to_string(path)?;
+        let mut state = State::default();
+        for (lo, hi, path) in keep {
+            let text = std::fs::read_to_string(&path)?;
             let batch = Batch::decode(&text).map_err(|e| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("{}: {e}", path.display()),
                 )
             })?;
-            loaded_batches += 1;
-            loaded_entries += batch.len() as u64;
-            next_seq = next_seq.max(hi + 1);
-            spine.insert(Arc::new(batch));
+            state.stats.loaded_batches += 1;
+            state.stats.loaded_entries += batch.len() as u64;
+            state.next_seq = state.next_seq.max(hi + 1);
+            state.files.push((lo, hi));
+            for e in batch.entries() {
+                state.map.insert(e.key.clone(), (e.seq, e.value.clone()));
+            }
         }
-        Ok(ResultStore::from_parts(
-            Some(dir),
-            code,
-            spine,
-            next_seq,
-            loaded_batches,
-            loaded_entries,
-        ))
+        Ok(ResultStore::new(Some(dir), code, state))
     }
 
     /// A store with no backing directory and an explicit code digest
-    /// (tests; batches live only in memory).
+    /// (tests; records live only in memory).
     pub fn in_memory_with(code: u64) -> ResultStore {
-        ResultStore::from_parts(None, code, Spine::new(), 0, 0, 0)
+        ResultStore::new(None, code, State::default())
     }
 
-    fn from_parts(
-        dir: Option<PathBuf>,
-        code: u64,
-        spine: Spine,
-        next_seq: u64,
-        loaded_batches: u64,
-        loaded_entries: u64,
-    ) -> ResultStore {
+    fn new(dir: Option<PathBuf>, code: u64, state: State) -> ResultStore {
         ResultStore {
             inner: Arc::new(Inner {
                 dir,
                 code,
-                state: Mutex::new(State {
-                    spine,
-                    pending: Vec::new(),
-                    next_seq,
-                }),
-                merge_lock: Mutex::new(()),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                puts: AtomicU64::new(0),
-                batches_appended: AtomicU64::new(0),
-                compactions: AtomicU64::new(0),
-                loaded_batches,
-                loaded_entries,
-                autoflush_error: Mutex::new(None),
+                state: Mutex::new(state),
             }),
         }
     }
@@ -241,184 +295,85 @@ impl ResultStore {
 
     /// Looks up `key`, counting a hit or miss.
     pub fn get(&self, key: &StoreKey) -> Option<String> {
-        let state = self.inner.state.lock().unwrap();
-        let found = state
-            .pending
-            .iter()
-            .rev()
-            .find(|e| e.key == *key)
-            .map(|e| e.value.clone())
-            .or_else(|| state.spine.get(key).map(|e| e.value.clone()));
-        drop(state);
-        match &found {
-            Some(_) => self.inner.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.inner.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        let mut state = self.inner.state();
+        let found = state.map.get(key).map(|(_, value)| value.clone());
+        match found {
+            Some(_) => state.stats.hits += 1,
+            None => state.stats.misses += 1,
+        }
         found
     }
 
-    /// Buffers one record; flushes automatically at
-    /// [`AUTOFLUSH_ENTRIES`]. The automatic flush's first error is
-    /// returned by the next [`flush`](ResultStore::flush).
+    /// Writes one record; flushes automatically at
+    /// [`AUTOFLUSH_ENTRIES`] queued records. The automatic flush's
+    /// first error is returned by the next
+    /// [`flush`](ResultStore::flush).
     pub fn put(&self, key: StoreKey, value: String) {
-        let mut state = self.inner.state.lock().unwrap();
+        let mut state = self.inner.state();
         let seq = state.next_seq;
         state.next_seq += 1;
-        state.pending.push(Entry { key, seq, value });
-        self.inner.puts.fetch_add(1, Ordering::Relaxed);
-        if state.pending.len() >= AUTOFLUSH_ENTRIES {
-            drop(state);
-            if let Err(e) = self.flush() {
-                self.autoflush_error().get_or_insert(e);
+        state.stats.puts += 1;
+        state.map.insert(key.clone(), (seq, value.clone()));
+        state.queue.push(Entry { key, seq, value });
+        if state.queue.len() >= AUTOFLUSH_ENTRIES {
+            if let Err(e) = state.flush(self.dir()) {
+                state.autoflush_error.get_or_insert(e);
             }
         }
     }
 
-    /// Seals the pending buffer into a new immutable batch, persists
-    /// it, and merges while the spine exceeds the fan-out. Returns the
-    /// number of entries sealed.
+    /// Writes the queued records as one new batch file, and compacts
+    /// once the store holds more than [`MERGE_FANOUT`] files. Returns
+    /// the number of records written.
     ///
     /// # Errors
     ///
     /// Returns the first error of an automatic flush since the last
-    /// call, if any; otherwise propagates the first batch-file write
-    /// error, the sealed batch's own or a merge's (the sealed batch
-    /// still lands in the in-memory spine first, and a failed merge
-    /// keeps its inputs on disk).
+    /// call, if any; otherwise propagates the batch file's write error
+    /// or the compaction's (the records still serve from memory, and a
+    /// failed compaction keeps its inputs on disk).
     pub fn flush(&self) -> io::Result<usize> {
-        let deferred = self.autoflush_error().take();
-        let mut state = self.inner.state.lock().unwrap();
-        if state.pending.is_empty() {
-            return deferred.map_or(Ok(0), Err);
-        }
-        let batch = Batch::seal(std::mem::take(&mut state.pending));
-        let n = batch.len();
-        let batch = Arc::new(batch);
-        state.spine.insert(batch.clone());
-        drop(state);
-        self.inner.batches_appended.fetch_add(1, Ordering::Relaxed);
-        let persisted = self.persist(&batch);
-        let mut result = deferred.map_or(persisted, Err);
-        while let Some(merged) = self.merge_step(|spine| spine.merge_candidate().map(|(i, _)| i)) {
-            result = result.and(merged);
-        }
-        result.map(|()| n)
+        let mut state = self.inner.state();
+        let deferred = state.autoflush_error.take();
+        let flushed = state.flush(self.dir());
+        deferred.map_or(flushed, Err)
     }
 
-    /// The held autoflush error. Every update leaves it valid, so a
-    /// panic elsewhere while it was locked does not poison it.
-    fn autoflush_error(&self) -> MutexGuard<'_, Option<io::Error>> {
-        self.inner
-            .autoflush_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Writes `batch`'s file, when the store has a directory.
-    fn persist(&self, batch: &Batch) -> io::Result<()> {
-        match &self.inner.dir {
-            Some(dir) => write_atomically(dir, &batch_file_name(batch), &batch.encode()),
-            None => Ok(()),
-        }
-    }
-
-    /// Merges the pair at the index `pick` chooses, if any: builds the
-    /// merged batch off the state lock, persists it, swaps it in, then
-    /// retires the input files — only once the merged file is in
-    /// place, so a failed write leaves the inputs holding the records
-    /// (reopening prunes them once a later merge covers them). Returns
-    /// `None` when `pick` chose nothing, else the merged write's result.
-    fn merge_step(&self, pick: impl Fn(&Spine) -> Option<usize>) -> Option<io::Result<()>> {
-        let _serial = self.inner.merge_lock.lock().unwrap();
-        let (i, a, b) = {
-            let state = self.inner.state.lock().unwrap();
-            let i = pick(&state.spine)?;
-            let batches = state.spine.batches();
-            (i, batches[i].clone(), batches[i + 1].clone())
-        };
-        let merged = Arc::new(Batch::merge(&a, &b));
-        let written = self.persist(&merged);
-        self.inner
-            .state
-            .lock()
-            .unwrap()
-            .spine
-            .replace_pair(i, merged.clone());
-        if let (Some(dir), Ok(())) = (&self.inner.dir, &written) {
-            for old in [&a, &b] {
-                let name = batch_file_name(old);
-                if name != batch_file_name(&merged) {
-                    let _ = std::fs::remove_file(dir.join(name));
-                }
-            }
-        }
-        self.inner.compactions.fetch_add(1, Ordering::Relaxed);
-        Some(written)
-    }
-
-    /// Flushes, then merges the whole spine down to a single batch
-    /// (full compaction, regardless of the fan-out threshold).
+    /// Flushes, then writes the whole map as one batch file covering
+    /// every sequence number.
     ///
     /// # Errors
     ///
     /// Propagates the first batch-file write error, as
     /// [`flush`](ResultStore::flush) does.
     pub fn compact_all(&self) -> io::Result<()> {
-        let mut result = self.flush().map(drop);
-        while let Some(merged) = self.merge_step(|spine| (spine.batch_count() >= 2).then_some(0)) {
-            result = result.and(merged);
+        let mut state = self.inner.state();
+        let deferred = state.autoflush_error.take();
+        let mut result = state.flush(self.dir()).map(drop);
+        if !state.map.is_empty() {
+            result = result.and(state.compact(self.dir()));
         }
-        result
+        deferred.map_or(result, Err)
     }
 
-    /// A merged cursor over a consistent snapshot (pending entries
-    /// included), optionally restricted to one record family.
-    pub fn cursor(&self, kind: Option<&str>) -> Cursor {
-        let state = self.inner.state.lock().unwrap();
-        let mut spine = state.spine.clone();
-        if !state.pending.is_empty() {
-            spine.insert(Arc::new(Batch::seal(state.pending.clone())));
-        }
-        drop(state);
-        match kind {
-            Some(k) => spine.cursor_kind(k),
-            None => spine.cursor(),
-        }
-    }
-
-    /// All records of one family, in key order (cursor convenience).
+    /// All records of one family, in key order.
     pub fn kind_entries(&self, kind: &str) -> Vec<Entry> {
-        self.cursor(Some(kind)).collect()
+        self.inner
+            .state()
+            .map
+            .range(StoreKey::kind_floor(kind)..)
+            .take_while(|(key, _)| key.kind == kind)
+            .map(entry)
+            .collect()
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let state = self.inner.state.lock().unwrap();
-        let (resident_batches, resident_entries) = (
-            state.spine.batch_count() as u64,
-            (state.spine.entry_count() + state.pending.len()) as u64,
-        );
-        drop(state);
+        let state = self.inner.state();
         CacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            puts: self.inner.puts.load(Ordering::Relaxed),
-            batches_appended: self.inner.batches_appended.load(Ordering::Relaxed),
-            compactions: self.inner.compactions.load(Ordering::Relaxed),
-            loaded_batches: self.inner.loaded_batches,
-            loaded_entries: self.inner.loaded_entries,
-            resident_batches,
-            resident_entries,
-        }
-    }
-}
-
-impl Drop for ResultStore {
-    fn drop(&mut self) {
-        // Last handle out seals the pending buffer; intermediate clones
-        // must not.
-        if Arc::strong_count(&self.inner) == 1 {
-            let _ = self.flush();
+            resident_batches: state.files.len() as u64,
+            resident_entries: state.map.len() as u64,
+            ..state.stats
         }
     }
 }
@@ -437,6 +392,17 @@ mod tests {
         dir
     }
 
+    /// The batch files in `dir`, by name.
+    fn batch_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| parse_file_name(name).is_some())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn get_hits_after_put_and_counts() {
         let s = ResultStore::in_memory_with(1);
@@ -450,23 +416,37 @@ mod tests {
     #[test]
     fn persists_across_open_and_prunes_covered_files() {
         let dir = tmp_dir("reopen");
+        let aside = tmp_dir("reopen-aside");
+        std::fs::create_dir_all(&aside).unwrap();
         {
             let s = ResultStore::open_with(&dir, 7).unwrap();
-            for n in 0..10 {
+            for n in 0..20 {
                 s.put(key(n), format!("v{n}"));
+                if n % 10 == 9 {
+                    s.flush().unwrap();
+                }
             }
-            s.flush().unwrap();
-            for n in 10..20 {
-                s.put(key(n), format!("v{n}"));
+            let inputs = batch_files(&dir);
+            assert_eq!(inputs.len(), 2);
+            for name in &inputs {
+                std::fs::copy(dir.join(name), aside.join(name)).unwrap();
             }
-            // Drop flushes the second half.
+            s.compact_all().unwrap();
+            // Restoring the inputs leaves what a crash between the
+            // compaction's rename and its deletes leaves.
+            for name in &inputs {
+                std::fs::copy(aside.join(name), dir.join(name)).unwrap();
+            }
+            assert_eq!(batch_files(&dir).len(), 3);
         }
         let s = ResultStore::open_with(&dir, 7).unwrap();
+        assert_eq!(s.stats().loaded_batches, 1);
+        assert_eq!(batch_files(&dir), ["batch-000000000000-000000000019.lwsb"]);
         for n in 0..20 {
             assert_eq!(s.get(&key(n)).as_deref(), Some(format!("v{n}").as_str()));
         }
-        assert!(s.stats().loaded_entries >= 20);
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&aside).unwrap();
     }
 
     #[test]
@@ -522,8 +502,9 @@ mod tests {
         let blocker = dir.join(".tmp-batch-000000000000-000000000009.lwsb");
         std::fs::create_dir(&blocker).unwrap();
         assert!(s.compact_all().is_err(), "the merged write must fail");
-        // The merge still serves from memory...
-        assert_eq!(s.stats().resident_batches, 1);
+        // The records still serve from memory, and the store still
+        // holds its two input files...
+        assert_eq!(s.stats().resident_batches, 2);
         assert_eq!(s.get(&key(3)).as_deref(), Some("v3"));
         drop(s);
         // ...and its inputs still hold every record on disk.
@@ -561,7 +542,7 @@ mod tests {
         s.put(key(3), "c".into());
         s.flush().unwrap();
         s.put(key(1), "a".into());
-        let keys: Vec<u64> = s.cursor(Some("run")).map(|e| e.key.config).collect();
+        let keys: Vec<u64> = s.kind_entries("run").iter().map(|e| e.key.config).collect();
         assert_eq!(keys, vec![1, 3]);
     }
 }
