@@ -156,6 +156,9 @@ fn main() {
     );
     lightwsp_bench::emit_text("crash_audit", &out);
 
+    // Flush before rendering, so the "cache" line counts the batch
+    // files this pass leaves.
+    lightwsp_bench::flush_store(&c);
     let mut jw = JsonWriter::new();
     jw.object("meta");
     jw.field("threads", c.workers());
@@ -196,7 +199,6 @@ fn main() {
     if let Err(e) = std::fs::write("BENCH_crash.json", jw.finish()) {
         eprintln!("warning: could not write BENCH_crash.json: {e}");
     }
-    lightwsp_bench::flush_store(&c);
     assert_eq!(
         violations_total, 0,
         "recovery contract violated — see results/crash_audit.txt"

@@ -362,6 +362,9 @@ fn main() {
     );
     lightwsp_bench::emit_text("ds_service", &out);
 
+    // Flush before rendering, so the "cache" line counts the batch
+    // files this pass leaves.
+    lightwsp_bench::flush_store(&campaign);
     let mut jw = JsonWriter::new();
     jw.object("meta");
     jw.field("quick", quick);
@@ -414,7 +417,6 @@ fn main() {
     if let Err(e) = std::fs::write("BENCH_ds.json", jw.finish()) {
         eprintln!("warning: could not write BENCH_ds.json: {e}");
     }
-    lightwsp_bench::flush_store(&campaign);
 
     assert_eq!(
         violations_total, 0,

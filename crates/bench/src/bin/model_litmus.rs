@@ -259,6 +259,9 @@ fn main() {
     );
     lightwsp_bench::emit_text("model_litmus", &out);
 
+    // Flush before rendering, so the "cache" line counts the batch
+    // files this pass leaves.
+    lightwsp_bench::flush_store(&c);
     let mut jw = JsonWriter::new();
     jw.object("meta");
     jw.field("threads", c.workers());
@@ -339,7 +342,6 @@ fn main() {
     if let Err(e) = std::fs::write("BENCH_model.json", jw.finish()) {
         eprintln!("warning: could not write BENCH_model.json: {e}");
     }
-    lightwsp_bench::flush_store(&c);
 
     assert_eq!(
         violations, 0,

@@ -570,12 +570,11 @@ fn capture_sweep(
     let mut sweeper = injector.sweeper();
     for &p in points {
         digest = mix(digest, p.cycle);
-        let Some((cap, m)) = sweeper.cut_at(p) else {
+        let Some((cap, pm_after)) = sweeper.cut_at(p) else {
             continue;
         };
         audited += 1;
-        let pm_after = m.pm_contents();
-        check_capture(&cap, pm_after, p, &mut violations);
+        check_capture(&cap, &pm_after, p, &mut violations);
         for v in [cap.at_cycle, cap.commit_frontier, cap.last_allocated] {
             digest = mix(digest, v);
         }
@@ -659,8 +658,9 @@ fn gate_sweep(
     }
     let mut rows = vec![(DENSE_CAPTURE_BATCH, rerun / f64::max(fork, 1e-12))];
 
-    // The litmus suite's exhaustive audit (every cycle of each traced
-    // run, resumed), in both step modes; the outcomes must be identical.
+    // The litmus suite's exhaustive model audit (a capture at every
+    // cycle of each traced run, checked against the model; no point
+    // resumes), in both step modes; the outcomes must be identical.
     let (mut fork, mut rerun) = (0.0, 0.0);
     for step in [StepMode::SkipAhead, StepMode::Reference] {
         let sweep = |mode| {
@@ -690,7 +690,8 @@ fn gate_sweep(
     rows.push((LITMUS_AUDIT, rerun / f64::max(fork, 1e-12)));
 
     // Per-cycle capture sweeps over every litmus: the part the fork
-    // engine replaces, without the resume tails both modes share.
+    // engine replaces, without the traced runs and model checks both
+    // modes share.
     let (mut fork, mut rerun, mut total_points) = (0.0, 0.0, 0);
     let suite = litmus_suite();
     for l in &suite {

@@ -158,6 +158,9 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
         wall_s
     });
 
+    // Flush before rendering, so the "cache" line counts the batch
+    // files this pass leaves.
+    crate::flush_store(&c);
     // Assemble the document. Every value below is either memoized or
     // derived from memoized values, so a warm pass is byte-identical —
     // except the one-line "cache" field, which reports *this* pass.
@@ -202,7 +205,6 @@ pub fn run_eval(eo: &EvalOptions) -> EvalSummary {
          {cells_served} served)",
         c.workers(),
     );
-    crate::flush_store(&c);
 
     EvalSummary {
         json,

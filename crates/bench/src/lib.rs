@@ -114,8 +114,10 @@ pub fn campaign_with(store: Option<ResultStore>) -> Campaign {
     c
 }
 
-/// Writes the campaign's pending store records to disk. A failure is a
-/// warning: the bin's own outputs are already written.
+/// Writes the campaign's pending store records to disk. Bins call it
+/// after their last put and before rendering the `"cache"` line. A
+/// failure is a warning: the records still serve this pass and stay
+/// queued for the flush on drop.
 pub fn flush_store(c: &Campaign) {
     if let Some(Err(e)) = c.store().map(ResultStore::flush) {
         eprintln!("warning: could not flush result store: {e}");

@@ -202,13 +202,13 @@ fn audit_ds_chunk(
     };
     let mut sweeper = injector.sweeper();
     for (i, &p) in chunk.iter().enumerate() {
-        let Some((cap, mut m)) = sweeper.cut_at(p) else {
+        let Some((cap, image)) = sweeper.cut_at(p) else {
             report.beyond_end += 1;
             continue;
         };
         report.audited += 1;
-        check_capture(&cap, m.pm_contents(), p, &mut report.gate_violations);
-        for v in ds.check_image(m.pm_contents()) {
+        check_capture(&cap, &image, p, &mut report.gate_violations);
+        for v in ds.check_image(&image) {
             report
                 .ds_violations
                 .push(format!("{v} at cycle {} ({})", p.cycle, p.kind.name()));
@@ -221,6 +221,7 @@ fn audit_ds_chunk(
         // Resume to completion and hold the recovered end state to the
         // completed-run contract.
         report.resumed += 1;
+        let (_, mut m) = sweeper.recover();
         if !injector.check_resume(&mut m, p, golden, &mut report.gate_violations) {
             continue;
         }

@@ -129,7 +129,7 @@ impl MemController {
     /// every caller mutates counters only (occupancy samples, CAM
     /// search stats), which the event horizon does not read. Mutations
     /// that move entries go through [`MemController::try_insert`] /
-    /// [`MemController::tick`] / [`MemController::on_power_failure`],
+    /// [`MemController::tick`] / [`MemController::clear_after_power_failure`],
     /// which do invalidate. The debug revalidation in
     /// [`MemController::next_event`] enforces this contract under test.
     pub fn wpq_mut(&mut self) -> &mut Wpq {
@@ -367,22 +367,25 @@ impl MemController {
         self.ev_memo = None;
     }
 
-    /// Power-failure handling (§IV-F steps 3–6) for this MC:
+    /// Power-failure handling (§IV-F steps 3–6) for this MC, without
+    /// changing the MC:
     ///
-    /// 1. flush every entry of the `survivable` regions (battery),
+    /// 1. flush every entry of the `survivable` regions to `pm`,
     /// 2. roll back undo-logged overflow writes of unsurvivable regions
     ///    (newest first),
     /// 3. discard everything else.
     ///
     /// Returns the full [`FailureResolution`] so callers (the recovery
-    /// report and the crash auditor) can see every entry's fate.
-    pub fn on_power_failure(
-        &mut self,
+    /// report and the crash auditor) can see every entry's fate. A
+    /// crash sweep resolves a copy of PM this way at points it never
+    /// resumes; a real failure resolves PM itself and then calls
+    /// [`MemController::clear_after_power_failure`].
+    pub fn resolve_power_failure(
+        &self,
         survivable: &[RegionId],
         pm: &mut PersistentMemory,
     ) -> FailureResolution {
-        self.ev_memo = None;
-        let mut entries = self.wpq.drain_all();
+        let mut entries: Vec<WpqEntry> = self.wpq.entries().iter().copied().collect();
         // §IV-F steps 3–5 flush region by region in flush-ID order;
         // entries from different cores may sit in the queue out of
         // region order (NUMA arrival skew), and a same-address pair from
@@ -393,7 +396,6 @@ impl MemController {
             if survivable.contains(&e.region) {
                 if e.home {
                     pm.write_word(e.addr, e.val);
-                    self.flushed_entries += 1;
                     res.flushed.push(e);
                 } else {
                     res.replicas_dropped += 1;
@@ -410,10 +412,20 @@ impl MemController {
                 res.rolled_back.push((region, addr, old));
             }
         }
+        res
+    }
+
+    /// Spends the battery-backed state once `res`, this MC's
+    /// [`MemController::resolve_power_failure`], has been applied to
+    /// PM: counts its flushed entries, empties the WPQ and the undo log,
+    /// and leaves the overflow fallback.
+    pub fn clear_after_power_failure(&mut self, res: &FailureResolution) {
+        self.ev_memo = None;
+        self.wpq.drain_all();
+        self.flushed_entries += res.flushed.len() as u64;
         self.undo_log.clear();
         self.overflow_mode = false;
         self.deadlock_since = None;
-        res
     }
 
     /// `(entries flushed, overflow events, inserts declined in overflow)`.
@@ -597,7 +609,7 @@ mod tests {
         // Power failure before the boundary: region unsurvivable.
         let survivable = tracker.survivable_regions();
         assert!(survivable.is_empty());
-        mc.on_power_failure(&survivable, &mut pm);
+        mc.resolve_power_failure(&survivable, &mut pm);
         assert_eq!(pm.peek_word(0x40), 7, "old value restored from undo log");
     }
 
@@ -613,10 +625,13 @@ mod tests {
         // Fail before any tick: boundary delivered → survivable.
         let survivable = tracker.survivable_regions();
         assert_eq!(survivable, vec![r]);
-        mc.on_power_failure(&survivable, &mut pm);
+        let res = mc.resolve_power_failure(&survivable, &mut pm);
         assert_eq!(pm.peek_word(0x40), 0x41);
         assert_eq!(pm.peek_word(0x1000_0100), 0xbeef);
+        assert_eq!(mc.wpq().len(), 2, "resolving leaves the MC as it was");
+        mc.clear_after_power_failure(&res);
         assert!(mc.wpq().is_empty());
+        assert_eq!(mc.stats().0, 2, "both home entries count as flushed");
     }
 }
 

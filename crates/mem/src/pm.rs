@@ -64,6 +64,11 @@ impl PersistentMemory {
         self.data.clone()
     }
 
+    /// The durable contents, by value.
+    pub fn into_contents(self) -> Memory {
+        self.data
+    }
+
     /// Total durable reads served.
     pub fn reads(&self) -> u64 {
         self.reads

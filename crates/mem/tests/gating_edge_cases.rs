@@ -57,8 +57,8 @@ fn boundary_skew_discards_on_every_mc() {
     assert!(survivable.is_empty(), "skewed region must not survive");
 
     let mut pm = PersistentMemory::new();
-    let res0 = mc0.on_power_failure(&survivable, &mut pm);
-    let res1 = mc1.on_power_failure(&survivable, &mut pm);
+    let res0 = mc0.resolve_power_failure(&survivable, &mut pm);
+    let res1 = mc1.resolve_power_failure(&survivable, &mut pm);
     assert!(res0.flushed.is_empty() && res1.flushed.is_empty());
     assert_eq!(res0.discarded.len(), 3, "MC0 drops data + its boundary");
     assert_eq!(res1.discarded.len(), 1);
@@ -87,8 +87,8 @@ fn bulk_flush_is_completed_atomically_per_region() {
     assert_eq!(tracker.survivable_regions(), vec![r1]);
     let survivable = tracker.survivable_regions();
     let mut pm = PersistentMemory::new();
-    let res0 = mc0.on_power_failure(&survivable, &mut pm);
-    let res1 = mc1.on_power_failure(&survivable, &mut pm);
+    let res0 = mc0.resolve_power_failure(&survivable, &mut pm);
+    let res1 = mc1.resolve_power_failure(&survivable, &mut pm);
 
     // Every r1 entry persisted, every r2 entry discarded, on both MCs.
     assert!(res0.flushed.iter().all(|e| e.region == r1));
@@ -135,8 +135,8 @@ fn crash_between_flush_done_reports_completes_the_region() {
     // Power cut here. The region must survive and MC1 must complete it.
     let survivable = tracker.survivable_regions();
     assert_eq!(survivable, vec![r]);
-    let res0 = mc0.on_power_failure(&survivable, &mut pm);
-    let res1 = mc1.on_power_failure(&survivable, &mut pm);
+    let res0 = mc0.resolve_power_failure(&survivable, &mut pm);
+    let res1 = mc1.resolve_power_failure(&survivable, &mut pm);
     assert!(res0.discarded.is_empty() && res1.discarded.is_empty());
     assert_eq!(
         res1.flushed.iter().filter(|e| !e.is_boundary).count(),

@@ -94,9 +94,10 @@ pub struct CaseSpec {
     pub wpq_entries: usize,
     /// Time-advance mode (the sweep runs every case in both).
     pub step_mode: StepMode,
-    /// Crash-point traversal mode: fork the mainline at each sorted
-    /// point (fast) or re-simulate from cycle 0 per point (the
-    /// executable specification). Outcomes are bit-identical;
+    /// Crash-point traversal mode: read each sorted point's capture
+    /// off one advancing mainline (fast) or re-simulate from cycle 0
+    /// per point (the executable specification). Outcomes are
+    /// bit-identical;
     /// `perf_gate`'s litmus rows time both and gate the speedup.
     pub sweep_mode: SweepMode,
     /// Cross-thread enumeration mode (over-approximate or exact).
@@ -272,18 +273,17 @@ pub fn run_case(compiled: &Compiled, spec: &CaseSpec) -> Result<CaseOutcome, Ext
     };
 
     // One sweeper for the whole (sorted) point sequence: in fork mode
-    // the mainline advances monotonically and each point costs one COW
-    // fork instead of a replay from cycle 0.
+    // the mainline advances monotonically and each point's capture is
+    // read off it, with no fork and no replay from cycle 0.
     let mut sweeper = injector.sweeper();
     let mut seen: FxHashSet<Vec<usize>> = FxHashSet::default();
     for p in points {
-        let Some((cap, m)) = sweeper.cut_at(p) else {
+        let Some((cap, pm_after)) = sweeper.cut_at(p) else {
             continue; // landed after completion + drain
         };
         outcome.audited += 1;
-        let pm_after = m.pm_contents();
 
-        match model.check_image(pm_after) {
+        match model.check_image(&pm_after) {
             Ok(witness) => {
                 if seen.insert(witness.clone()) {
                     outcome.witnessed += 1;
@@ -302,7 +302,7 @@ pub fn run_case(compiled: &Compiled, spec: &CaseSpec) -> Result<CaseOutcome, Ext
         }
 
         let mut structural = Vec::new();
-        check_capture(&cap, pm_after, p, &mut structural);
+        check_capture(&cap, &pm_after, p, &mut structural);
         outcome
             .structural_violations
             .extend(structural.into_iter().map(|v| v.to_string()));

@@ -141,9 +141,10 @@ impl StepMode {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum SweepMode {
     /// Fork-point sweep (the default): sort the points by cycle, advance
-    /// ONE mainline machine monotonically, and fork a cheap COW snapshot
-    /// at each point for injection/audit/resume — `O(H + P·fork +
-    /// P·resume)` simulated cycles for `P` points over horizon `H`.
+    /// ONE mainline machine monotonically, read each point's capture
+    /// off it, and fork a cheap COW snapshot only where a point resumes
+    /// — `O(H + P·capture + R·(fork + resume))` for `P` points over
+    /// horizon `H`, `R` of them resumed.
     #[default]
     Fork,
     /// Rebuild a fresh machine and re-simulate from cycle 0 for every

@@ -15,8 +15,8 @@
 //! reached only some WPQs, between the bdry-ACK and flush-ACK
 //! exchanges, and mid-WPQ-drain. At each point it captures the
 //! machine's persistent image (PM plus the battery-backed WPQ contents,
-//! via [`Machine::inject_power_failure_audited`]) and asserts the named
-//! invariants of `RECOVERY.md`:
+//! read off the machine by [`Machine::capture_power_failure`]) and
+//! asserts the named invariants of `RECOVERY.md`:
 //!
 //! | invariant | meaning |
 //! |---|---|
@@ -37,7 +37,8 @@
 //! the LRPO model harness) takes each step from one place: the traced
 //! golden run and its points ([`CrashInjector::golden_points`]), the
 //! power cut ([`CrashSweeper::cut_at`]), the structural checks
-//! ([`check_capture`]) and the resume check
+//! ([`check_capture`]), and for a resumed point its recovered machine
+//! ([`CrashSweeper::recover`]) and the resume check
 //! ([`CrashInjector::check_resume`]).
 
 use crate::config::{SimConfig, SweepMode};
@@ -210,9 +211,10 @@ impl CrashAuditReport {
 /// [`CrashInjector::with_sweep_mode`]):
 ///
 /// - **fork** — a [`CrashSweeper`] advances ONE mainline machine
-///   monotonically through the points in sorted order and forks a
-///   snapshot at each, so a sweep of `P` points over horizon `H` costs
-///   `O(H + P·fork + P·resume)` simulated cycles;
+///   monotonically through the points in sorted order, reads each
+///   point's capture off it and forks a snapshot only at the `R` points
+///   that resume, so a sweep of `P` points over horizon `H` costs
+///   `O(H + P·capture + R·(fork + resume))`;
 /// - **rerun** — every point re-simulates from cycle 0 (`O(P·H)`), the
 ///   executable specification fork mode is differentially checked
 ///   against (the `sweep` row of [`crate::AXES`]).
@@ -422,7 +424,8 @@ impl<'a> CrashInjector<'a> {
     pub fn sweeper(&self) -> CrashSweeper<'_, 'a> {
         CrashSweeper {
             injector: self,
-            mainline: (self.sweep == SweepMode::Fork).then(|| self.base.fork()),
+            machine: (self.sweep == SweepMode::Fork).then(|| self.base.fork()),
+            at_point: false,
             finished: false,
             last_cycle: 0,
         }
@@ -459,7 +462,7 @@ impl<'a> CrashInjector<'a> {
             ..CrashAuditReport::default()
         };
         for &p in points {
-            let Some((cap, mut m)) = sweeper.cut_at(p) else {
+            let Some((cap, image)) = sweeper.cut_at(p) else {
                 report.beyond_end += 1;
                 continue;
             };
@@ -468,14 +471,15 @@ impl<'a> CrashInjector<'a> {
             report.entries_flushed += cap.report.entries_flushed;
             report.entries_discarded += cap.report.entries_discarded;
             report.undo_rolled_back += cap.report.undo_rolled_back;
-            check_capture(&cap, m.pm_contents(), p, &mut report.violations);
+            check_capture(&cap, &image, p, &mut report.violations);
+            let (_, mut m) = sweeper.recover();
             self.check_resume(&mut m, p, Some(golden), &mut report.violations);
         }
         report
     }
 
     /// Resumes `m`, the recovered machine of a power cut at `p`
-    /// ([`CrashSweeper::cut_at`]), to completion and checks the
+    /// ([`CrashSweeper::recover`]), to completion and checks the
     /// end-to-end invariants, appending any violations:
     /// `resume-completes`, and `resume-state-equivalence` against
     /// `golden` when one is given. Returns whether the recovered run
@@ -523,11 +527,15 @@ impl<'a> CrashInjector<'a> {
 
 /// One in-progress sweep over a non-decreasing crash-point sequence.
 ///
-/// In [`SweepMode::Fork`] the sweeper owns the *mainline* machine: it
-/// advances monotonically to each point's cycle (never re-simulating
-/// the prefix) and hands out a COW fork of itself for the destructive
-/// part (power cut, resolution, resume). In [`SweepMode::Rerun`] there
-/// is no mainline and every point replays a fresh machine from cycle 0.
+/// Each point yields its capture and post-resolution image from the
+/// machine at that point, read-only ([`Machine::capture_power_failure`]);
+/// only a point that resumes asks for its recovered machine
+/// ([`CrashSweeper::recover`]). In [`SweepMode::Fork`] the sweeper owns
+/// the *mainline* machine: it advances monotonically to each point's
+/// cycle (never re-simulating the prefix), and a recovered machine is a
+/// COW fork of it. In [`SweepMode::Rerun`] there is no mainline: every
+/// point replays a fresh machine from cycle 0, which the sweeper keeps
+/// as the point's recovered machine.
 ///
 /// The two modes reach bit-identical pre-crash states because
 /// `run_until` is exact-landing and stopping at intermediate targets is
@@ -536,8 +544,11 @@ impl<'a> CrashInjector<'a> {
 /// suite `tests/sweep_mode_parity.rs` enforces it end-to-end.
 pub struct CrashSweeper<'i, 'a> {
     injector: &'i CrashInjector<'a>,
-    /// The monotonically-advancing machine (fork mode only).
-    mainline: Option<Machine>,
+    /// Fork mode: the monotonically-advancing mainline. Rerun mode:
+    /// the last point's fresh machine, until it is recovered.
+    machine: Option<Machine>,
+    /// `machine` stands at a point [`CrashSweeper::cut_at`] captured.
+    at_point: bool,
     /// Fork mode: the workload completed before some earlier point, so
     /// every later point is beyond the end too.
     finished: bool,
@@ -546,19 +557,19 @@ pub struct CrashSweeper<'i, 'a> {
 }
 
 impl CrashSweeper<'_, '_> {
-    /// Cuts power at `p` on a fork (or a fresh rerun) and returns the
-    /// audit capture plus the post-resolution *machine*, ready either
-    /// for inspection (`pm_contents`) or for resuming the recovered
-    /// run ([`CrashInjector::check_resume`]). `None` when the workload
-    /// finishes (and drains) before `p.cycle`.
+    /// Cuts power at `p` and returns the audit capture plus the
+    /// post-resolution durable image, ready for [`check_capture`] and
+    /// image checks. Nothing is forked: the machine at `p` is only read.
+    /// `None` when the workload finishes (and drains) before `p.cycle`.
     ///
     /// # Panics
     ///
     /// Panics in fork mode if `p` goes backwards — feed the sweeper
     /// [`CrashInjector::prepare_points`] output.
-    pub fn cut_at(&mut self, p: CrashPoint) -> Option<(CrashCapture, Machine)> {
-        let mut m = match &mut self.mainline {
-            Some(mainline) => {
+    pub fn cut_at(&mut self, p: CrashPoint) -> Option<(CrashCapture, Memory)> {
+        self.at_point = false;
+        let m = match self.injector.sweep {
+            SweepMode::Fork => {
                 assert!(
                     p.cycle >= self.last_cycle,
                     "fork sweep requires non-decreasing point cycles \
@@ -567,22 +578,49 @@ impl CrashSweeper<'_, '_> {
                     self.last_cycle,
                 );
                 self.last_cycle = p.cycle;
+                let mainline = self.machine.as_mut().expect("fork mode keeps a mainline");
                 if self.finished || mainline.run_until(p.cycle) {
                     self.finished = true;
                     return None;
                 }
-                mainline.fork()
+                mainline
             }
-            None => {
-                let mut m = self.injector.base.fork();
+            SweepMode::Rerun => {
+                let m = self.machine.insert(self.injector.base.fork());
                 if m.run_until(p.cycle) {
                     return None;
                 }
                 m
             }
         };
+        self.at_point = true;
+        Some(m.capture_power_failure())
+    }
+
+    /// The recovered machine of the point the last
+    /// [`CrashSweeper::cut_at`] captured, ready for
+    /// [`CrashInjector::check_resume`]: the machine at that point after
+    /// [`Machine::inject_power_failure_audited`], with the capture that
+    /// call returned (the parity harness holds it equal to the cut's).
+    /// Fork mode forks the mainline, which stays for the next point;
+    /// rerun mode hands over the point's own machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the last `cut_at` returned a capture that has not
+    /// been recovered yet in rerun mode.
+    pub fn recover(&mut self) -> (CrashCapture, Machine) {
+        assert!(self.at_point, "recover needs a point cut_at captured");
+        let mut m = match self.injector.sweep {
+            SweepMode::Fork => self.machine.as_ref().map(Machine::fork),
+            SweepMode::Rerun => {
+                self.at_point = false;
+                self.machine.take()
+            }
+        }
+        .expect("the machine at the captured point");
         let cap = m.inject_power_failure_audited();
-        Some((cap, m))
+        (cap, m)
     }
 }
 

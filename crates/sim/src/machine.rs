@@ -40,7 +40,9 @@ use crate::trace::RegionTraceLog;
 use lightwsp_compiler::prune::RecoveryRecipes;
 use lightwsp_ir::fxhash::FxHashMap;
 use lightwsp_ir::reg::NUM_REGS;
-use lightwsp_ir::{layout, DecodedProgram, DynEvent, Interp, Memory, Program, Reg, StoreKind};
+use lightwsp_ir::{
+    layout, DecodedProgram, DynEvent, Interp, Memory, Program, ProgramPoint, Reg, StoreKind,
+};
 use lightwsp_mem::cache::{DirectMappedCache, SetAssocCache, VictimPolicy};
 use lightwsp_mem::controller::FlushMode;
 use lightwsp_mem::front_buffer::FrontBuffer;
@@ -205,7 +207,8 @@ const NEVER: u64 = u64::MAX;
 /// memories ([`Memory`]) are copy-on-write paged, so cloning costs
 /// O(components + pages-table), not O(memory footprint). The crash-sweep
 /// engine ([`crate::crash::CrashSweeper`]) leans on this to fork a
-/// machine at each crash point instead of re-simulating from cycle 0.
+/// machine at each resumed crash point instead of re-simulating from
+/// cycle 0.
 #[derive(Clone)]
 pub struct Machine {
     cfg: SimConfig,
@@ -1554,49 +1557,17 @@ impl Machine {
     /// ([`crate::crash`]) can verify the recovery contract rather than
     /// just the end state. Honors `SimConfig::gating_mutant`, but
     /// always records the tracker's honest survivable set alongside.
+    ///
+    /// The resolution is [`Machine::capture_power_failure`]'s, applied
+    /// to the machine's own controllers and PM; then every volatile
+    /// component is reset and each thread restarts.
     pub fn inject_power_failure_audited(&mut self) -> CrashCapture {
         self.stats.failures += 1;
-        let mut report = RecoveryReport::default();
-
-        // §IV-F steps 1–2: in-flight ACKs are delivered on battery; the
-        // survivable set is the contiguous boundary-everywhere prefix.
-        let at_cycle = self.now;
-        let commit_frontier = self.tracker.commit_frontier();
-        let last_allocated = self.tracker.last_allocated();
-        let survivable = self.tracker.survivable_regions();
-        let used_survivable = match self.cfg.gating_mutant {
-            None => survivable.clone(),
-            Some(GatingMutant::FlushUnacked) => (commit_frontier..=last_allocated).collect(),
-            Some(GatingMutant::AnyMcBoundary) => {
-                let mut out = Vec::new();
-                let mut k = commit_frontier;
-                while k <= last_allocated && self.tracker.boundary_anywhere(k) {
-                    out.push(k);
-                    k += 1;
-                }
-                out
-            }
-            Some(GatingMutant::FirstMcBoundary) => {
-                let mut out = Vec::new();
-                let mut k = commit_frontier;
-                while k <= last_allocated && self.tracker.boundary_at_mc(k, 0) {
-                    out.push(k);
-                    k += 1;
-                }
-                out
-            }
-        };
-        report.survivable_regions = used_survivable.clone();
-        let pm_before = self.pm.snapshot();
-
-        // §IV-F steps 3–6 on each MC's persistence domain.
-        let mut per_mc = Vec::with_capacity(self.mcs.len());
-        for mc in &mut self.mcs {
-            let res = mc.on_power_failure(&used_survivable, &mut self.pm);
-            report.entries_flushed += res.flushed.len() as u64;
-            report.entries_discarded += res.discarded.len() as u64;
-            report.undo_rolled_back += res.rolled_back.len() as u64;
-            per_mc.push(res);
+        let mut pm = std::mem::take(&mut self.pm);
+        let cap = self.resolve_power_failure(&mut pm);
+        self.pm = pm;
+        for (mc, res) in self.mcs.iter_mut().zip(&cap.per_mc) {
+            mc.clear_after_power_failure(res);
         }
 
         // Everything volatile disappears.
@@ -1634,6 +1605,7 @@ impl Machine {
             for r in Reg::all() {
                 interp.set_reg(r, regs[r.index()]);
             }
+            debug_assert_eq!(interp.point(), cap.report.resume_points[tid]);
             let th = &mut self.threads[tid];
             th.interp = interp;
             th.halted = false;
@@ -1642,11 +1614,77 @@ impl Machine {
             th.region_stores = 0;
             th.region_open_since = self.now;
             th.cur_region = None;
-            report.resume_points.push(th.interp.point());
         }
         self.arm_all();
+        cap
+    }
+
+    /// What a power failure at the current cycle would leave, without
+    /// changing the machine: the audit capture of
+    /// [`Machine::inject_power_failure_audited`] and the durable image
+    /// after the battery-backed WPQ resolution. Caches, buffers and
+    /// cores are lost at a failure, so only the controllers, the region
+    /// tracker and PM decide what survives; this resolves them on a
+    /// copy of PM. A crash sweep calls it at points it does not resume,
+    /// so they cost no fork.
+    pub fn capture_power_failure(&self) -> (CrashCapture, Memory) {
+        let mut pm = self.pm.clone();
+        let cap = self.resolve_power_failure(&mut pm);
+        (cap, pm.into_contents())
+    }
+
+    /// The §IV-F battery resolution at the current cycle, written into
+    /// `pm` (the machine's own PM or a copy of it); the controllers and
+    /// the tracker are only read. Steps 1–2: in-flight ACKs are
+    /// delivered on battery, so the survivable set is the contiguous
+    /// boundary-everywhere prefix (or what `SimConfig::gating_mutant`
+    /// makes of it); steps 3–6 on each MC's persistence domain. The
+    /// resume points are what the resolved checkpoint slots hold.
+    fn resolve_power_failure(&self, pm: &mut PersistentMemory) -> CrashCapture {
+        let commit_frontier = self.tracker.commit_frontier();
+        let last_allocated = self.tracker.last_allocated();
+        let survivable = self.tracker.survivable_regions();
+        let used_survivable = match self.cfg.gating_mutant {
+            None => survivable.clone(),
+            Some(GatingMutant::FlushUnacked) => (commit_frontier..=last_allocated).collect(),
+            Some(GatingMutant::AnyMcBoundary) => {
+                let mut out = Vec::new();
+                let mut k = commit_frontier;
+                while k <= last_allocated && self.tracker.boundary_anywhere(k) {
+                    out.push(k);
+                    k += 1;
+                }
+                out
+            }
+            Some(GatingMutant::FirstMcBoundary) => {
+                let mut out = Vec::new();
+                let mut k = commit_frontier;
+                while k <= last_allocated && self.tracker.boundary_at_mc(k, 0) {
+                    out.push(k);
+                    k += 1;
+                }
+                out
+            }
+        };
+        let mut report = RecoveryReport {
+            survivable_regions: used_survivable.clone(),
+            ..RecoveryReport::default()
+        };
+        let pm_before = pm.snapshot();
+
+        let mut per_mc = Vec::with_capacity(self.mcs.len());
+        for mc in &self.mcs {
+            let res = mc.resolve_power_failure(&used_survivable, pm);
+            report.entries_flushed += res.flushed.len() as u64;
+            report.entries_discarded += res.discarded.len() as u64;
+            report.undo_rolled_back += res.rolled_back.len() as u64;
+            per_mc.push(res);
+        }
+        report.resume_points = (0..self.threads.len())
+            .map(|tid| ProgramPoint::decode(pm.peek_word(layout::pc_slot(tid))))
+            .collect();
         CrashCapture {
-            at_cycle,
+            at_cycle: self.now,
             commit_frontier,
             last_allocated,
             survivable,

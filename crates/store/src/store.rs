@@ -27,8 +27,9 @@
 //! place, and made durable by an fsync of the directory, so a crash
 //! leaves either no file or the whole one. A compaction deletes the
 //! files its output covers only after its rename: a crash in between
-//! leaves covered files, which the next open prunes, and a failed write
-//! leaves the old files holding every record they held.
+//! leaves covered files, which the next open prunes. A failed write
+//! leaves the old files holding every record they held, and its own
+//! records stay queued until a later flush puts their file in place.
 
 use crate::batch::{Batch, Entry};
 use crate::digest::code_digest_from_env;
@@ -149,15 +150,16 @@ fn persist(dir: Option<&Path>, batch: &Batch) -> io::Result<()> {
 impl State {
     /// Writes the queue as one new batch file, then compacts once the
     /// store holds more than [`MERGE_FANOUT`] files. Returns the number
-    /// of records written. A failed write keeps its records in the map,
-    /// so the next compaction writes them.
+    /// of records written. The records stay queued until their file is
+    /// in place, so after a failed write the next flush writes them.
     fn flush(&mut self, dir: Option<&Path>) -> io::Result<usize> {
         if self.queue.is_empty() {
             return Ok(0);
         }
-        let batch = Batch::seal(std::mem::take(&mut self.queue));
+        let batch = Batch::seal(self.queue.clone());
         self.stats.batches_appended += 1;
         persist(dir, &batch)?;
+        self.queue.clear();
         self.files.push((batch.seq_lo(), batch.seq_hi()));
         if self.files.len() > MERGE_FANOUT {
             self.compact(dir)?;
@@ -307,7 +309,8 @@ impl ResultStore {
     /// Writes one record; flushes automatically at
     /// [`AUTOFLUSH_ENTRIES`] queued records. The automatic flush's
     /// first error is returned by the next
-    /// [`flush`](ResultStore::flush).
+    /// [`flush`](ResultStore::flush), which also writes the records
+    /// again; until then no put flushes.
     pub fn put(&self, key: StoreKey, value: String) {
         let mut state = self.inner.state();
         let seq = state.next_seq;
@@ -315,7 +318,7 @@ impl ResultStore {
         state.stats.puts += 1;
         state.map.insert(key.clone(), (seq, value.clone()));
         state.queue.push(Entry { key, seq, value });
-        if state.queue.len() >= AUTOFLUSH_ENTRIES {
+        if state.queue.len() >= AUTOFLUSH_ENTRIES && state.autoflush_error.is_none() {
             if let Err(e) = state.flush(self.dir()) {
                 state.autoflush_error.get_or_insert(e);
             }
@@ -330,8 +333,9 @@ impl ResultStore {
     ///
     /// Returns the first error of an automatic flush since the last
     /// call, if any; otherwise propagates the batch file's write error
-    /// or the compaction's (the records still serve from memory, and a
-    /// failed compaction keeps its inputs on disk).
+    /// or the compaction's (the records still serve from memory and
+    /// stay queued for the next flush, and a failed compaction keeps
+    /// its inputs on disk).
     pub fn flush(&self) -> io::Result<usize> {
         let mut state = self.inner.state();
         let deferred = state.autoflush_error.take();
@@ -529,9 +533,40 @@ mod tests {
         }
         assert_eq!(s.stats().batches_appended, 1, "the puts must autoflush");
         assert!(s.flush().is_err(), "the autoflush error is lost");
-        // Reported once; the records still serve from memory.
-        assert_eq!(s.flush().unwrap(), 0);
         assert_eq!(s.get(&key(7)).as_deref(), Some("v7"));
+        // Reported once: with the write unblocked, the next flush
+        // writes the records the failed one kept queued.
+        std::fs::remove_dir(&blocker).unwrap();
+        assert_eq!(s.flush().unwrap(), AUTOFLUSH_ENTRIES);
+        drop(s);
+        let s = ResultStore::open_with(&dir, 7).unwrap();
+        for n in 0..AUTOFLUSH_ENTRIES as u64 {
+            assert_eq!(s.get(&key(n)), Some(format!("v{n}")), "record {n} lost");
+        }
+        drop(s);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn puts_do_not_retry_a_failed_autoflush() {
+        let dir = tmp_dir("autoflush-retry");
+        let s = ResultStore::open_with(&dir, 7).unwrap();
+        let blocker = dir.join(".tmp-batch-000000000000-000000004095.lwsb");
+        std::fs::create_dir(&blocker).unwrap();
+        // One put past the failed autoflush: a retry would write a
+        // batch whose temp file the blocker does not block.
+        let puts = AUTOFLUSH_ENTRIES as u64 + 1;
+        for n in 0..puts {
+            s.put(key(n), format!("v{n}"));
+        }
+        assert_eq!(s.stats().batches_appended, 1, "a put retried the write");
+        // The next flush reports the error and writes every record.
+        assert!(s.flush().is_err(), "the autoflush error is lost");
+        drop(s);
+        let s = ResultStore::open_with(&dir, 7).unwrap();
+        for n in 0..puts {
+            assert_eq!(s.get(&key(n)), Some(format!("v{n}")), "record {n} lost");
+        }
         drop(s);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -8,8 +8,9 @@
 //! everything observable is bit-identical: completion, final cycle,
 //! full `SimStats`, the durable PM image and the I/O log of every run;
 //! each crash capture (survivable set, per-MC resolutions, resume
-//! points, the pre- and post-resolution images); every crash-audit
-//! report, violation text included; and every data-structure audit.
+//! points, the pre- and post-resolution images), which on each side
+//! must also equal the recovered machine's; every crash-audit report,
+//! violation text included; and every data-structure audit.
 //!
 //! Every case runs against every axis it exercises, its reference
 //! against the all-fast default. The cases the retired per-axis suites
@@ -229,7 +230,26 @@ impl Case {
     fn injector<'a>(&self, compiled: &'a Compiled, setting: Setting) -> CrashInjector<'a> {
         CrashInjector::new(compiled, self.cfg(setting), self.threads).with_sweep_mode(setting.sweep)
     }
+
+    /// This case under the gating mutant `mutant` (`None`: clean).
+    fn with_mutant(&self, mutant: Option<GatingMutant>) -> Case {
+        let mut cfg = self.cfg.clone();
+        cfg.gating_mutant = mutant;
+        Case {
+            cfg,
+            source: self.source.clone(),
+            ..*self
+        }
+    }
 }
+
+/// A clean machine, then each gating mutant.
+const GATING_MUTANTS: [Option<GatingMutant>; 4] = [
+    None,
+    Some(GatingMutant::FlushUnacked),
+    Some(GatingMutant::AnyMcBoundary),
+    Some(GatingMutant::FirstMcBoundary),
+];
 
 fn small_cfg(scheme: Scheme) -> SimConfig {
     let mut cfg = SimConfig::new(scheme);
@@ -447,8 +467,11 @@ pub fn zero_timeslice(axis: &str) {
     );
 }
 
-/// The audit matrix ([`audit_cases`]) captured point by point through
-/// each side's sweeper: every capture and both PM images identical.
+/// The audit matrix ([`audit_cases`]), clean and under each gating
+/// mutant, captured point by point through each side's sweeper: every
+/// capture and both PM images identical. On each side the read-only
+/// capture and image also equal the point's recovered machine's: the
+/// capture its power cut returned and its PM.
 pub fn captures(axis: &str) {
     let budget = sized(
         axis,
@@ -458,31 +481,38 @@ pub fn captures(axis: &str) {
         },
         UNION_AUDIT,
     );
-    for case in audit_cases(budget.insts) {
-        let compiled = case.compiled();
-        let seed = 0xCAFE ^ case.name.len() as u64;
-        let points = golden_for(&case, &compiled, budget, seed).points;
-        for pair in pairs(axis, &[]) {
-            let fast = case.injector(&compiled, pair.fast);
-            let reference = case.injector(&compiled, pair.reference);
-            let (mut fs, mut rs) = (fast.sweeper(), reference.sweeper());
-            for &p in &points {
-                let label = format!("{} @{} / {}", case.name, p.cycle, pair.label);
-                match (fs.cut_at(p), rs.cut_at(p)) {
-                    (None, None) => {}
-                    (Some((fc, fm)), Some((rc, rm))) => {
-                        assert_same_capture(&label, &fc, &rc);
-                        assert_same_image(
-                            &format!("{label} (post-resolution)"),
-                            fm.pm_contents(),
-                            rm.pm_contents(),
-                        );
+    for base in audit_cases(budget.insts) {
+        let compiled = base.compiled();
+        let seed = 0xCAFE ^ base.name.len() as u64;
+        let points = golden_for(&base, &compiled, budget, seed).points;
+        for mutant in GATING_MUTANTS {
+            let case = base.with_mutant(mutant);
+            for pair in pairs(axis, &[]) {
+                let fast = case.injector(&compiled, pair.fast);
+                let reference = case.injector(&compiled, pair.reference);
+                let (mut fs, mut rs) = (fast.sweeper(), reference.sweeper());
+                for &p in &points {
+                    let label = format!("{} {mutant:?} @{} / {}", case.name, p.cycle, pair.label);
+                    match (fs.cut_at(p), rs.cut_at(p)) {
+                        (None, None) => {}
+                        (Some((fc, fi)), Some((rc, ri))) => {
+                            assert_same_capture(&label, &fc, &rc);
+                            assert_same_image(&format!("{label} (post-resolution)"), &fi, &ri);
+                            for (side, sweeper, cap, image) in
+                                [("fast", &mut fs, fc, fi), ("reference", &mut rs, rc, ri)]
+                            {
+                                let (recovered, m) = sweeper.recover();
+                                let label = format!("{label} ({side}, recovered machine)");
+                                assert_same_capture(&label, &cap, &recovered);
+                                assert_same_image(&label, &image, m.pm_contents());
+                            }
+                        }
+                        (f, r) => panic!(
+                            "beyond-end split: {label} (fast {}, reference {})",
+                            f.is_some(),
+                            r.is_some()
+                        ),
                     }
-                    (f, r) => panic!(
-                        "beyond-end split: {label} (fast {}, reference {})",
-                        f.is_some(),
-                        r.is_some()
-                    ),
                 }
             }
         }
@@ -750,7 +780,7 @@ pub fn audit_matrix(axis: &str) {
 /// which also ran it under rerun sweeps: here the sweep axis under the
 /// tree-walker).
 pub fn mutant_audits(axis: &str) {
-    use GatingMutant::{AnyMcBoundary, FirstMcBoundary, FlushUnacked};
+    use GatingMutant::FlushUnacked;
     let mut skew = small_cfg(Scheme::LightWsp).with_cores(4);
     skew.mem.num_mcs = 4;
     skew.mem.wpq_entries = 16;
@@ -759,15 +789,10 @@ pub fn mutant_audits(axis: &str) {
     skew.max_cycles = 200_000;
     let mut single = small_cfg(Scheme::LightWsp);
     single.max_cycles = 2_000_000;
-    let mutants = [
-        Some(FlushUnacked),
-        Some(AnyMcBoundary),
-        Some(FirstMcBoundary),
-    ];
     let shapes = [
         (
             Case::new("vacation-4mc", skew, "vacation", 2_000).threads(4),
-            sized(axis, &mutants[..], &[]),
+            sized(axis, &GATING_MUTANTS[1..], &[]),
             Budget {
                 insts: 2_000,
                 per_kind: 3,
@@ -778,7 +803,7 @@ pub fn mutant_audits(axis: &str) {
         ),
         (
             Case::new("hmmer", single, "hmmer", 4_000),
-            &[None, mutants[0], mutants[1], mutants[2]][..],
+            &GATING_MUTANTS[..],
             Budget {
                 insts: 4_000,
                 per_kind: 1,
@@ -791,12 +816,7 @@ pub fn mutant_audits(axis: &str) {
     for (base, mutants, budget, seed, pairs) in shapes {
         let compiled = base.compiled();
         for &mutant in mutants {
-            let mut case = Case {
-                cfg: base.cfg.clone(),
-                source: base.source.clone(),
-                ..base
-            };
-            case.cfg.gating_mutant = mutant;
+            let case = base.with_mutant(mutant);
             let points = golden_for(&case, &compiled, budget, seed).points;
             for report in audit_pairs(&case, &compiled, &points, &pairs) {
                 let label = format!("{} {mutant:?}", case.name);
