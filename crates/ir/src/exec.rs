@@ -33,6 +33,12 @@ impl Interp {
     /// A failed lock acquire returns `LockSpin` without advancing, and
     /// calling this on a finished thread returns `(0, Some(Halt))`
     /// forever — both exactly as [`Interp::step`].
+    ///
+    /// The simulator calls this once per timed event from another
+    /// crate; `#[inline]` lets it inline into that retire loop, so the
+    /// returned pair stays in registers instead of being stored and
+    /// reloaded through memory.
+    #[inline]
     pub fn step_batch(
         &mut self,
         dec: &DecodedProgram,

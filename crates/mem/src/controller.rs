@@ -144,7 +144,42 @@ impl MemController {
     /// full and does not contain the boundary token for the flush
     /// frontier, the frontier's stores can never be released normally,
     /// so the controller enters the undo-logged overflow fallback.
+    ///
+    /// A saturated persist path retries its refused head every cycle,
+    /// and nearly every retry is refused by the frontier reservation,
+    /// which changes nothing: no deadlock timer, counter or memo. That
+    /// refusal is answered here, inline at the caller, and the rest of
+    /// the insert stays out of line.
+    #[inline]
     pub fn try_insert(
+        &mut self,
+        entry: &PersistEntry,
+        home: bool,
+        now: u64,
+        tracker: &mut RegionTracker,
+    ) -> bool {
+        if self.reservation_refuses(entry.region, tracker) {
+            return false;
+        }
+        self.insert_or_refuse(entry, home, now, tracker)
+    }
+
+    /// True when the frontier reservation refuses a delivery of a
+    /// `region` younger than this MC's flush position: a gated queue,
+    /// not in the overflow fallback, whose free slots are all reserved.
+    /// [`MemController::insert_or_refuse`] refuses such a delivery with
+    /// no side effect.
+    #[inline]
+    fn reservation_refuses(&self, region: RegionId, tracker: &RegionTracker) -> bool {
+        self.wpq.len() + self.frontier_reserve >= self.wpq.capacity()
+            && self.mode == FlushMode::Gated
+            && !self.overflow_mode
+            && region > tracker.flush_pos(self.id)
+    }
+
+    /// The whole of [`MemController::try_insert`], the reservation
+    /// refusal included.
+    fn insert_or_refuse(
         &mut self,
         entry: &PersistEntry,
         home: bool,
@@ -721,5 +756,128 @@ mod immediate_mode_tests {
         }
         let regions: Vec<u64> = flushed.iter().map(|e| e.region).collect();
         assert_eq!(regions, vec![5, 3, 9], "insertion order, not region order");
+    }
+}
+
+#[cfg(test)]
+mod early_refusal_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One step of a random history of MC 0 in a two-MC system; MC 1
+    /// is a peer seen only through the tracker.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// MC 0 receives a data entry or boundary token of the region
+        /// `ahead` past its flush position.
+        Insert { ahead: u64, boundary: bool },
+        /// One cycle: MC 0's tick, then the tracker's.
+        Tick,
+        /// `cycles` idle cycles (lets the deadlock grace expire).
+        Wait { cycles: u64 },
+        /// MC 1 receives the boundary token of the region `ahead` past
+        /// its flush position.
+        PeerBoundary { ahead: u64 },
+        /// MC 1 reports its flush position's flush done.
+        PeerFlushDone,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let insert = || {
+            (0u64..3, 0u8..4).prop_map(|(ahead, b)| Op::Insert {
+                ahead,
+                boundary: b == 0,
+            })
+        };
+        prop_oneof![
+            insert(),
+            insert(),
+            insert(),
+            Just(Op::Tick),
+            (1u64..8).prop_map(|cycles| Op::Wait { cycles }),
+            (0u64..2).prop_map(|ahead| Op::PeerBoundary { ahead }),
+            Just(Op::PeerFlushDone),
+        ]
+    }
+
+    fn entry(addr: u64, region: RegionId, boundary: bool) -> PersistEntry {
+        PersistEntry {
+            addr,
+            val: addr ^ 0x5a5a,
+            region,
+            kind: if boundary {
+                PersistKind::Boundary
+            } else {
+                PersistKind::Data
+            },
+            core: 0,
+        }
+    }
+
+    /// Allocates regions up to `region`.
+    fn alloc_through(tracker: &mut RegionTracker, region: RegionId) {
+        while tracker.last_allocated() < region {
+            tracker.alloc_region();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 256,
+            .. ProptestConfig::default()
+        })]
+
+        /// `try_insert`, whose inline reservation refusal answers most
+        /// head-of-line retries, answers and mutates exactly as the
+        /// full insert on every delivery of a random history, gated or
+        /// immediate, in and out of the overflow fallback.
+        #[test]
+        fn early_refusal_matches_the_full_insert(
+            immediate in any::<bool>(),
+            ops in prop::collection::vec(op_strategy(), 1..160),
+        ) {
+            let mut c = MemConfig::table1();
+            c.wpq_entries = 4;
+            let mut mc = MemController::new(0, &c);
+            if immediate {
+                mc.set_mode(FlushMode::Immediate);
+            }
+            let mut tracker = RegionTracker::new(2, c.noc_latency);
+            let mut pm = PersistentMemory::new();
+            let mut now = 0u64;
+            for (i, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Insert { ahead, boundary } => {
+                        let region = tracker.flush_pos(0) + ahead;
+                        alloc_through(&mut tracker, region);
+                        let e = entry(0x40 + 8 * i as u64, region, boundary);
+                        let (mut full_mc, mut full_tracker) = (mc.clone(), tracker.clone());
+                        let fast = mc.try_insert(&e, true, now, &mut tracker);
+                        let full = full_mc.insert_or_refuse(&e, true, now, &mut full_tracker);
+                        prop_assert_eq!(fast, full, "answer differs at op {}", i);
+                        prop_assert_eq!(format!("{mc:?}"), format!("{full_mc:?}"));
+                        prop_assert_eq!(format!("{tracker:?}"), format!("{full_tracker:?}"));
+                    }
+                    Op::Tick => {
+                        mc.tick(now, &mut tracker, &mut pm, &mut Vec::new());
+                        if let Some(k) = tracker.tick(now) {
+                            mc.on_region_committed(k);
+                        }
+                        now += 1;
+                    }
+                    Op::Wait { cycles } => now += cycles,
+                    Op::PeerBoundary { ahead } => {
+                        let region = tracker.flush_pos(1) + ahead;
+                        alloc_through(&mut tracker, region);
+                        tracker.deliver_boundary(region, 1, now);
+                    }
+                    Op::PeerFlushDone => {
+                        let region = tracker.flush_pos(1);
+                        alloc_through(&mut tracker, region);
+                        tracker.note_flush_done(region, 1, now);
+                    }
+                }
+            }
+        }
     }
 }

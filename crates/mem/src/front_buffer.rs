@@ -57,6 +57,7 @@ impl FrontBuffer {
 
     /// Accepts an entry from the store buffer; `false` (counted as a
     /// stall) if full.
+    #[inline]
     pub fn push(&mut self, entry: PersistEntry) -> bool {
         if !self.has_room() {
             self.full_stalls += 1;
@@ -75,6 +76,7 @@ impl FrontBuffer {
     }
 
     /// Removes and returns the oldest entry (to the persist path).
+    #[inline]
     pub fn pop(&mut self) -> Option<PersistEntry> {
         let popped = self.entries.pop_front();
         if let Some(e) = &popped {

@@ -108,6 +108,7 @@ impl PersistPath {
     ///
     /// Panics if called while [`PersistPath::can_issue`] is false, or if
     /// `weight` is zero.
+    #[inline]
     pub fn issue_weighted(&mut self, now: u64, entry: PersistEntry, weight: u64) {
         assert!(self.can_issue(now), "persist path bandwidth gate violated");
         assert!(weight > 0, "issue weight must be positive");
@@ -146,6 +147,7 @@ impl PersistPath {
     }
 
     /// Removes the head entry (after successful WPQ delivery).
+    #[inline]
     pub fn pop_head(&mut self) -> Option<PersistEntry> {
         let popped = self.in_flight.pop_front().map(|(_, e)| e);
         if let Some(e) = &popped {

@@ -49,6 +49,7 @@ impl PersistentMemory {
 
     /// Durable write of the word containing `addr` (WPQ flush or undo
     /// rollback only).
+    #[inline]
     pub fn write_word(&mut self, addr: u64, val: u64) {
         self.writes += 1;
         self.data.write_word(addr, val);

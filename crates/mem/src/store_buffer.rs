@@ -43,6 +43,7 @@ impl StoreBuffer {
 
     /// Accepts a retired store. Returns `false` (and counts a stall) if
     /// the buffer is full.
+    #[inline]
     pub fn push(&mut self, entry: PersistEntry) -> bool {
         if !self.has_room() {
             self.full_stalls += 1;
@@ -59,6 +60,7 @@ impl StoreBuffer {
     }
 
     /// Removes and returns the oldest entry.
+    #[inline]
     pub fn pop(&mut self) -> Option<PersistEntry> {
         self.entries.pop_front()
     }

@@ -101,6 +101,7 @@ impl Wpq {
     ///
     /// Panics if the queue is full (callers must check
     /// [`Wpq::has_room`]; the persist path head-of-line blocks instead).
+    #[inline]
     pub fn insert(&mut self, entry: WpqEntry) {
         assert!(
             self.has_room(),

@@ -580,11 +580,14 @@ impl Machine {
     /// The first cycle at or after `from` at which core `ci`'s persist
     /// stage ([`Machine::persist_core`]) can move something: the path
     /// head's arrival (an arrived head that a WPQ refused is retried
-    /// every cycle — `try_insert` arms the §IV-D deadlock timer on each
-    /// rejection), FEB → path once the bandwidth gate admits (a full
-    /// transit window frees only when the head pops, which the arrival
-    /// covers), and SB → L1 + FEB whenever the FEB has room; under a
-    /// regular-path scheme, the one-store-per-cycle store-buffer drain.
+    /// every cycle: a full queue's refusal arms the §IV-D deadlock
+    /// timer and an overflow decline is counted, though the frontier
+    /// reservation's refusals — 1,780,811 of the 1,787,903 data-head
+    /// retries of the KV service's golden run — arm nothing), FEB →
+    /// path once the bandwidth gate admits (a full transit window frees
+    /// only when the head pops, which the arrival covers), and
+    /// SB → L1 + FEB whenever the FEB has room; under a regular-path
+    /// scheme, the one-store-per-cycle store-buffer drain.
     /// Only the core's own queues feed it, so it changes only in its
     /// persist stage, in its retire stage (a store-buffer push), and at
     /// a power failure.
@@ -820,7 +823,13 @@ impl Machine {
                     continue;
                 }
                 let popped = self.persist_core(ci, now);
-                self.cores[ci].persist_due = self.persist_horizon(ci, now + 1);
+                // An arrived head still in place is retried next cycle:
+                // `persist_horizon` would return `now + 1`.
+                self.cores[ci].persist_due = if self.cores[ci].path.head_arrived(now).is_some() {
+                    now + 1
+                } else {
+                    self.persist_horizon(ci, now + 1)
+                };
                 match self.cores[ci].idle {
                     Idle::SbFull if popped => self.cores[ci].retire_due = now,
                     Idle::BoundaryWait if self.cores[ci].wait_outstanding => {

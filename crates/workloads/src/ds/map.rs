@@ -125,6 +125,34 @@ impl MapLayout {
         mix64(key) ^ VAL_TAG
     }
 
+    /// Where `key`'s slot sits in one shard's dense slot vector
+    /// ([`MapLayout::shard_slots`]): bucket-major, in-shard slot minor.
+    pub(crate) fn shard_pos(&self, key: u64) -> usize {
+        self.bucket_of(key) * self.slots_per_shard() + self.hash_slot_of(key)
+    }
+
+    /// One shard's oracle after `keys` were put in order: the key word
+    /// of each of its slots, at [`MapLayout::shard_pos`], 0 where empty.
+    pub(crate) fn shard_slots(&self, keys: impl IntoIterator<Item = u64>) -> Vec<u64> {
+        let mut slots = vec![0; self.buckets * self.slots_per_shard()];
+        for key in keys {
+            slots[self.shard_pos(key)] = key;
+        }
+        slots
+    }
+
+    /// True if `shard`'s durable key words equal `slots`, a
+    /// [`MapLayout::shard_slots`] vector.
+    pub(crate) fn shard_matches(&self, pm: &Memory, shard: usize, slots: &[u64]) -> bool {
+        let spt = self.slots_per_shard();
+        slots.chunks_exact(spt).enumerate().all(|(b, keys)| {
+            let first = b * self.slots_per_bucket + shard * spt;
+            keys.iter()
+                .enumerate()
+                .all(|(s, &key)| pm.read_word(self.slot_addr(first + s)) == key)
+        })
+    }
+
     fn assert_pow2(&self) {
         assert!(self.buckets.is_power_of_two());
         assert!(self.slots_per_bucket.is_power_of_two());
@@ -303,16 +331,11 @@ impl DurableMapSpec {
         out
     }
 
-    /// The shard-slot contents (global slot index → key) after thread
-    /// `t` completed `j` puts.
-    fn shard_state(&self, t: usize, j: usize) -> std::collections::HashMap<usize, u64> {
-        let lay = self.layout();
-        let mut slots = std::collections::HashMap::new();
-        for jj in 0..j as u64 {
-            let key = self.key(t, jj);
-            slots.insert(lay.slot_index(key, t), key);
-        }
-        slots
+    /// Shard `t`'s slots ([`MapLayout::shard_slots`]) after thread `t`
+    /// completed `j` puts.
+    fn shard_state(&self, t: usize, j: usize) -> Vec<u64> {
+        self.layout()
+            .shard_slots((0..j as u64).map(|jj| self.key(t, jj)))
     }
 
     /// Total puts in thread `t`'s stream.
@@ -321,27 +344,6 @@ impl DurableMapSpec {
             .iter()
             .filter(|o| matches!(o, MapOp::Put { .. }))
             .count() as u64
-    }
-
-    /// True if the durable shard of `t` equals `state`.
-    fn shard_matches(
-        &self,
-        pm: &Memory,
-        t: usize,
-        state: &std::collections::HashMap<usize, u64>,
-    ) -> bool {
-        let lay = self.layout();
-        let spt = lay.slots_per_shard();
-        for b in 0..lay.buckets {
-            for s in 0..spt {
-                let idx = b * lay.slots_per_bucket + t * spt + s;
-                let key = pm.read_word(lay.slot_addr(idx));
-                if key != state.get(&idx).copied().unwrap_or(0) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -494,14 +496,13 @@ impl RecoverableDs for DurableMapSpec {
                 );
                 continue;
             }
-            let state = self.shard_state(t, c);
-            if !self.shard_matches(pm, t, &state) {
-                let mut next = state;
+            let mut state = self.shard_state(t, c);
+            if !lay.shard_matches(pm, t, &state) {
                 if c < total {
                     let key = self.key(t, c as u64);
-                    next.insert(self.layout().slot_index(key, t), key);
+                    state[lay.shard_pos(key)] = key;
                 }
-                if !self.shard_matches(pm, t, &next) {
+                if !lay.shard_matches(pm, t, &state) {
                     violation(
                         &mut out,
                         "map-shard-prefix",
@@ -526,6 +527,7 @@ impl RecoverableDs for DurableMapSpec {
 
     fn check_final(&self, pm: &Memory) -> Vec<DsViolation> {
         let mut out = self.check_image(pm);
+        let lay = self.layout();
         for t in 0..self.threads {
             let total = self.total_puts(t) as usize;
             let c = pm.read_word(self.priv_addr(t)) as usize;
@@ -545,7 +547,7 @@ impl RecoverableDs for DurableMapSpec {
                     format!("shard {t}: completed run counted {gets} of {want_gets} gets"),
                 );
             }
-            if !self.shard_matches(pm, t, &self.shard_state(t, total)) {
+            if !lay.shard_matches(pm, t, &self.shard_state(t, total)) {
                 violation(
                     &mut out,
                     "map-shard-prefix",

@@ -630,16 +630,13 @@ impl KvServiceSpec {
             return;
         }
         let lay = self.map_layout();
-        let mut state: HashMap<usize, u64> = HashMap::new();
-        for &key in &keys[..k] {
-            state.insert(lay.slot_index(key, shard), key);
-        }
-        if self.shard_matches(pm, shard, &state) {
+        let mut state = lay.shard_slots(keys[..k].iter().copied());
+        if lay.shard_matches(pm, shard, &state) {
             return;
         }
         if k < keys.len() {
-            state.insert(lay.slot_index(keys[k], shard), keys[k]);
-            if self.shard_matches(pm, shard, &state) {
+            state[lay.shard_pos(keys[k])] = keys[k];
+            if lay.shard_matches(pm, shard, &state) {
                 return;
             }
         }
@@ -746,20 +743,6 @@ impl KvServiceSpec {
             b.halt();
         }
         Program::from_single(b.finish())
-    }
-
-    fn shard_matches(&self, pm: &Memory, shard: usize, state: &HashMap<usize, u64>) -> bool {
-        let lay = self.map_layout();
-        let spt = lay.slots_per_shard();
-        for b in 0..lay.buckets {
-            for s in 0..spt {
-                let idx = b * lay.slots_per_bucket + shard * spt + s;
-                if pm.read_word(lay.slot_addr(idx)) != state.get(&idx).copied().unwrap_or(0) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 

@@ -13,7 +13,9 @@
 //!    executable LRPO model, and a deliberately broken gating rule
 //!    ([`GatingMutant::FlushUnacked`]) is caught by a *data-structure*
 //!    invariant — not just the generic gate checks — proving the §8
-//!    checkers detect real gating bugs.
+//!    checkers detect real gating bugs; and one flipped durable key in
+//!    a golden map or service image fails exactly its shard's
+//!    `map-shard-prefix` check.
 //!
 //! The same suite's golden runs and audits under each reference
 //! setting (per-cycle stepper, tree-walker, rerun sweeps) are the
@@ -28,9 +30,11 @@ use lightwsp_core::{audit_recoverable_ds, Campaign, DsAuditBudget};
 use lightwsp_model::harness::{run_case, CaseSpec, EnumMode, PointPolicy};
 use lightwsp_sim::consistency::golden_run;
 use lightwsp_sim::{GatingMutant, Scheme, SimConfig, StepMode, SweepMode};
+use lightwsp_workloads::ds::map::{DurableMapSpec, MapLayout};
 use lightwsp_workloads::ds::queue::DurableQueueSpec;
 use lightwsp_workloads::ds::service::KvServiceSpec;
 use lightwsp_workloads::ds::stack::TreiberStackSpec;
+use lightwsp_workloads::ds::RecoverableDs;
 
 fn cfg() -> SimConfig {
     SimConfig::new(Scheme::LightWsp)
@@ -52,6 +56,54 @@ fn golden_runs_satisfy_final_checkers() {
             ds.name(),
             viols
         );
+    }
+}
+
+/// The shard-prefix checks of the durable map and the KV service read
+/// each shard on its own: one flipped durable key word in a golden
+/// image yields exactly one `map-shard-prefix` violation, naming the
+/// flipped slot's shard, and the clean image yields no violation.
+#[test]
+fn a_flipped_slot_fails_only_its_shard() {
+    let map = DurableMapSpec {
+        threads: 4,
+        buckets: 64,
+        slots_per_bucket: 8,
+        locks: 16,
+        ops_per_thread: 160,
+    };
+    let service = KvServiceSpec::new(2, 256, 8, 64, 8, 16);
+    let cases: [(&dyn RecoverableDs, MapLayout); 2] =
+        [(&map, map.layout()), (&service, service.map_layout())];
+    for (ds, lay) in cases {
+        let compiled = instrument(&ds.program(), &CompilerConfig::default());
+        let mut cfg = cfg();
+        cfg.num_cores = ds.threads();
+        let (golden, _) = golden_run(&compiled, &cfg, ds.threads())
+            .unwrap_or_else(|e| panic!("{} golden run failed: {e:?}", ds.name()));
+        let clean = ds.check_image(&golden);
+        assert!(clean.is_empty(), "{}: {clean:?}", ds.name());
+        let spt = lay.slots_per_shard();
+        for shard in 0..lay.shards {
+            let addr = (0..lay.buckets * spt)
+                .map(|i| lay.slot_addr(i / spt * lay.slots_per_bucket + shard * spt + i % spt))
+                .find(|&a| golden.read_word(a) != 0)
+                .unwrap_or_else(|| panic!("{} shard {shard} holds no key", ds.name()));
+            let mut image = golden.clone();
+            image.write_word(addr, golden.read_word(addr) ^ (1 << 40));
+            let prefix: Vec<_> = ds
+                .check_image(&image)
+                .into_iter()
+                .filter(|v| v.invariant == "map-shard-prefix")
+                .collect();
+            assert_eq!(prefix.len(), 1, "{} shard {shard}: {prefix:?}", ds.name());
+            assert!(
+                prefix[0].detail.contains(&format!("shard {shard}:")),
+                "{}: {}",
+                ds.name(),
+                prefix[0]
+            );
+        }
     }
 }
 
