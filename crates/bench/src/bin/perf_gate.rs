@@ -6,7 +6,7 @@
 //! | axis | what is timed |
 //! |---|---|
 //! | `step` | `Machine::run` on the 90 single-thread Fig. 7 + Fig. 11 cells, on 15 eight-thread Fig. 7 cells, and on lwbench kv-audit's KV service |
-//! | `exec` | the bare engines on the pure-compute variants of the compute-dense kernels, and `Machine::run` on every single-thread Fig. 7 cell (gated on the compute-dense ones) |
+//! | `exec` | the bare engines on the pure-compute variants of the compute-dense kernels, `Machine::run` on every single-thread Fig. 7 cell (gated on the compute-dense ones), and on lwbench kv-audit's KV service |
 //! | `mem` | the cache models on four synthetic L1 access streams |
 //! | `sweep` | dense capture-only crash sweeps (hmmer, vacation), and the litmus suite's exhaustive audit and per-cycle capture sweeps |
 //!
@@ -29,8 +29,8 @@
 //! reproduce the simulator's batch sizes.
 //!
 //! Writes `results/perf_gate.txt`. `--quick` uses the quick instruction
-//! budget for the machine cells, lwbench's tiny KV service and a
-//! smaller dense-sweep point budget.
+//! budget for the machine cells, lwbench's tiny KV service (both KV
+//! rows) and a smaller dense-sweep point budget.
 
 use lightwsp_bench::Cli;
 use lightwsp_compiler::{instrument, Compiled};
@@ -99,6 +99,10 @@ const DISPATCH_KERNEL_MIN: Gate = gate("exec", "dispatch kernels, slowest", 1.5,
 // cells; a real per-cell regression shows up far below it.
 const DENSE_CELL_MIN: Gate = gate("exec", "dense fig07 cells, slowest", 0.85, false);
 const DENSE_GEOMEAN: Gate = gate("exec", "dense fig07 cells, geomean", 1.0, false);
+// Measured 1.25–1.41x (median 1.28x) over ten full runs and
+// 1.10–1.43x (median 1.12x) over ten `--quick` runs; a no-regression
+// floor like `KV_SERVICE`'s.
+const KV_SERVICE_EXEC: Gate = gate("exec", "KV service run", 0.8, false);
 const STREAM_GEOMEAN: Gate = gate("mem", "micro streams, geomean", 1.3, false);
 const STREAM_MIN: Gate = gate("mem", "micro streams, slowest", 0.9, false);
 const DENSE_CAPTURE_BATCH: Gate = gate("sweep", "hmmer+vacation dense captures, batch", 1.0, false);
@@ -106,7 +110,7 @@ const LITMUS_AUDIT: Gate = gate("sweep", "litmus exhaustive audit, batch", 1.0, 
 const LITMUS_CAPTURE: Gate = gate("sweep", "litmus per-cycle captures, batch", 1.0, true);
 
 /// The gate table, in report order.
-const GATES: [Gate; 12] = [
+const GATES: [Gate; 13] = [
     STEP_BATCH,
     STEP_MT_BATCH,
     KV_SERVICE,
@@ -114,6 +118,7 @@ const GATES: [Gate; 12] = [
     DISPATCH_KERNEL_MIN,
     DENSE_CELL_MIN,
     DENSE_GEOMEAN,
+    KV_SERVICE_EXEC,
     STREAM_GEOMEAN,
     STREAM_MIN,
     DENSE_CAPTURE_BATCH,
@@ -321,15 +326,23 @@ fn gate_step(
     vec![
         (STEP_BATCH, race_step_batch(c, &single, out)),
         (STEP_MT_BATCH, race_step_batch(c, &eight, out)),
-        (KV_SERVICE, race_kv_service(opts, quick, out)),
+        (
+            KV_SERVICE,
+            race_kv_service(opts, quick, |s| s.step_mode = StepMode::Reference, out),
+        ),
     ]
 }
 
-/// Races skip-ahead against the per-cycle stepper on the failure-free
-/// run of lwbench kv-audit's KV service under LightWSP (`--quick`: the
-/// benchmark's tiny service), a run its saturated persist path keeps
-/// retire-bound; returns the wall-time ratio.
-fn race_kv_service(opts: &ExperimentOptions, quick: bool, out: &mut String) -> f64 {
+/// Races every axis at its default against `to_reference` on the
+/// failure-free run of lwbench kv-audit's KV service under LightWSP
+/// (`--quick`: the benchmark's tiny service), a run its saturated
+/// persist path keeps retire-bound; returns the wall-time ratio.
+fn race_kv_service(
+    opts: &ExperimentOptions,
+    quick: bool,
+    to_reference: fn(&mut SimConfig),
+    out: &mut String,
+) -> f64 {
     let spec = if quick {
         KvServiceSpec::new(4, 2048, 32, 256, 8, 64)
     } else {
@@ -340,9 +353,11 @@ fn race_kv_service(opts: &ExperimentOptions, quick: bool, out: &mut String) -> f
     let mut cfg = opts.sim.clone();
     cfg.scheme = Scheme::LightWsp;
     cfg.num_cores = threads;
-    let run = |step_mode| {
+    let run = |reference: bool| {
         let mut cfg = cfg.clone();
-        cfg.step_mode = step_mode;
+        if reference {
+            to_reference(&mut cfg);
+        }
         let compiled = &compiled;
         move || {
             let mut m = Machine::new(
@@ -362,12 +377,7 @@ fn race_kv_service(opts: &ExperimentOptions, quick: bool, out: &mut String) -> f
             (dt, (m.stats().cycles, m.stats().insts))
         }
     };
-    let (r, (cycles, insts)) = race(
-        "kv service",
-        3,
-        run(StepMode::SkipAhead),
-        run(StepMode::Reference),
-    );
+    let (r, (cycles, insts)) = race("kv service", 3, run(false), run(true));
     let _ = writeln!(
         out,
         "  {:>12} {:>12} {:>9}: ref {:>8.2}ms fast {:>8.2}ms {:>5.2}x ({cycles} cycles, {insts} insts)",
@@ -429,14 +439,19 @@ fn run_decoded(p: &Program, dec: &DecodedProgram) -> (f64, u64) {
     let mut t = Interp::new(p, 0);
     let t0 = Instant::now();
     while !t.finished() {
-        if let (_, Some(DynEvent::Halt)) = t.step_batch(dec, &mut mem, u32::MAX >> 1) {
+        if let (_, Some(DynEvent::Halt)) = t.step_batch(dec, &mut mem, u32::MAX >> 1, |_| false) {
             break;
         }
     }
     (t0.elapsed().as_secs_f64(), t.insts_executed())
 }
 
-fn gate_exec(c: &Campaign, opts: &ExperimentOptions, out: &mut String) -> Vec<(Gate, f64)> {
+fn gate_exec(
+    c: &Campaign,
+    opts: &ExperimentOptions,
+    quick: bool,
+    out: &mut String,
+) -> Vec<(Gate, f64)> {
     // Dispatch level: the bare engines, no timing simulator, with an
     // unbounded batch budget.
     let mut kernels = Vec::new();
@@ -480,11 +495,13 @@ fn gate_exec(c: &Campaign, opts: &ExperimentOptions, out: &mut String) -> Vec<(G
         );
     }
     let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+    let kv = race_kv_service(opts, quick, |s| s.exec_mode = ExecMode::Reference, out);
     vec![
         (DISPATCH_GEOMEAN, geomean(kernels.iter().copied())),
         (DISPATCH_KERNEL_MIN, min(&kernels)),
         (DENSE_CELL_MIN, min(&dense)),
         (DENSE_GEOMEAN, geomean(dense.iter().copied())),
+        (KV_SERVICE_EXEC, kv),
     ]
 }
 
@@ -812,7 +829,7 @@ fn main() {
     header(&mut out, step);
     let mut rows = gate_step(&c, &opts, cli.quick, &mut out);
     header(&mut out, exec);
-    rows.extend(gate_exec(&c, &opts, &mut out));
+    rows.extend(gate_exec(&c, &opts, cli.quick, &mut out));
     header(&mut out, mem);
     rows.extend(gate_mem(&mut out));
     header(&mut out, sweep);

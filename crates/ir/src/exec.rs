@@ -5,16 +5,25 @@
 //! tight loop that retires ALU-class instructions locally and yields to
 //! the timing simulator only at instructions that emit timed
 //! [`DynEvent`]s (loads, stores, boundaries, I/O, synchronisation,
-//! halts). The caller hands in a *budget* of ALU retire slots; the
+//! halts). A load retires locally too when the caller's *hit predicate*
+//! accepts its address: the simulator passes its L1 probe, so a load
+//! that hits L1 costs one retire slot inside the batch, like an ALU
+//! instruction. The caller hands in a *budget* of retire slots; the
 //! contract is exact per-slot parity with calling [`Interp::step`] once
 //! per instruction:
 //!
 //! * every retired instruction updates the architectural state exactly
 //!   as the reference tree-walker would, in the same order;
-//! * the returned `(alus, event)` pair says how many `DynEvent::Alu`
-//!   instructions retired (≤ budget) before the event — `(budget,
-//!   None)` means the budget ran out first, and the next batch resumes
-//!   at the next micro-op, so nothing ever executes early or twice.
+//! * the predicate is asked exactly once per `Load` micro-op, with the
+//!   address of its [`DynEvent::Load`], in program order, after the
+//!   functional read. A `Ret`'s return-address read is not asked: it
+//!   ends the batch with its `Load` event, as it always did;
+//! * the returned `(slots, event)` pair says how many instructions
+//!   retired as `DynEvent::Alu` or as accepted loads (≤ budget) before
+//!   the event — `(budget, None)` means the budget ran out first, and
+//!   the next batch resumes at the next micro-op, so nothing ever
+//!   executes early or twice. A returned `DynEvent::Load` is a load the
+//!   predicate refused or a `Ret`'s read.
 
 use crate::decode::DecodedProgram;
 use crate::interp::{DynEvent, Interp, StoreKind};
@@ -26,9 +35,12 @@ use crate::uop::{MicroOp, Operand};
 
 impl Interp {
     /// Executes micro-ops until an event-emitting instruction or until
-    /// `budget` ALU-class instructions have retired, whichever comes
-    /// first. Returns the retired-ALU count and the event, if any (see
-    /// the module docs for the exact contract). `budget` must be ≥ 1.
+    /// `budget` retire slots are used, whichever comes first. An
+    /// ALU-class instruction uses one slot, and so does a `Load` whose
+    /// address `hit` accepts; a `Load` `hit` refuses ends the batch
+    /// with its `Load` event. Returns the used-slot count and the event, if
+    /// any (see the module docs for the exact contract). `budget` must
+    /// be ≥ 1. Pass `|_| false` to surface every load as an event.
     ///
     /// A failed lock acquire returns `LockSpin` without advancing, and
     /// calling this on a finished thread returns `(0, Some(Halt))`
@@ -44,6 +56,7 @@ impl Interp {
         dec: &DecodedProgram,
         mem: &mut Memory,
         budget: u32,
+        mut hit: impl FnMut(u64) -> bool,
     ) -> (u32, Option<DynEvent>) {
         debug_assert!(budget >= 1, "a batch needs at least one retire slot");
         if self.finished {
@@ -55,42 +68,42 @@ impl Interp {
             self.resync_cursor(dec)
         };
         let tid = self.tid;
-        let mut alus = 0u32;
+        let mut slots = 0u32;
         // Retired-instruction count batches in a register for the whole
         // dispatch loop and folds into the field once at batch exit —
         // nothing reads `insts_executed` mid-batch.
         let mut executed = 0u64;
         let ev = loop {
-            if alus >= budget {
+            if slots >= budget {
                 break None;
             }
             match dec.uops[cur as usize] {
                 MicroOp::Alu { op, dst, lhs, rhs } => {
                     self.regs[dst.index()] =
                         op.apply(self.regs[lhs.index()], self.regs[rhs.index()]);
-                    alus += 1;
+                    slots += 1;
                     executed += 1;
                     cur += 1;
                 }
                 MicroOp::AluImm { op, dst, src, imm } => {
                     self.regs[dst.index()] = op.apply(self.regs[src.index()], imm);
-                    alus += 1;
+                    slots += 1;
                     executed += 1;
                     cur += 1;
                 }
                 MicroOp::MovImm { dst, imm } => {
                     self.regs[dst.index()] = imm;
-                    alus += 1;
+                    slots += 1;
                     executed += 1;
                     cur += 1;
                 }
                 MicroOp::Nop => {
-                    alus += 1;
+                    slots += 1;
                     executed += 1;
                     cur += 1;
                 }
                 MicroOp::Jump { target } => {
-                    alus += 1;
+                    slots += 1;
                     executed += 1;
                     cur = dec.blocks[target as usize].start;
                 }
@@ -103,7 +116,7 @@ impl Interp {
                 } => {
                     let taken = cond.eval(self.regs[src.index()], self.operand(rhs));
                     let t = if taken { then_blk } else { else_blk };
-                    alus += 1;
+                    slots += 1;
                     executed += 1;
                     cur = dec.blocks[t as usize].start;
                 }
@@ -112,6 +125,10 @@ impl Interp {
                     self.regs[dst.index()] = mem.read_word_cached(addr);
                     executed += 1;
                     cur += 1;
+                    if hit(addr & !7) {
+                        slots += 1;
+                        continue;
+                    }
                     break Some(DynEvent::Load { addr: addr & !7 });
                 }
                 MicroOp::Store { src, base, offset } => {
@@ -245,7 +262,7 @@ impl Interp {
         self.cursor = cur;
         self.cursor_valid = true;
         self.point_stale = true;
-        (alus, ev)
+        (slots, ev)
     }
 
     /// Materialises `point` from the decoded cursor after batched
@@ -291,7 +308,7 @@ impl Interp {
         let mut steps = 0u64;
         while steps < max_steps {
             let budget = (max_steps - steps).min(1 << 20) as u32;
-            let (alus, ev) = self.step_batch(dec, mem, budget);
+            let (alus, ev) = self.step_batch(dec, mem, budget, |_| false);
             steps += alus as u64;
             events.extend(std::iter::repeat_n(DynEvent::Alu, alus as usize));
             let Some(ev) = ev else { continue };
@@ -362,7 +379,7 @@ mod tests {
         let mut steps = 0u64;
         while steps < max {
             let b = budget.min((max - steps).max(1).min(u32::MAX as u64) as u32);
-            let (alus, ev) = d.step_batch(dec, mem, b);
+            let (alus, ev) = d.step_batch(dec, mem, b, |_| false);
             steps += alus as u64;
             events.extend(std::iter::repeat_n(DynEvent::Alu, alus as usize));
             let Some(ev) = ev else { continue };
@@ -476,19 +493,19 @@ mod tests {
         let mut mem = Memory::new();
         mem.write_word(layout::lock_addr(0), 9); // held
         let mut d = Interp::new(&p, 0);
-        let (alus, ev) = d.step_batch(&dec, &mut mem, 16);
+        let (alus, ev) = d.step_batch(&dec, &mut mem, 16, |_| false);
         assert_eq!(alus, 1, "the mov retires before the acquire");
         assert!(matches!(ev, Some(DynEvent::LockSpin { .. })));
         d.sync_point(&dec);
         let before = d.point();
-        let (alus2, ev2) = d.step_batch(&dec, &mut mem, 16);
+        let (alus2, ev2) = d.step_batch(&dec, &mut mem, 16, |_| false);
         assert_eq!(alus2, 0);
         assert!(matches!(ev2, Some(DynEvent::LockSpin { .. })));
         d.sync_point(&dec);
         assert_eq!(d.point(), before, "spin must not advance");
         // Release the lock: the retry succeeds.
         mem.write_word(layout::lock_addr(0), 0);
-        let (_, ev3) = d.step_batch(&dec, &mut mem, 16);
+        let (_, ev3) = d.step_batch(&dec, &mut mem, 16, |_| false);
         assert!(matches!(
             ev3,
             Some(DynEvent::Store {
@@ -544,11 +561,11 @@ mod tests {
         let dec = DecodedProgram::decode(&p);
         let mut mem = Memory::new();
         let mut t = Interp::new(&p, 0);
-        let (alus, _) = t.step_batch(&dec, &mut mem, 1);
+        let (alus, _) = t.step_batch(&dec, &mut mem, 1, |_| false);
         assert_eq!(alus, 1);
         t.sync_point(&dec); // materialise `point` before a reference step
         assert_eq!(t.step(&p, &mut mem), DynEvent::Alu);
-        let (alus2, ev) = t.step_batch(&dec, &mut mem, 8);
+        let (alus2, ev) = t.step_batch(&dec, &mut mem, 8, |_| false);
         assert_eq!(alus2, 1, "one mov left before the halt");
         assert_eq!(ev, Some(DynEvent::Halt));
         assert_eq!(t.reg(Reg::R3), 3);
@@ -562,8 +579,14 @@ mod tests {
         let dec = DecodedProgram::decode(&p);
         let mut mem = Memory::new();
         let mut t = Interp::new(&p, 0);
-        assert_eq!(t.step_batch(&dec, &mut mem, 4), (0, Some(DynEvent::Halt)));
-        assert_eq!(t.step_batch(&dec, &mut mem, 4), (0, Some(DynEvent::Halt)));
+        assert_eq!(
+            t.step_batch(&dec, &mut mem, 4, |_| false),
+            (0, Some(DynEvent::Halt))
+        );
+        assert_eq!(
+            t.step_batch(&dec, &mut mem, 4, |_| false),
+            (0, Some(DynEvent::Halt))
+        );
         assert_eq!(t.insts_executed(), 1, "halt retires once");
     }
 }

@@ -420,14 +420,12 @@ impl MemController {
         survivable: &[RegionId],
         pm: &mut PersistentMemory,
     ) -> FailureResolution {
-        let mut entries: Vec<WpqEntry> = self.wpq.entries().iter().copied().collect();
         // §IV-F steps 3–5 flush region by region in flush-ID order;
         // entries from different cores may sit in the queue out of
         // region order (NUMA arrival skew), and a same-address pair from
         // two regions must persist oldest-first.
-        entries.sort_by_key(|e| e.region);
         let mut res = FailureResolution::default();
-        for e in entries {
+        for &e in self.wpq.entries_by_region() {
             if survivable.contains(&e.region) {
                 if e.home {
                     pm.write_word(e.addr, e.val);

@@ -11,7 +11,6 @@
 
 use crate::persist_path::{PersistEntry, PersistKind};
 use crate::protocol::RegionId;
-use std::collections::VecDeque;
 
 /// One quarantined store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,21 +44,58 @@ impl WpqEntry {
     }
 }
 
+/// Link value for "no slot".
+const NIL: u32 = u32::MAX;
+
+/// One slot of the WPQ's entry slab: an entry and its links.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    entry: WpqEntry,
+    /// The next-older entry in arrival order.
+    older: u32,
+    /// The next-younger entry in arrival order; on a free slot, the
+    /// next free slot.
+    younger: u32,
+    /// The next-younger entry of the same region.
+    region_next: u32,
+}
+
+/// The entries of one region: their count and the oldest and youngest
+/// slots of their arrival-ordered list.
+#[derive(Clone, Copy, Debug)]
+struct RegionList {
+    region: RegionId,
+    count: u32,
+    head: u32,
+    tail: u32,
+}
+
 /// The battery-backed write pending queue of one MC.
+///
+/// Entries live in a slab of at most `capacity` slots, linked twice:
+/// into one arrival-ordered list, and into one arrival-ordered list per
+/// region. Flush scheduling takes the frontier region's oldest entry,
+/// and ungated flushing the oldest entry of all; each is a list head,
+/// so both takes are O(1) however many younger entries arrived before
+/// the frontier's.
 #[derive(Clone, Debug)]
 pub struct Wpq {
-    /// Arrival-ordered queue. A ring buffer, because flush scheduling
-    /// removes from the *front* (oldest-first) once per flushed entry —
-    /// a `Vec` would shift the whole tail each time.
-    entries: VecDeque<WpqEntry>,
-    /// Entries per region, kept in lockstep with `entries` so the
-    /// event-scan hot path answers [`Wpq::has_region`] /
-    /// [`Wpq::count_region`] without walking the queue. Sorted by
-    /// region ID and kept as a flat vec: regions arrive in roughly
-    /// ascending order and drain from the oldest, so inserts probe from
-    /// the back and lookups for the flush frontier hit the front — one
-    /// compare each in the common case, no hashing.
-    region_counts: Vec<(RegionId, u32)>,
+    slots: Vec<Slot>,
+    /// Oldest and youngest entries in arrival order.
+    oldest: u32,
+    youngest: u32,
+    /// Head of the free-slot list (linked through `younger`).
+    free: u32,
+    len: usize,
+    /// The per-region lists, sorted by region ID and kept as a flat
+    /// vec: regions arrive in roughly ascending order and drain from
+    /// the oldest, so inserts probe from the back and lookups for the
+    /// flush frontier hit the front — one compare each in the common
+    /// case, no hashing. They also answer [`Wpq::has_region`] /
+    /// [`Wpq::count_region`] without walking the queue. (A ring buffer
+    /// here, to pop a drained frontier list off the front, measured
+    /// slower.)
+    regions: Vec<RegionList>,
     capacity: usize,
     inserts: u64,
     cam_searches: u64,
@@ -74,12 +110,17 @@ impl Wpq {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit a slot link.
     pub fn new(capacity: usize) -> Wpq {
         assert!(capacity > 0, "WPQ capacity must be positive");
+        assert!(capacity < NIL as usize, "WPQ capacity too large");
         Wpq {
-            entries: VecDeque::with_capacity(capacity),
-            region_counts: Vec::new(),
+            slots: Vec::with_capacity(capacity),
+            oldest: NIL,
+            youngest: NIL,
+            free: NIL,
+            len: 0,
+            regions: Vec::new(),
             capacity,
             inserts: 0,
             cam_searches: 0,
@@ -92,7 +133,7 @@ impl Wpq {
 
     /// True if another entry fits.
     pub fn has_room(&self) -> bool {
-        self.entries.len() < self.capacity
+        self.len < self.capacity
     }
 
     /// Inserts a delivered entry.
@@ -108,40 +149,112 @@ impl Wpq {
             "WPQ overflow must be handled by the caller"
         );
         self.inserts += 1;
-        self.count(entry.region);
-        self.entries.push_back(entry);
-        self.max_occupancy = self.max_occupancy.max(self.entries.len());
+        let slot = Slot {
+            entry,
+            older: self.youngest,
+            younger: NIL,
+            region_next: NIL,
+        };
+        let s = if self.free != NIL {
+            let s = self.free;
+            self.free = self.slots[s as usize].younger;
+            self.slots[s as usize] = slot;
+            s
+        } else {
+            self.slots.push(slot);
+            (self.slots.len() - 1) as u32
+        };
+        match self.youngest {
+            NIL => self.oldest = s,
+            y => self.slots[y as usize].younger = s,
+        }
+        self.youngest = s;
+        self.len += 1;
+        self.link_region(entry.region, s);
+        self.max_occupancy = self.max_occupancy.max(self.len);
     }
 
-    /// Adds one entry of `region` to the count index. New regions are
-    /// the youngest almost always, so probe from the back.
-    fn count(&mut self, region: RegionId) {
-        let mut i = self.region_counts.len();
+    /// Appends slot `s` to `region`'s list. New regions are the
+    /// youngest almost always, so probe from the back.
+    fn link_region(&mut self, region: RegionId, s: u32) {
+        let mut i = self.regions.len();
         while i > 0 {
-            match self.region_counts[i - 1].0 {
-                r if r == region => {
-                    self.region_counts[i - 1].1 += 1;
-                    return;
-                }
-                r if r < region => break,
-                _ => i -= 1,
+            let r = &mut self.regions[i - 1];
+            if r.region == region {
+                r.count += 1;
+                let tail = std::mem::replace(&mut r.tail, s);
+                self.slots[tail as usize].region_next = s;
+                return;
+            }
+            if r.region < region {
+                break;
+            }
+            i -= 1;
+        }
+        self.regions.insert(
+            i,
+            RegionList {
+                region,
+                count: 1,
+                head: s,
+                tail: s,
+            },
+        );
+    }
+
+    /// Index of `region`'s list, if it has entries. Queries target the
+    /// flush frontier — the oldest region — so scan from the front.
+    #[inline]
+    fn region_index(&self, region: RegionId) -> Option<usize> {
+        for (i, r) in self.regions.iter().enumerate() {
+            if r.region >= region {
+                return (r.region == region).then_some(i);
             }
         }
-        self.region_counts.insert(i, (region, 1));
+        None
     }
 
-    /// Removes one entry of `region` from the count index. Drained
-    /// regions are the oldest almost always, so probe from the front.
-    fn uncount(&mut self, region: RegionId) {
-        let i = self
-            .region_counts
-            .iter()
-            .position(|&(r, _)| r == region)
-            .expect("count index out of sync");
-        self.region_counts[i].1 -= 1;
-        if self.region_counts[i].1 == 0 {
-            self.region_counts.remove(i);
+    /// Removes the oldest entry of the region list at `i` from the
+    /// queue and returns it.
+    fn take_head(&mut self, i: usize) -> WpqEntry {
+        let r = &mut self.regions[i];
+        let s = r.head;
+        r.count -= 1;
+        if r.count == 0 {
+            self.regions.remove(i);
+        } else {
+            r.head = self.slots[s as usize].region_next;
         }
+        let Slot {
+            entry,
+            older,
+            younger,
+            ..
+        } = self.slots[s as usize];
+        match older {
+            NIL => self.oldest = younger,
+            o => self.slots[o as usize].younger = younger,
+        }
+        match younger {
+            NIL => self.youngest = older,
+            y => self.slots[y as usize].older = older,
+        }
+        self.slots[s as usize].younger = self.free;
+        self.free = s;
+        self.len -= 1;
+        entry
+    }
+
+    /// Arrival-ordered walk of the list starting at slot `s`, following
+    /// `next`.
+    fn walk(&self, mut s: u32, next: fn(&Slot) -> u32) -> impl Iterator<Item = &WpqEntry> + '_ {
+        std::iter::from_fn(move || {
+            (s != NIL).then(|| {
+                let slot = &self.slots[s as usize];
+                s = next(slot);
+                &slot.entry
+            })
+        })
     }
 
     /// CAM search for an LLC load miss (§IV-H): true if any entry falls
@@ -152,8 +265,7 @@ impl Wpq {
         // entry — not a division per entry.
         let lo = line_addr - line_addr % line_bytes;
         let hit = self
-            .entries
-            .iter()
+            .entries()
             .any(|e| !e.is_boundary && e.addr.wrapping_sub(lo) < line_bytes);
         if hit {
             self.cam_hits += 1;
@@ -162,107 +274,98 @@ impl Wpq {
     }
 
     /// Removes and returns the oldest entry of `region`, if any
-    /// (allocation-free flush scheduling).
+    /// (allocation-free flush scheduling): the head of its list.
+    #[inline]
     pub fn take_one_of_region(&mut self, region: RegionId) -> Option<WpqEntry> {
-        if !self.has_region(region) {
-            return None;
-        }
-        let i = self.entries.iter().position(|e| e.region == region)?;
-        self.uncount(region);
-        // Gated flushing drains the frontier region, whose entries are
-        // the oldest in the queue — `i == 0` is the common case and a
-        // ring-buffer pop; interleaved younger regions pay the shift.
-        if i == 0 {
-            self.entries.pop_front()
-        } else {
-            self.entries.remove(i)
-        }
+        let i = self.region_index(region)?;
+        Some(self.take_head(i))
     }
 
-    /// Removes and returns the oldest entry regardless of region.
+    /// Removes and returns the oldest entry regardless of region. It
+    /// heads its region's list too.
     pub fn take_one_oldest(&mut self) -> Option<WpqEntry> {
-        let e = self.entries.pop_front()?;
-        self.uncount(e.region);
-        Some(e)
+        if self.oldest == NIL {
+            return None;
+        }
+        let region = self.slots[self.oldest as usize].entry.region;
+        let i = self.region_index(region).expect("region lists out of sync");
+        debug_assert_eq!(self.regions[i].head, self.oldest);
+        Some(self.take_head(i))
     }
 
     /// Removes and returns up to `max` entries of `region`, oldest
     /// first (flush scheduling).
     pub fn take_region(&mut self, region: RegionId, max: usize) -> Vec<WpqEntry> {
-        let mut out = Vec::new();
-        while out.len() < max {
-            match self.take_one_of_region(region) {
-                Some(e) => out.push(e),
-                None => break,
-            }
-        }
-        out
+        std::iter::from_fn(|| self.take_one_of_region(region))
+            .take(max)
+            .collect()
     }
 
     /// Removes and returns up to `max` entries in FIFO order regardless
     /// of region (ungated flushing, used by the PPA and cWSP baseline
     /// models that do not gate the WPQ).
     pub fn take_oldest(&mut self, max: usize) -> Vec<WpqEntry> {
-        let n = max.min(self.entries.len());
-        let out: Vec<WpqEntry> = self.entries.drain(..n).collect();
-        for e in &out {
-            self.uncount(e.region);
-        }
-        out
+        std::iter::from_fn(|| self.take_one_oldest())
+            .take(max)
+            .collect()
     }
 
     /// Number of entries belonging to `region` (one compare in the
-    /// common frontier query, via the sorted count index).
+    /// common frontier query, via the sorted region lists).
     #[inline]
     pub fn count_region(&self, region: RegionId) -> usize {
-        // The index is sorted ascending and queries target the flush
-        // frontier — the oldest region — so scan from the front.
-        for &(r, n) in &self.region_counts {
-            if r >= region {
-                return if r == region { n as usize } else { 0 };
-            }
-        }
-        0
+        self.region_index(region)
+            .map_or(0, |i| self.regions[i].count as usize)
     }
 
-    /// True if any entry belongs to `region` (via the count index).
+    /// True if any entry belongs to `region` (via the region lists).
     #[inline]
     pub fn has_region(&self, region: RegionId) -> bool {
-        self.count_region(region) != 0
+        self.region_index(region).is_some()
     }
 
     /// The §IV-D deadlock-detection bit: does the queue hold the
-    /// boundary token for `region`?
+    /// boundary token for `region`? Walks `region`'s entries only.
     pub fn has_boundary_for(&self, region: RegionId) -> bool {
-        self.entries
-            .iter()
-            .any(|e| e.is_boundary && e.region == region)
+        self.region_index(region).is_some_and(|i| {
+            self.walk(self.regions[i].head, |s| s.region_next)
+                .any(|e| e.is_boundary)
+        })
     }
 
-    /// Drains every entry (power-failure recovery examines and then
-    /// discards them).
+    /// Drains every entry in arrival order (power-failure recovery
+    /// examines and then discards them).
     pub fn drain_all(&mut self) -> Vec<WpqEntry> {
-        self.region_counts.clear();
-        std::mem::take(&mut self.entries).into_iter().collect()
+        let all = self.entries().copied().collect();
+        self.slots.clear();
+        self.regions.clear();
+        (self.oldest, self.youngest, self.free, self.len) = (NIL, NIL, NIL, 0);
+        all
     }
 
-    /// Read-only view of the queued entries in arrival order. Exposed
-    /// for property tests that cross-check the O(1) per-region count
-    /// index against a full recount; operational code uses the indexed
-    /// accessors above.
-    pub fn entries(&self) -> &VecDeque<WpqEntry> {
-        &self.entries
+    /// The queued entries in arrival order.
+    pub fn entries(&self) -> impl Iterator<Item = &WpqEntry> + '_ {
+        self.walk(self.oldest, |s| s.younger)
+    }
+
+    /// The queued entries region by region in ascending region ID, each
+    /// region's in arrival order: the arrival order stably sorted by
+    /// region, the order the §IV-F battery flush writes them.
+    pub fn entries_by_region(&self) -> impl Iterator<Item = &WpqEntry> + '_ {
+        self.regions
+            .iter()
+            .flat_map(move |r| self.walk(r.head, |s| s.region_next))
     }
 
     /// Current occupancy.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True if empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Capacity in entries.
@@ -272,7 +375,7 @@ impl Wpq {
 
     /// Samples the occupancy (call once per cycle for averages).
     pub fn sample_occupancy(&mut self) {
-        self.occupancy_accum += self.entries.len() as u64;
+        self.occupancy_accum += self.len as u64;
         self.occupancy_samples += 1;
     }
 
@@ -281,7 +384,7 @@ impl Wpq {
     /// an interval during which the queue provably does not change:
     /// equivalent to calling [`Wpq::sample_occupancy`] once per cycle.
     pub fn sample_occupancy_n(&mut self, cycles: u64) {
-        self.occupancy_accum += self.entries.len() as u64 * cycles;
+        self.occupancy_accum += self.len as u64 * cycles;
         self.occupancy_samples += cycles;
     }
 

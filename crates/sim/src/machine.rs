@@ -1346,17 +1346,20 @@ impl Machine {
                 continue;
             }
 
+            self.counters.retire_dispatches += 1;
             let ev = if let Some(dp) = &self.decoded {
                 // Batched decoded dispatch: retire up to `budget`
-                // ALU-class instructions inside the interpreter's tight
-                // loop and surface only the next timed event. Exact
-                // per-slot equivalence with the reference path holds
-                // because nothing an ALU-class instruction does can
-                // change this loop's per-slot predicates: the thread
-                // pick is stable within a cycle (`now` is fixed, and
-                // rotation re-arms the quantum), the store buffer only
-                // grows at the store events that end a batch, and
-                // region state only changes at events.
+                // ALU-class instructions and L1-hit loads inside the
+                // interpreter's tight loop and surface only the next
+                // timed event. Exact per-slot equivalence with the
+                // reference path holds because nothing such an
+                // instruction does can change this loop's per-slot
+                // predicates: the thread pick is stable within a cycle
+                // (`now` is fixed, and rotation re-arms the quantum),
+                // the store buffer only grows at the store events that
+                // end a batch, and region state only changes at events.
+                // An L1 hit costs `l1_latency` and one slot on either
+                // path, and its cache bookkeeping is the probe itself.
                 let budget = if self.cores[ci].threads.len() == 1 || self.cfg.timeslice > 0 {
                     slots
                 } else {
@@ -1365,12 +1368,14 @@ impl Machine {
                     // rotation stays per-slot exact.
                     1
                 };
-                let (alus, ev) = self.threads[tid]
-                    .interp
-                    .step_batch(dp, &mut self.vmem, budget);
-                acc_insts += alus as u64;
-                acc_region += alus as u64;
-                slots -= alus;
+                let l1 = &mut self.cores[ci].l1;
+                let (used, ev) =
+                    self.threads[tid]
+                        .interp
+                        .step_batch(dp, &mut self.vmem, budget, |a| l1.try_hit(a, false));
+                acc_insts += used as u64;
+                acc_region += used as u64;
+                slots -= used;
                 match ev {
                     Some(ev) => ev,
                     None => continue,

@@ -118,6 +118,11 @@ pub struct StepCounters {
     pub persist_visits: u64,
     /// Retire-stage core visits.
     pub retire_visits: u64,
+    /// Engine dispatches of the retire stage: one per
+    /// `Interp::step_batch` call (decoded engine) or `Interp::step`
+    /// call (tree-walker). A decoded batch retires ALU-class
+    /// instructions and L1-hit loads and returns at any other event.
+    pub retire_dispatches: u64,
     /// Persist-stage visits whose arrived path head a WPQ refused
     /// (head-of-line retries).
     pub hol_retries: u64,

@@ -10,7 +10,7 @@
 mod mode_parity;
 
 use lightwsp_compiler::{instrument, CompilerConfig};
-use lightwsp_ir::{DecodedProgram, Interp, Memory};
+use lightwsp_ir::{DecodedProgram, DynEvent, Interp, Memory, Reg, Terminator};
 use proptest::prelude::*;
 
 axis_tests! { "exec":
@@ -66,6 +66,103 @@ proptest! {
         );
         prop_assert_eq!(r.insts_executed(), d.insts_executed());
         prop_assert_eq!(r.point(), d.point());
+    }
+
+    /// The decoded batch with a load predicate, as the retire loop
+    /// passes its L1 probe: for any program, any address predicate and
+    /// any budgets, the batched stream is `Interp::step`'s stream with
+    /// every accepted load folded into the ALU count; the predicate is
+    /// asked exactly once per `Load` instruction (a `Ret`'s read stays
+    /// an event), in program order, with the reference stream's `Load`
+    /// addresses; and memory, registers, the instruction counts and the
+    /// point are identical.
+    #[test]
+    fn accepted_loads_retire_inside_the_batch(
+        spec in mode_parity::arbitrary_spec(),
+        instrumented in any::<bool>(),
+        salt in any::<u64>(),
+        accept_pct in 0u64..101,
+        budgets in prop::collection::vec(1u32..9, 1..6),
+    ) {
+        const MAX: u64 = 200_000;
+        let program = spec.scaled_to(6_000).generate();
+        let program = if instrumented {
+            instrument(&program, &CompilerConfig::default()).program
+        } else {
+            program
+        };
+        let accept = |a: u64| {
+            ((a ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % 100 < accept_pct
+        };
+        // The reference, one `Interp::step` at a time as `Interp::run`
+        // steps, noting which events are a `Ret`'s read.
+        let mut rmem = Memory::new();
+        let mut r = Interp::new(&program, 0);
+        let mut revs = Vec::new();
+        for _ in 0..MAX {
+            let pt = r.point();
+            let block = program.func(pt.func).block(pt.block);
+            let ret = pt.inst as usize == block.insts.len() && block.term == Terminator::Ret;
+            let ev = r.step(&program, &mut rmem);
+            revs.push((ev, ret));
+            if matches!(ev, DynEvent::Halt | DynEvent::LockSpin { .. }) {
+                break;
+            }
+        }
+        let loads: Vec<u64> = revs
+            .iter()
+            .filter_map(|&(e, ret)| match e {
+                DynEvent::Load { addr } if !ret => Some(addr),
+                _ => None,
+            })
+            .collect();
+        let folded: Vec<DynEvent> = revs
+            .iter()
+            .map(|&(e, ret)| match e {
+                DynEvent::Load { addr } if !ret && accept(addr) => DynEvent::Alu,
+                e => e,
+            })
+            .collect();
+
+        let dec = DecodedProgram::decode(&program);
+        let mut dmem = Memory::new();
+        let mut d = Interp::new(&program, 0);
+        let (mut devs, mut asked) = (Vec::new(), Vec::new());
+        let mut steps = 0u64;
+        for &budget in budgets.iter().cycle() {
+            if steps >= MAX {
+                break;
+            }
+            let budget = budget.min((MAX - steps) as u32);
+            let (slots, ev) = d.step_batch(&dec, &mut dmem, budget, |a| {
+                asked.push(a);
+                accept(a)
+            });
+            steps += slots as u64;
+            devs.extend(std::iter::repeat_n(DynEvent::Alu, slots as usize));
+            let Some(ev) = ev else { continue };
+            steps += 1;
+            devs.push(ev);
+            if matches!(ev, DynEvent::Halt | DynEvent::LockSpin { .. }) {
+                break;
+            }
+        }
+        d.sync_point(&dec);
+
+        prop_assert_eq!(folded.len(), devs.len(), "event counts differ");
+        prop_assert!(folded == devs, "event streams differ");
+        prop_assert!(asked == loads, "predicate asked {} times for {} loads", asked.len(), loads.len());
+        prop_assert!(
+            rmem.same_contents(&dmem),
+            "memory differs: {:?}",
+            rmem.first_difference(&dmem)
+        );
+        prop_assert_eq!(r.insts_executed(), d.insts_executed());
+        prop_assert_eq!(r.instrumentation_executed(), d.instrumentation_executed());
+        prop_assert_eq!(r.point(), d.point());
+        for reg in Reg::all() {
+            prop_assert_eq!(r.reg(reg), d.reg(reg), "{} differs", reg);
+        }
     }
 
     #[test]

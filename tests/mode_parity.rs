@@ -612,7 +612,8 @@ pub fn lockstep(axis: &str) {
 /// saturated eight-core cell skip-ahead makes fewer retire and persist
 /// visits than the per-cycle stepper, which visits every core in both
 /// phases of every cycle; each cycle is stepped, retire-only or
-/// skipped, and the head-of-line retries are the same on both sides.
+/// skipped, and the head-of-line retries and retire dispatches are the
+/// same on both sides.
 pub fn step_counters() {
     let case = saturated_eight_core();
     let compiled = case.compiled();
@@ -641,6 +642,13 @@ pub fn step_counters() {
     );
     assert_eq!(counters.hol_retries, reference.hol_retries);
     assert!(counters.hol_retries > 0, "the cell is not WPQ-saturated");
+    // A visit that dispatches does the same work under either stepper;
+    // skip-ahead only drops the visits that would not dispatch.
+    assert_eq!(
+        counters.retire_dispatches, reference.retire_dispatches,
+        "retire dispatches differ between step modes"
+    );
+    assert!(counters.retire_dispatches > 0);
     assert!(
         counters.retire_visits < reference.retire_visits
             && counters.persist_visits < reference.persist_visits,
